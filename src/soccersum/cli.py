@@ -5,6 +5,8 @@ Subcommands cover the full flow: ``gen-data`` builds a synthetic dataset,
 ``score-events`` / ``extract-proposals`` / ``summarize`` commands run the
 stages piecewise against saved artifacts, ``evaluate`` runs the
 cross-validation protocol, and ``e2e`` chains generation plus evaluation.
+The piecewise commands call the same stage functions of ``pipeline`` as the
+protocol, so they write the same artifacts as its folds.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems
 (malformed files, provenance mismatches, training failures).
@@ -15,45 +17,38 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import load_config
-from .core import (
-    Action,
-    ConfigError,
-    PaddingConfig,
-    SoccersumError,
-    action_duration,
-    action_type,
-)
-from .features import AUDIO_FEATURE_NAMES, MetadataEncoder, extract_event_audio_features
+from .core import ConfigError, SoccersumError
+from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
     Provenance,
+    budget_inputs,
     ensure_same_provenance,
+    event_audio,
     load_model_checkpoint,
     prepare_fold,
+    proposal_events,
     read_features_json,
     read_proposals_json,
     read_scores_csv,
     run_protocol,
+    sample_candidates,
     save_model_checkpoint,
+    score_matches,
+    stage2_items,
+    train_proposal_model,
+    typed_proposals,
     write_candidates_json,
     write_features_json,
     write_proposals_json,
     write_scores_csv,
     write_theta_csv,
 )
-from .stage1 import (
-    MilModel,
-    extract_proposals,
-    sample_training_bags,
-    score_events,
-    train_mil,
-)
-from .stage2 import HmaModel, label_proposal, score_proposals, train_hma
-from .stage3 import generate_candidates
-from .synth import generate_dataset, resolve_audio
+from .stage1 import MilModel
+from .stage1 import sample_training_bags, train_mil  # noqa: F401 (perfbench/tracing.py wraps them)
+from .stage2 import HmaModel, score_proposals, train_hma
+from .synth import generate_dataset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,11 +85,24 @@ def _require_current(cfg, tagged):
     ensure_same_provenance([("active configuration", _prov(cfg))] + list(tagged))
 
 
-def _interval_labels(n, intervals):
-    labels = np.zeros(n, dtype=bool)
-    for s, e in intervals:
-        labels[s : e + 1] = True
-    return labels
+def _match_ids(args, dataset, default) -> list:
+    """The ids of ``--matches``, else ``default``; an unknown id is a data error."""
+    if not args.matches:
+        return default
+    ids = args.matches.split(",")
+    known = set(dataset.match_ids())
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise SoccersumError("--matches names unknown match id(s): %s" % ", ".join(unknown))
+    return ids
+
+
+def _write_feature_csv(path, prov, names, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(prov.line() + "\n")
+        fh.write("event_index," + ",".join(names) + "\n")
+        for i, row in enumerate(rows):
+            fh.write("%d," % i + ",".join("%.6f" % v for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -116,26 +124,16 @@ def cmd_extract_features(args) -> int:
     prov = _prov(cfg)
     feat_dir = os.path.join(args.out_dir, "features")
     os.makedirs(feat_dir, exist_ok=True)
-    names = ctx.encoder.feature_names()
-    ids = args.matches.split(",") if args.matches else dataset.match_ids()
+    ids = _match_ids(args, dataset, dataset.match_ids())
+    if args.audio:
+        every_event = {i: list(range(len(ctx.feats[i]))) for i in ids}
+        audio = event_audio(dataset, args.data, every_event, cfg["jobs"])
     for match_id in ids:
-        match = dataset.by_id(match_id)
-        rows = ctx.feats[match_id]
-        path = os.path.join(feat_dir, "%s_metadata.csv" % match_id)
-        with open(path, "w") as fh:
-            fh.write(prov.line() + "\n")
-            fh.write("event_index," + ",".join(names) + "\n")
-            for i in range(rows.shape[0]):
-                fh.write("%d," % i + ",".join("%.6f" % v for v in rows[i]) + "\n")
+        _write_feature_csv(os.path.join(feat_dir, "%s_metadata.csv" % match_id), prov,
+                           ctx.encoder.feature_names(), ctx.feats[match_id])
         if args.audio:
-            samples, rate = resolve_audio(dataset, match_id)
-            path = os.path.join(feat_dir, "%s_audio.csv" % match_id)
-            with open(path, "w") as fh:
-                fh.write(prov.line() + "\n")
-                fh.write("event_index," + ",".join(AUDIO_FEATURE_NAMES) + "\n")
-                for ev in match.events:
-                    row = extract_event_audio_features(samples, rate, ev.t)
-                    fh.write("%d," % ev.index + ",".join("%.6f" % v for v in row) + "\n")
+            _write_feature_csv(os.path.join(feat_dir, "%s_audio.csv" % match_id), prov,
+                               AUDIO_FEATURE_NAMES, audio.get(match_id, {}).values())
     print("wrote features for %d matches to %s" % (len(ids), feat_dir))
     return 0
 
@@ -144,16 +142,7 @@ def cmd_train_proposals(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
     ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
-    matches = {m.match_id: m for m in dataset.matches}
-    bags = sample_training_bags(
-        {i: matches[i] for i in ctx.train_ids}, ctx.vocab,
-        cfg["seed"], cfg["stage1.neg_min_len"],
-    )
-    val_inputs = [
-        (i, _interval_labels(len(matches[i].events), ctx.gt_intervals[i]), ctx.types[i])
-        for i in ctx.val_ids
-    ]
-    model = train_mil(bags, ctx.feats, val_inputs, cfg.mil_config(), cfg["seed"])
+    model = train_proposal_model(dataset, cfg, ctx, cfg["seed"])
     os.makedirs(args.out_dir, exist_ok=True)
     prov = _prov(cfg)
     save_model_checkpoint(os.path.join(args.out_dir, "mil.ckpt"), model.to_checkpoint(), prov)
@@ -172,11 +161,9 @@ def cmd_score_events(args) -> int:
     _require_current(cfg, [(args.model, prov_m), (args.features, prov_f)])
     model = MilModel.from_checkpoint(ckpt)
     encoder = MetadataEncoder(dataset.vocabulary, codebook)
-    ids = args.matches.split(",") if args.matches else dataset.match_ids()
-    scores = {}
-    for match_id in ids:
-        feats = encoder.encode_match(dataset.by_id(match_id))
-        scores[match_id] = score_events(model.params, feats, model.config)
+    ids = _match_ids(args, dataset, dataset.match_ids())
+    feats = {i: encoder.encode_match(dataset.by_id(i)) for i in ids}
+    scores = score_matches(model, feats, cfg["jobs"])
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_scores_csv(args.out, _prov(cfg), scores)
     print("scored %d matches -> %s" % (len(ids), args.out))
@@ -191,47 +178,12 @@ def cmd_extract_proposals(args) -> int:
     _require_current(cfg, [(args.scores, prov_s), (args.model, prov_m)])
     model = MilModel.from_checkpoint(ckpt)
     threshold = args.threshold if args.threshold is not None else model.threshold
-    proposals = {}
-    for match_id, s in scores.items():
-        match = dataset.by_id(match_id)
-        spans = extract_proposals(s, threshold, match.type_sequence())
-        proposals[match_id] = [(a, b, _typed(a, b, match)) for a, b in spans]
+    proposals = typed_proposals(dataset, scores, threshold)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_proposals_json(args.out, _prov(cfg), proposals)
     n = sum(len(v) for v in proposals.values())
     print("extracted %d proposals (threshold %.2f) -> %s" % (n, threshold, args.out))
     return 0
-
-
-def _typed(a: int, b: int, match) -> str:
-    return action_type(Action(a, b), match)
-
-
-def _stage2_items(dataset, cfg, proposals, ids, feats_cache=None, with_labels=True):
-    """(metadata, audio, label) triples for every proposal of ``ids``."""
-    items_by_match = {}
-    for match_id in ids:
-        match = dataset.by_id(match_id)
-        feats = feats_cache[match_id]
-        needed = sorted({k for s, e, _t in proposals.get(match_id, []) for k in range(s, e + 1)})
-        if not needed:
-            items_by_match[match_id] = []
-            continue
-        samples, rate = resolve_audio(dataset, match_id)
-        rows = {k: extract_event_audio_features(samples, rate, match.events[k].t)
-                for k in needed}
-        items = []
-        gt = [(a.start_index, a.end_index) for a in dataset.summaries[match_id].actions] \
-            if match_id in dataset.summaries else []
-        for s, e, _t in proposals[match_id]:
-            xm = feats[s : e + 1]
-            xa = np.stack([rows[k] for k in range(s, e + 1)])
-            if with_labels:
-                items.append((xm, xa, label_proposal((s, e), gt, cfg["stage2.overlap_ratio"])))
-            else:
-                items.append((xm, xa))
-        items_by_match[match_id] = items
-    return items_by_match
 
 
 def cmd_train_hma(args) -> int:
@@ -240,11 +192,14 @@ def cmd_train_hma(args) -> int:
     prov_p, proposals = read_proposals_json(args.proposals)
     _require_current(cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
-    train_map = _stage2_items(dataset, cfg, proposals, ctx.train_ids, ctx.feats)
-    val_map = _stage2_items(dataset, cfg, proposals, ctx.val_ids, ctx.feats)
-    train_items = [it for i in ctx.train_ids for it in train_map[i]]
-    val_items = [it for i in ctx.val_ids for it in val_map[i]]
-    model = train_hma(train_items, val_items, cfg.hma_config(), cfg["seed"])
+    events = proposal_events(proposals, ctx.train_ids + ctx.val_ids)
+    audio = event_audio(dataset, args.data, events, cfg["jobs"])
+    ratio = cfg["stage2.overlap_ratio"]
+    model = train_hma(
+        stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
+        stage2_items(proposals, ctx.feats, audio, ctx.val_ids, ctx.gt_intervals, ratio),
+        cfg.hma_config(), cfg["seed"],
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     save_model_checkpoint(os.path.join(args.out_dir, "hma.ckpt"),
                           model.to_checkpoint(), _prov(cfg))
@@ -260,35 +215,22 @@ def cmd_summarize(args) -> int:
     _require_current(cfg, [(args.proposals, prov_p), (args.model, prov_m)])
     model = HmaModel.from_checkpoint(ckpt)
     ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
-    ids = args.matches.split(",") if args.matches else ctx.test_ids
-    padding = PaddingConfig(cfg["pad.pre"], cfg["pad.post"])
+    ids = _match_ids(args, dataset, ctx.test_ids)
     prov = _prov(cfg)
     os.makedirs(os.path.join(args.out_dir, "candidates"), exist_ok=True)
 
-    items_map = _stage2_items(dataset, cfg, proposals, ids, ctx.feats, with_labels=False)
-    theta = {}
-    for match_id in ids:
-        items = items_map[match_id]
-        theta[match_id] = score_proposals(model, items) if items else np.empty(0)
+    audio = event_audio(dataset, args.data, proposal_events(proposals, ids), cfg["jobs"])
+    theta = {i: score_proposals(model, stage2_items(proposals, ctx.feats, audio, [i]))
+             for i in ids}
     write_theta_csv(os.path.join(args.out_dir, "theta.csv"), prov, theta)
 
     for match_id in ids:
-        match = dataset.by_id(match_id)
-        budget = sum(action_duration(a, match, padding)
-                     for a in dataset.summaries[match_id].actions)
-        durations = [action_duration(Action(s, e), match, padding)
-                     for s, e, _t in proposals.get(match_id, [])]
-        starts = [match.events[s].t for s, _e, _t in proposals.get(match_id, [])]
-        cands = generate_candidates(
-            theta[match_id], durations, starts, budget,
-            k=cfg["stage3.samples"], sigma=cfg["stage3.sigma"],
-            seed_key=(cfg["seed"], 9, ctx.ordinals[match_id]),
-            tol=cfg["stage3.budget_tol"], mode=cfg["stage3.mode"],
-        )
-        write_candidates_json(
-            os.path.join(args.out_dir, "candidates", "%s.json" % match_id),
-            prov, match_id, budget, cands, proposals.get(match_id, []),
-        )
+        spans = proposals.get(match_id, [])
+        inputs = budget_inputs(dataset, cfg, match_id, spans)
+        cands = sample_candidates(cfg, cfg["seed"], ctx.ordinals[match_id],
+                                  theta[match_id], inputs)
+        write_candidates_json(os.path.join(args.out_dir, "candidates", "%s.json" % match_id),
+                              prov, match_id, inputs[2], cands, spans)
     print("wrote rankings and %d candidate files to %s" % (len(ids), args.out_dir))
     return 0
 

@@ -81,9 +81,7 @@ def energy_entropy(frames: np.ndarray, n_sub: int = 10) -> np.ndarray:
     e = np.sum(sub * sub, axis=2)
     tot = e.sum(axis=1, keepdims=True)
     p = np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p, where=p > 0), 0.0)
-    return -terms.sum(axis=1)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
 
 
 def spectral_centroid_spread(mag: np.ndarray, freqs: np.ndarray):
@@ -100,9 +98,7 @@ def spectral_entropy(mag: np.ndarray) -> np.ndarray:
     power = mag * mag
     tot = power.sum(axis=1, keepdims=True)
     p = np.divide(power, tot, out=np.zeros_like(power), where=tot > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p, where=p > 0), 0.0)
-    return -terms.sum(axis=1)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
 
 
 def spectral_flux(mag: np.ndarray) -> np.ndarray:

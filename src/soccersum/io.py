@@ -59,7 +59,7 @@ class Dataset:
         for m in self.matches:
             if m.match_id == match_id:
                 return m
-        raise KeyError(match_id)
+        raise DataFormatError("unknown match id %r" % match_id)
 
 
 def event_to_record(ev: Event, match_id: str) -> dict:

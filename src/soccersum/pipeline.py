@@ -24,6 +24,7 @@ import numpy as np
 from .config import PipelineConfig
 from .core import (
     Action,
+    ConfigError,
     DataFormatError,
     PaddingConfig,
     SoccersumError,
@@ -43,7 +44,6 @@ from .features import MetadataEncoder, QualifierCodebook, extract_event_audio_fe
 from .io import Dataset, load_dataset
 from .neural import load_checkpoint, save_checkpoint
 from .stage1 import (
-    MilConfig,
     MilModel,
     build_action_vocabulary,
     extract_proposals,
@@ -52,7 +52,7 @@ from .stage1 import (
     score_events,
     train_mil,
 )
-from .stage2 import HmaModel, label_proposal, score_proposals, train_hma
+from .stage2 import label_proposal, score_proposals, train_hma
 from .stage3 import (
     assemble_summary,
     baseline_ranking,
@@ -201,11 +201,6 @@ def write_theta_csv(path: str, prov: Provenance, theta: dict[str, np.ndarray]) -
                 fh.write("%s,%d,%.10f\n" % (match_id, i, v))
 
 
-def read_theta_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
-    prov, rows = read_scores_csv(path)
-    return prov, rows
-
-
 def write_candidates_json(path: str, prov: Provenance, match_id: str, budget: float,
                           candidates, proposals: list[tuple[int, int, str]]) -> None:
     payload = {
@@ -237,14 +232,6 @@ def write_candidates_json(path: str, prov: Provenance, match_id: str, budget: fl
         fh.write("\n")
 
 
-def read_candidates_json(path: str) -> tuple[Provenance, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "config_hash" not in payload or "seed" not in payload:
-        raise DataFormatError("%s: missing provenance fields" % path)
-    return Provenance(payload["config_hash"], int(payload["seed"])), payload
-
-
 def write_features_json(path: str, prov: Provenance, codebook: QualifierCodebook,
                         vocab: set[tuple[str, ...]]) -> None:
     payload = {
@@ -272,10 +259,10 @@ def read_features_json(path: str):
 # ---------------------------------------------------------------------------
 # worker tasks (top level so they pickle for the process pool)
 
-_WORKER_DATASETS: dict[str, Dataset] = {}
+_WORKER_DATASETS: dict[str | None, Dataset] = {}
 
 
-def _cached_dataset(data_dir: str) -> Dataset:
+def _cached_dataset(data_dir: str | None) -> Dataset:
     ds = _WORKER_DATASETS.get(data_dir)
     if ds is None:
         ds = load_dataset(data_dir)
@@ -284,11 +271,7 @@ def _cached_dataset(data_dir: str) -> Dataset:
 
 
 def _score_task(args):
-    data_dir, match_id, params, mil_cfg, codebook_payload = args
-    ds = _cached_dataset(data_dir)
-    match = ds.by_id(match_id)
-    encoder = MetadataEncoder(ds.vocabulary, QualifierCodebook.from_dict(codebook_payload))
-    feats = encoder.encode_match(match)
+    match_id, params, mil_cfg, feats = args
     return match_id, score_events(params, feats, mil_cfg)
 
 
@@ -311,7 +294,7 @@ def _parallel_map(fn, tasks: list, jobs: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# fold execution
+# fold preparation
 
 @dataclass
 class FoldContext:
@@ -333,7 +316,13 @@ class FoldContext:
 def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
                  seed: int) -> FoldContext:
     ids = dataset.match_ids()
+    missing = [i for i in ids if i not in dataset.summaries]
+    if missing:
+        raise DataFormatError("no reference summary (summaries/<id>.json) for match %s"
+                              % ", ".join(missing))
     folds = kfold_split(ids, k=config["eval.kfold"], seed=seed)
+    if not 0 <= fold_index < len(folds):
+        raise ConfigError("fold %d is outside 0..%d" % (fold_index, len(folds) - 1))
     train_ids, val_ids, test_ids = folds[fold_index]
     matches = {m.match_id: m for m in dataset.matches}
     vocab = build_action_vocabulary(
@@ -361,6 +350,106 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
         ordinals={match_id: i for i, match_id in enumerate(ids)},
     )
 
+
+# ---------------------------------------------------------------------------
+# stages, shared by the CLI subcommands and run_fold
+
+def _interval_labels(n: int, intervals) -> np.ndarray:
+    labels = np.zeros(n, dtype=bool)
+    for s, e in intervals:
+        labels[s : e + 1] = True
+    return labels
+
+
+def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
+                         seed: int) -> MilModel:
+    """Stage 1: sample bags from the training matches and train the MIL
+    scorer; the validation matches pick the epoch and the threshold."""
+    matches = {m.match_id: m for m in dataset.matches}
+    bags = sample_training_bags({i: matches[i] for i in ctx.train_ids}, ctx.vocab,
+                                seed, config["stage1.neg_min_len"])
+    val_inputs = [
+        (i, _interval_labels(len(ctx.types[i]), ctx.gt_intervals[i]), ctx.types[i])
+        for i in ctx.val_ids
+    ]
+    return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), seed)
+
+
+def score_matches(model: MilModel, feats: dict, jobs: int) -> dict[str, np.ndarray]:
+    """Per-event stage-1 scores for every match of ``feats``, one task each."""
+    tasks = [(i, model.params, model.config, f) for i, f in feats.items()]
+    return dict(_parallel_map(_score_task, tasks, jobs))
+
+
+def typed_proposals(dataset: Dataset, scores: dict,
+                    threshold: float) -> dict[str, list[tuple[int, int, str]]]:
+    """Threshold per-event scores into spans; each span gets its action type."""
+    out = {}
+    for match_id, s in scores.items():
+        match = dataset.by_id(match_id)
+        spans = extract_proposals(s, threshold, match.type_sequence())
+        out[match_id] = [(a, b, action_type(Action(a, b), match)) for a, b in spans]
+    return out
+
+
+def proposal_events(proposals: dict, ids) -> dict[str, list[int]]:
+    """Sorted indices of the events inside any proposal, per match of ``ids``."""
+    return {i: sorted({k for s, e, _t in proposals.get(i, ()) for k in range(s, e + 1)})
+            for i in ids}
+
+
+def event_audio(dataset: Dataset, data_dir: str | None, events: dict,
+                jobs: int) -> dict[str, dict[int, np.ndarray]]:
+    """Audio descriptor rows of the listed events, one task per match with
+    any.  The dataset enters the per-process cache, so inline tasks and
+    forked workers use it as is; other workers load ``data_dir``."""
+    _WORKER_DATASETS[data_dir] = dataset
+    tasks = [(data_dir, i, idx) for i, idx in events.items() if idx]
+    return dict(_parallel_map(_audio_task, tasks, jobs))
+
+
+def stage2_items(proposals: dict, feats: dict, audio: dict, ids,
+                 gt_intervals: dict | None = None, overlap_ratio: float = 0.0) -> list:
+    """Scorer inputs for the proposals of ``ids`` in order: (metadata,
+    audio) pairs, or (metadata, audio, label) with ``gt_intervals``."""
+    items = []
+    for i in ids:
+        for s, e, _t in proposals.get(i, ()):
+            xm = feats[i][s : e + 1]
+            xa = np.stack([audio[i][k] for k in range(s, e + 1)])
+            if gt_intervals is None:
+                items.append((xm, xa))
+            else:
+                items.append((xm, xa, label_proposal((s, e), gt_intervals[i], overlap_ratio)))
+    return items
+
+
+def budget_inputs(dataset: Dataset, config: PipelineConfig, match_id: str,
+                  proposals: list) -> tuple[list, list, float]:
+    """Stage-3 inputs of one match: padded proposal durations, proposal
+    start times, and the budget (padded length of its reference summary)."""
+    match = dataset.by_id(match_id)
+    padding = PaddingConfig(config["pad.pre"], config["pad.post"])
+    durations = [action_duration(Action(s, e), match, padding) for s, e, _t in proposals]
+    starts = [match.events[s].t for s, _e, _t in proposals]
+    budget = sum(action_duration(a, match, padding)
+                 for a in dataset.summaries[match_id].actions)
+    return durations, starts, budget
+
+
+def sample_candidates(config: PipelineConfig, seed: int, ordinal: int, theta,
+                      inputs: tuple) -> list:
+    """Stage 3: the k budgeted candidates of one match; ``inputs`` comes
+    from budget_inputs and ``ordinal`` keys the sampling stream."""
+    return generate_candidates(
+        theta, *inputs, k=config["stage3.samples"], sigma=config["stage3.sigma"],
+        seed_key=(seed, 9, ordinal), tol=config["stage3.budget_tol"],
+        mode=config["stage3.mode"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# fold execution
 
 @dataclass
 class FoldResult:
@@ -394,19 +483,8 @@ class FoldResult:
         }
 
 
-def _interval_labels(n: int, intervals) -> np.ndarray:
-    labels = np.zeros(n, dtype=bool)
-    for s, e in intervals:
-        labels[s : e + 1] = True
-    return labels
-
-
 def _derived_seed(seed: int, domain: int, ordinal: int) -> int:
     return int(np.random.SeedSequence([seed, domain, ordinal]).generate_state(1)[0])
-
-
-def _actions_from(indices, proposals) -> list[Action]:
-    return [Action(proposals[i][0], proposals[i][1], proposals[i][2]) for i in indices]
 
 
 def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: int,
@@ -414,172 +492,70 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
              jobs: int = 1) -> FoldResult:
     """Train all three stages on one fold and evaluate on its test shard."""
     ctx = prepare_fold(dataset, config, fold_index, seed)
-    train_ids, val_ids, test_ids = ctx.train_ids, ctx.val_ids, ctx.test_ids
-    ids = dataset.match_ids()
+    val_ids, test_ids = ctx.val_ids, ctx.test_ids
+    eval_ids = val_ids + test_ids
+
+    mil = train_proposal_model(dataset, config, ctx, seed)
+    scores = score_matches(mil, ctx.feats, jobs)
+    proposals = typed_proposals(dataset, scores, mil.threshold)
+
+    events = proposal_events(proposals, dataset.match_ids())
+    audio = event_audio(dataset, data_dir, events, jobs)
+    ratio = config["stage2.overlap_ratio"]
+    hma = train_hma(
+        stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
+        stage2_items(proposals, ctx.feats, audio, val_ids, ctx.gt_intervals, ratio),
+        config.hma_config(), seed,
+    )
+    theta = {i: score_proposals(hma, stage2_items(proposals, ctx.feats, audio, [i]))
+             for i in eval_ids}
+
+    inputs = {i: budget_inputs(dataset, config, i, proposals[i]) for i in eval_ids}
+    candidates = {i: sample_candidates(config, seed, ctx.ordinals[i], theta[i], inputs[i])
+                  for i in eval_ids}
+
+    # evaluation: validation matches pick the sample index, test matches score
     matches = {m.match_id: m for m in dataset.matches}
-    types, gt_intervals, ordinals = ctx.types, ctx.gt_intervals, ctx.ordinals
-    vocab, codebook, feats = ctx.vocab, ctx.codebook, ctx.feats
-    padding = PaddingConfig(config["pad.pre"], config["pad.post"])
 
-    # stage 1: bags and training ------------------------------------------
-    train_matches = {i: matches[i] for i in train_ids}
-    bags = sample_training_bags(train_matches, vocab, seed, config["stage1.neg_min_len"])
-    mil_cfg = config.mil_config()
-    val_inputs = [
-        (i, _interval_labels(len(matches[i].events), gt_intervals[i]), types[i])
-        for i in val_ids
-    ]
-    mil = train_mil(bags, feats, val_inputs, mil_cfg, seed)
+    def summary_counts(i, chosen):
+        preds = [Action(*proposals[i][j]) for j in chosen]
+        return match_summary_actions(preds, dataset.summaries[i].actions, matches[i])
 
-    # per-event scores and proposals for every match
-    if jobs > 1 and data_dir is not None:
-        _WORKER_DATASETS.setdefault(data_dir, dataset)
-        tasks = [(data_dir, i, mil.params, mil_cfg, codebook.to_dict()) for i in ids]
-        scores = dict(_parallel_map(_score_task, tasks, jobs))
-    else:
-        scores = {i: score_events(mil.params, feats[i], mil_cfg) for i in ids}
-    spans = {i: extract_proposals(scores[i], mil.threshold, types[i]) for i in ids}
-    proposals = {
-        i: [(s, e, action_type(Action(s, e), matches[i])) for s, e in spans[i]]
-        for i in ids
-    }
+    f_matrix = np.zeros((len(val_ids), config["stage3.samples"]))
+    for vi, i in enumerate(val_ids):
+        for j, c in enumerate(candidates[i]):
+            f_matrix[vi, j] = Counts(*summary_counts(i, c.chosen)).metrics(beta=1.0)["f"]
+    best_j = select_best_index(f_matrix) if val_ids else 0
 
+    tol, mode = config["stage3.budget_tol"], config["stage3.mode"]
     stage1 = {name: Counts() for name in STAGE1_ROWS}
-    for i in test_ids:
-        tm_preds = find_vocabulary_spans(types[i], vocab)
-        stage1["template-matching"].add(*overlap_match(tm_preds, gt_intervals[i]))
-        stage1["learned-model"].add(*overlap_match(spans[i], gt_intervals[i]))
-
-    # stage 2: audio features for proposal events, scorer training --------
-    needed = {i: sorted({k for s, e in spans[i] for k in range(s, e + 1)}) for i in ids}
-    if jobs > 1 and data_dir is not None:
-        tasks = [(data_dir, i, needed[i]) for i in ids if needed[i]]
-        audio_rows = dict(_parallel_map(_audio_task, tasks, jobs))
-    else:
-        audio_rows = {}
-        for i in ids:
-            if not needed[i]:
-                continue
-            samples, rate = resolve_audio(dataset, i)
-            audio_rows[i] = {
-                k: extract_event_audio_features(samples, rate, matches[i].events[k].t)
-                for k in needed[i]
-            }
-
-    overlap_ratio = config["stage2.overlap_ratio"]
-
-    def stage2_items(match_id, with_labels=True):
-        items = []
-        for s, e, _t in proposals[match_id]:
-            xm = feats[match_id][s : e + 1]
-            xa = np.stack([audio_rows[match_id][k] for k in range(s, e + 1)])
-            if with_labels:
-                y = label_proposal((s, e), gt_intervals[match_id], overlap_ratio)
-                items.append((xm, xa, y))
-            else:
-                items.append((xm, xa))
-        return items
-
-    train_items = [it for i in train_ids for it in stage2_items(i)]
-    val_items = [it for i in val_ids for it in stage2_items(i)]
-    hma = train_hma(train_items, val_items, config.hma_config(), seed)
-
-    theta = {
-        i: (score_proposals(hma, stage2_items(i, with_labels=False))
-            if proposals[i] else np.empty(0))
-        for i in ids
-    }
-
-    # test-shard selection table ------------------------------------------
     selection = {name: Counts() for name in SELECTOR_ROWS}
+    ranking = {name: Counts() for name in RANKING_ROWS}
+    assembled = [(c, inputs[i][2]) for i in eval_ids for c in candidates[i]]
     for i in test_ids:
+        gt = ctx.gt_intervals[i]
+        stage1["template-matching"].add(
+            *overlap_match(find_vocabulary_spans(ctx.types[i], ctx.vocab), gt))
+        stage1["learned-model"].add(*overlap_match([(s, e) for s, e, _t in proposals[i]], gt))
+
         ptypes = [t for _s, _e, t in proposals[i]]
-        gt_actions = dataset.summaries[i].actions
         picks = {
             "random-selector": soccer_baseline("random", ptypes,
-                                               _derived_seed(seed, 8, ordinals[i])),
+                                               _derived_seed(seed, 8, ctx.ordinals[i])),
             "only-goals": soccer_baseline("goals", ptypes),
             "shots-on-target": soccer_baseline("shots_on_target", ptypes),
             "attention-classifier": [j for j, v in enumerate(theta[i]) if v >= 0.5],
         }
         for name, chosen in picks.items():
-            preds = _actions_from(chosen, proposals[i])
-            selection[name].add(*match_summary_actions(preds, gt_actions, matches[i]))
+            selection[name].add(*summary_counts(i, chosen))
 
-    # stage 3: budgeted ranking -------------------------------------------
-    k = config["stage3.samples"]
-    sigma = config["stage3.sigma"]
-    tol = config["stage3.budget_tol"]
-    mode = config["stage3.mode"]
-    budgets = {
-        i: sum(action_duration(a, matches[i], padding)
-               for a in dataset.summaries[i].actions)
-        for i in ids
-    }
-    durations = {
-        i: [action_duration(Action(s, e), matches[i], padding)
-            for s, e, _t in proposals[i]]
-        for i in ids
-    }
-    start_times = {
-        i: [matches[i].events[s].t for s, _e, _t in proposals[i]] for i in ids
-    }
-
-    def candidates_for(match_id):
-        return generate_candidates(
-            theta[match_id], durations[match_id], start_times[match_id],
-            budgets[match_id], k=k, sigma=sigma,
-            seed_key=(seed, 9, ordinals[match_id]), tol=tol, mode=mode,
-        )
-
-    n_over = 0
-    max_ratio = 0.0
-
-    def track_budget(c, match_id):
-        nonlocal n_over, max_ratio
-        if c.over_budget:
-            n_over += 1
-        elif budgets[match_id] > 0:
-            max_ratio = max(max_ratio, c.total_duration / budgets[match_id])
-
-    if val_ids:
-        f_matrix = np.zeros((len(val_ids), k))
-        for vi, i in enumerate(val_ids):
-            cands = candidates_for(i)
-            gt_actions = dataset.summaries[i].actions
-            for j, c in enumerate(cands):
-                track_budget(c, i)
-                preds = _actions_from(c.chosen, proposals[i])
-                tp, fp, fn = match_summary_actions(preds, gt_actions, matches[i])
-                cnt = Counts(tp, fp, fn)
-                f_matrix[vi, j] = cnt.metrics(beta=1.0)["f"]
-        best_j = select_best_index(f_matrix)
-    else:
-        best_j = 0
-
-    ranking = {name: Counts() for name in RANKING_ROWS}
-    test_candidates = {}
-    for i in test_ids:
-        cands = candidates_for(i)
-        test_candidates[i] = cands
-        for c in cands:
-            track_budget(c, i)
-        gt_actions = dataset.summaries[i].actions
-        rows = {
-            "sampled-best-of-k": cands[best_j].chosen,
-        }
-        desc = baseline_ranking(theta[i], "descending")
-        c_desc = assemble_summary(desc, durations[i], start_times[i], budgets[i], tol, mode)
-        track_budget(c_desc, i)
-        rows["score-descending"] = c_desc.chosen
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 10, ordinals[i]]))
-        rand = baseline_ranking(theta[i], "random", rng)
-        c_rand = assemble_summary(rand, durations[i], start_times[i], budgets[i], tol, mode)
-        track_budget(c_rand, i)
-        rows["random-ranking"] = c_rand.chosen
-        for name, chosen in rows.items():
-            preds = _actions_from(chosen, proposals[i])
-            ranking[name].add(*match_summary_actions(preds, gt_actions, matches[i]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 10, ctx.ordinals[i]]))
+        desc = assemble_summary(baseline_ranking(theta[i], "descending"), *inputs[i], tol, mode)
+        rand = assemble_summary(baseline_ranking(theta[i], "random", rng), *inputs[i], tol, mode)
+        assembled += [(desc, inputs[i][2]), (rand, inputs[i][2])]
+        for name, c in (("sampled-best-of-k", candidates[i][best_j]),
+                        ("score-descending", desc), ("random-ranking", rand)):
+            ranking[name].add(*summary_counts(i, c.chosen))
 
     result = FoldResult(
         fold=fold_index,
@@ -588,11 +564,12 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
         ranking=ranking,
         best_sample_index=best_j,
         threshold=mil.threshold,
-        mil_val_f=getattr(mil, "best_val_f", 0.0),
-        hma_val_f=getattr(hma, "best_val_f", 0.0),
+        mil_val_f=mil.best_val_f,
+        hma_val_f=hma.best_val_f,
         n_proposals=sum(len(v) for v in proposals.values()),
-        n_over_budget=n_over,
-        max_budget_ratio=max_ratio,
+        n_over_budget=sum(1 for c, _b in assembled if c.over_budget),
+        max_budget_ratio=max([0.0] + [c.total_duration / b for c, b in assembled
+                                      if not c.over_budget and b > 0]),
     )
 
     if out_dir is not None:
@@ -602,15 +579,14 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
         save_model_checkpoint(os.path.join(fold_dir, "mil.ckpt"), mil.to_checkpoint(), prov)
         save_model_checkpoint(os.path.join(fold_dir, "hma.ckpt"), hma.to_checkpoint(), prov)
         write_features_json(os.path.join(fold_dir, "stage1_features.json"), prov,
-                            codebook, vocab)
+                            ctx.codebook, ctx.vocab)
         write_scores_csv(os.path.join(fold_dir, "scores.csv"), prov, scores)
         write_proposals_json(os.path.join(fold_dir, "proposals.json"), prov, proposals)
-        write_theta_csv(os.path.join(fold_dir, "theta.csv"), prov,
-                        {i: theta[i] for i in val_ids + test_ids})
+        write_theta_csv(os.path.join(fold_dir, "theta.csv"), prov, theta)
         for i in test_ids:
             write_candidates_json(
                 os.path.join(fold_dir, "candidates", "%s.json" % i), prov,
-                i, budgets[i], test_candidates[i], proposals[i],
+                i, inputs[i][2], candidates[i], proposals[i],
             )
         with open(os.path.join(fold_dir, "fold_result.json"), "w") as fh:
             payload = result.to_dict()

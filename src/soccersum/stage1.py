@@ -327,6 +327,8 @@ class MilModel:
     config: MilConfig
     threshold: float = 0.5
     history: list = field(default_factory=list)
+    best_epoch: int = -1
+    best_val_f: float = 0.0
 
     def to_checkpoint(self) -> dict:
         out = dict(self.params)
@@ -416,8 +418,5 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
             if stale >= config.patience:
                 break
 
-    model = MilModel(params=best_state, config=config, threshold=best_threshold)
-    model.history = history
-    model.best_epoch = best_epoch
-    model.best_val_f = best_f
-    return model
+    return MilModel(params=best_state, config=config, threshold=best_threshold,
+                    history=history, best_epoch=best_epoch, best_val_f=best_f)

@@ -179,6 +179,8 @@ class HmaModel:
     audio_mu: np.ndarray = None
     audio_sd: np.ndarray = None
     history: list = field(default_factory=list)
+    best_epoch: int = -1
+    best_val_f: float = 0.0
 
     def normalize_audio(self, xa: np.ndarray) -> np.ndarray:
         if self.audio_mu is None:
@@ -282,12 +284,8 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
             stale += 1
             if stale >= config.patience:
                 break
-    model = HmaModel(params=best_state, config=config,
-                     audio_mu=audio_mu, audio_sd=audio_sd)
-    model.history = history
-    model.best_epoch = best_epoch
-    model.best_val_f = best_f
-    return model
+    return HmaModel(params=best_state, config=config, audio_mu=audio_mu, audio_sd=audio_sd,
+                    history=history, best_epoch=best_epoch, best_val_f=best_f)
 
 
 def score_proposals(model: HmaModel, items) -> np.ndarray:

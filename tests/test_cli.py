@@ -3,6 +3,7 @@ config/env plumbing.  Uses a deliberately tiny dataset; output quality is
 not the point here."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -186,6 +187,41 @@ def test_stale_artifacts_are_rejected(chain, capsys):
     assert not (chain.run / "scores2.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["score-events", "summarize", "extract-features"])
+def test_unknown_match_id_exits_two(chain, tmp_path, capsys, command):
+    run = chain.run
+    artifacts = {
+        "score-events": ["--model", str(run / "mil.ckpt"),
+                         "--features", str(run / "stage1_features.json"),
+                         "--out", str(tmp_path / "scores.csv")],
+        "summarize": ["--proposals", str(run / "proposals.json"),
+                      "--model", str(run / "hma.ckpt"), "--out-dir", str(tmp_path)],
+        "extract-features": ["--out-dir", str(tmp_path)],
+    }[command]
+    rc = main([command, "--config", str(chain.cfg), "--data", str(chain.data),
+               "--matches", "m000,nope", *artifacts])
+    assert rc == 2
+    assert "nope" in capsys.readouterr().err
+
+
+def test_match_without_summary_exits_two(chain, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    (data / "summaries" / "m009.json").unlink()
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(data),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    assert "m009" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fold", ["5", "-1"])
+def test_fold_outside_the_split_exits_one(chain, tmp_path, capsys, fold):
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--out-dir", str(tmp_path / "run"), "--fold", fold])
+    assert rc == 1
+    assert "fold %s is outside 0..4" % fold in capsys.readouterr().err
+
+
 def test_evaluate_writes_protocol_results(chain, tmp_path, capsys):
     out = tmp_path / "protocol"
     rc = main(["evaluate", "--config", str(chain.cfg),
@@ -196,3 +232,25 @@ def test_evaluate_writes_protocol_results(chain, tmp_path, capsys):
         assert (out / rel).exists(), rel
     text = capsys.readouterr().out
     assert "stage" in text.lower() or "selection" in text.lower()
+
+
+def test_evaluate_fold_matches_piecewise_chain(chain, tmp_path):
+    """The protocol's fold 0 and the piecewise subcommands share one stage
+    wiring, so they write the same bytes for the same config and seed."""
+    out = tmp_path / "protocol"
+    assert main(["evaluate", "--config", str(chain.cfg),
+                 "--data", str(chain.data), "--out-dir", str(out)]) == 0
+    fold = out / "fold_000"
+    for rel in ("mil.ckpt", "hma.ckpt", "stage1_features.json", "scores.csv",
+                "proposals.json"):
+        assert (fold / rel).read_bytes() == (chain.run / rel).read_bytes(), rel
+    names = sorted(os.listdir(chain.run / "candidates"))
+    assert names == sorted(os.listdir(fold / "candidates"))
+    for name in names:
+        assert ((fold / "candidates" / name).read_bytes()
+                == (chain.run / "candidates" / name).read_bytes()), name
+    test_ids = {name[: -len(".json")] for name in names}
+    fold_theta = (fold / "theta.csv").read_text().splitlines()
+    test_rows = fold_theta[:2] + [row for row in fold_theta[2:]
+                                  if row.split(",")[0] in test_ids]
+    assert test_rows == (chain.run / "theta.csv").read_text().splitlines()

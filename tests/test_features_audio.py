@@ -5,6 +5,8 @@ complex exponential basis, quadratic cost) and every cepstral quantity from
 an explicit cosine-transform double loop, so the fast implementations are
 checked against independent arithmetic rather than against themselves.
 """
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -185,6 +187,17 @@ def test_silence_and_uniform_energy_entropy():
     assert energy_entropy(silent)[0] == 0.0
     flat = np.ones((1, FRAME))
     assert energy_entropy(flat)[0] == pytest.approx(np.log2(10))
+
+
+def test_entropies_of_silent_frames_warn_nothing():
+    frames = np.zeros((3, FRAME))
+    frames[1, : FRAME // 2] = 1.0  # half the sub-frames and bins stay empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = energy_entropy(frames)
+        s = spectral_entropy(magnitude_spectrum(frames))
+    assert e[0] == 0.0 and e[2] == 0.0 and e[1] == pytest.approx(np.log2(5))
+    assert s[0] == 0.0 and np.isfinite(s).all()
 
 
 def test_window_features_zero_pads_short_input():

@@ -156,3 +156,10 @@ def test_summary_must_be_an_array(tmp_path):
                           summary=("m0.json", {"start_index": 0}))
     with pytest.raises(DataFormatError, match="array"):
         load_dataset(path)
+
+
+def test_by_id_names_an_unknown_match():
+    ds = _dataset()
+    assert ds.by_id("m001").match_id == "m001"
+    with pytest.raises(DataFormatError, match="'m404'"):
+        ds.by_id("m404")
