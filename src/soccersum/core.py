@@ -122,13 +122,22 @@ class Match:
     events: list[Event]
     attack_right_first: tuple[bool, bool] = (True, False)
     audio: object = None
+    # _period_ends[i]: end-period events among events[:i]; built on first use
+    _period_ends: list[int] | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def type_sequence(self) -> tuple[str, ...]:
         return tuple(e.type for e in self.events)
 
     def n_periods_before(self, index: int) -> int:
         """Number of completed periods before event ``index``."""
-        return sum(1 for e in self.events[:index] if e.type == "end-period")
+        ends = self._period_ends
+        if ends is None or len(ends) != len(self.events) + 1:
+            ends = [0]
+            for e in self.events:
+                ends.append(ends[-1] + (e.type == "end-period"))
+            self._period_ends = ends
+        return ends[index]
 
     def attacks_right(self, index: int) -> bool:
         """Whether the team of event ``index`` attacks the right goal there."""

@@ -51,15 +51,21 @@ class Dataset:
     matches: list[Match] = field(default_factory=list)
     summaries: dict[str, Summary] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    _index: dict[str, Match] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def match_ids(self) -> list[str]:
         return [m.match_id for m in self.matches]
 
     def by_id(self, match_id: str) -> Match:
-        for m in self.matches:
-            if m.match_id == match_id:
-                return m
-        raise DataFormatError("unknown match id %r" % match_id)
+        m = self._index.get(match_id)
+        if m is None or len(self._index) != len(self.matches):
+            # first lookup, or ``matches`` changed since the index was built
+            self._index = {m.match_id: m for m in reversed(self.matches)}
+            m = self._index.get(match_id)
+        if m is None:
+            raise DataFormatError("unknown match id %r" % match_id)
+        return m
 
 
 def event_to_record(ev: Event, match_id: str) -> dict:

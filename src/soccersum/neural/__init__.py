@@ -1,10 +1,9 @@
 from .kernels import (  # noqa: F401
-    HAS_NUMBA,
     lstm_backward,
-    lstm_backward_numpy,
+    lstm_backward_batch,
     lstm_forward,
+    lstm_forward_batch,
     lstm_forward_numpy,
-    numba_enabled,
 )
 from .layers import (  # noqa: F401
     bce_loss,

@@ -7,12 +7,15 @@ BCE_CLAMP = 1e-7
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    """Logistic function; exp only ever sees -|x|, so no input overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def bce_loss(p: float, y: float) -> float:
-    """Binary cross-entropy with predictions clamped away from 0 and 1."""
-    p = min(max(p, BCE_CLAMP), 1.0 - BCE_CLAMP)
+def bce_loss(p, y):
+    """Binary cross-entropy with predictions clamped away from 0 and 1;
+    elementwise over arrays."""
+    p = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 

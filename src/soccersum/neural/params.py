@@ -64,26 +64,30 @@ def load_checkpoint(path: str) -> dict:
     if data[: len(MAGIC)] != MAGIC:
         raise DataFormatError("%r is not a checkpoint file (bad magic)" % path)
     off = len(MAGIC)
-    version, count = struct.unpack_from("<II", data, off)
-    off += 8
+
+    def take(size: int) -> int:
+        """Claim the next ``size`` bytes; returns their offset."""
+        nonlocal off
+        if off + size > len(data):
+            raise DataFormatError("checkpoint %r is truncated (%d bytes)" % (path, len(data)))
+        off += size
+        return off - size
+
+    version, count = struct.unpack_from("<II", data, take(8))
     if version != VERSION:
         raise DataFormatError("checkpoint version %d unsupported" % version)
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (d,) = struct.unpack_from("<I", data, off)
-            off += 4
-            shape.append(d)
+        (name_len,) = struct.unpack_from("<H", data, take(2))
+        start = take(name_len)
+        try:
+            name = data[start : start + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError("checkpoint %r has a malformed array name" % path) from None
+        (ndim,) = struct.unpack_from("<B", data, take(1))
+        shape = [struct.unpack_from("<I", data, take(4))[0] for _ in range(ndim)]
         n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).copy()
-        off += n * 8
+        arr = np.frombuffer(data, dtype="<f8", count=n, offset=take(n * 8)).copy()
         params[name] = arr.reshape(shape)
     if off != len(data):
         raise DataFormatError("checkpoint has %d trailing bytes" % (len(data) - off))

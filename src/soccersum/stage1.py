@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Match, TrainingError
+from .core import Match, ShapeError, TrainingError
 from .evaluation import fbeta, overlap_match, precision_recall
 from .neural import (
     Adam,
@@ -22,7 +22,9 @@ from .neural import (
     bce_sigmoid_grad,
     dense_init,
     lstm_backward,
+    lstm_backward_batch,
     lstm_forward,
+    lstm_forward_batch,
     lstm_init,
     maxpool_time,
     maxpool_time_backward,
@@ -193,6 +195,43 @@ def mil_loss_grads(params: dict, x: np.ndarray, y: float):
     return loss, p, grads
 
 
+def _mil_batch_forward(params: dict, x: np.ndarray, lengths: np.ndarray):
+    """Bag scores (B,) for a left-aligned (B, T, D) batch of bags whose
+    rows hold ``lengths`` real steps; the max over time skips padding."""
+    h, c, gates = lstm_forward_batch(x, params["lstm.W"], params["lstm.U"], params["lstm.b"])
+    pad = np.arange(x.shape[1]) >= lengths[:, None]
+    kstar = np.argmax(np.where(pad[:, :, None], -np.inf, h), axis=1)
+    z = np.take_along_axis(h, kstar[:, None, :], axis=1)[:, 0]
+    p = sigmoid(z @ params["out.w"] + params["out.b"][0])
+    return p, (h, c, gates, z, kstar)
+
+
+def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys) -> tuple[float, dict]:
+    """Summed loss and summed parameter gradients of a minibatch of (K_i, D)
+    bags ``xs`` with labels ``ys``: the batched form of ``mil_loss_grads``,
+    one forward and one backward kernel call for the whole minibatch."""
+    lengths = np.array([x.shape[0] for x in xs])
+    batch = np.zeros((len(xs), int(lengths.max()), xs[0].shape[1]))
+    for row, x in zip(batch, xs):
+        row[: x.shape[0]] = x
+    y = np.asarray(ys, dtype=float)
+    p, (h, c, gates, z, kstar) = _mil_batch_forward(params, batch, lengths)
+    dlogit = bce_sigmoid_grad(p, y)
+    dh_ext = np.zeros_like(h)
+    np.put_along_axis(dh_ext, kstar[:, None, :], (dlogit[:, None] * params["out.w"])[:, None, :],
+                      axis=1)
+    _, dW, dU, db = lstm_backward_batch(batch, h, c, gates, params["lstm.W"], params["lstm.U"],
+                                        dh_ext)
+    grads = {
+        "out.w": dlogit @ z,
+        "out.b": np.array([dlogit.sum()]),
+        "lstm.W": dW,
+        "lstm.U": dU,
+        "lstm.b": db,
+    }
+    return float(np.sum(bce_loss(p, y))), grads
+
+
 # ---------------------------------------------------------------------------
 # window scoring and fusion
 
@@ -208,14 +247,14 @@ def window_starts(n_events: int, window: int, stride: int) -> list[int]:
 
 
 def score_windows(params: dict, feats: np.ndarray, window: int, stride: int):
-    """Bag score for each sliding window; returns (starts, lengths, scores)."""
+    """Bag score for each sliding window; returns (starts, lengths, scores).
+    All windows have the same length, so they are scored as one batch."""
     n = feats.shape[0]
     starts = window_starts(n, window, stride)
-    scores = np.empty(len(starts))
-    for w, s in enumerate(starts):
-        length = min(window, n)
-        scores[w], _ = mil_forward(params, feats[s : s + length])
-    return starts, min(window, n), scores
+    length = min(window, n)
+    batch = feats[np.asarray(starts)[:, None] + np.arange(length)]
+    scores, _ = _mil_batch_forward(params, batch, np.full(len(starts), length))
+    return starts, length, scores
 
 
 def fuse_event_scores(starts: list[int], window_len: int, window_scores: np.ndarray,
@@ -226,20 +265,21 @@ def fuse_event_scores(starts: list[int], window_len: int, window_scores: np.ndar
     to the diagnostic variant S = (1/r) * log(mean(r * O)), kept for
     comparison experiments; it is not a log-sum-exp and loses the
     mean <= S <= max envelope.
+
+    Each window adds its term to every event it covers; the sums are
+    divided by the events' cover counts.
     """
-    out = np.empty(n_events)
-    covering: list[list[int]] = [[] for _ in range(n_events)]
-    for w, s in enumerate(starts):
-        for e in range(s, min(s + window_len, n_events)):
-            covering[e].append(w)
-    for e in range(n_events):
-        o = window_scores[covering[e]]
-        if literal:
-            out[e] = np.log(np.mean(r * o)) / r
-        else:
-            m = np.max(r * o)
-            out[e] = (m + np.log(np.mean(np.exp(r * o - m)))) / r
-    return out
+    covered = (np.asarray(starts)[:, None] + np.arange(window_len)).ravel()
+    ro = np.repeat(r * np.asarray(window_scores, dtype=float), window_len)
+    inside = covered < n_events
+    covered, ro = covered[inside], ro[inside]
+    count = np.bincount(covered, minlength=n_events)
+    if literal:
+        return np.log(np.bincount(covered, weights=ro, minlength=n_events) / count) / r
+    m = np.full(n_events, -np.inf)
+    np.maximum.at(m, covered, ro)
+    total = np.bincount(covered, weights=np.exp(ro - m[covered]), minlength=n_events)
+    return (m + np.log(total / count)) / r
 
 
 def score_events(params: dict, feats: np.ndarray, config: MilConfig) -> np.ndarray:
@@ -251,53 +291,48 @@ def score_events(params: dict, feats: np.ndarray, config: MilConfig) -> np.ndarr
 # ---------------------------------------------------------------------------
 # proposals and threshold selection
 
+def _runs(mask: np.ndarray, cut_after: np.ndarray | None = None) -> list[tuple[int, int]]:
+    """Maximal runs of True in ``mask`` as inclusive spans; a run is also
+    cut after every position where ``cut_after`` is True."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2] - 1
+    if cut_after is not None:
+        cut = np.flatnonzero(mask[:-1] & cut_after[:-1] & mask[1:])
+        starts = np.sort(np.concatenate((starts, cut + 1)))
+        ends = np.sort(np.concatenate((ends, cut)))
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def _goal_mask(types: tuple[str, ...]) -> np.ndarray:
+    return np.array([t == "goal-shot" for t in types], dtype=bool)
+
+
 def extract_proposals(scores: np.ndarray, threshold: float,
                       types: tuple[str, ...]) -> list[tuple[int, int]]:
     """Maximal runs of events scoring >= threshold, with the extra rule that
     a goal-shot event closes its run immediately (celebration/restart events
     that still score high start a fresh proposal)."""
-    proposals = []
-    start = None
-    for i, s in enumerate(scores):
-        if s >= threshold:
-            if start is None:
-                start = i
-            if types[i] == "goal-shot":
-                proposals.append((start, i))
-                start = None
-        else:
-            if start is not None:
-                proposals.append((start, i - 1))
-                start = None
-    if start is not None:
-        proposals.append((start, len(scores) - 1))
-    return proposals
+    if len(scores) != len(types):
+        raise ShapeError("%d event scores for a match of %d events" % (len(scores), len(types)))
+    return _runs(np.asarray(scores) >= threshold, _goal_mask(types))
 
 
 def labels_to_intervals(labels: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of positive labels as inclusive index spans."""
-    spans = []
-    start = None
-    for i, flag in enumerate(labels):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            spans.append((start, i - 1))
-            start = None
-    if start is not None:
-        spans.append((start, len(labels) - 1))
-    return spans
+    return _runs(np.asarray(labels, dtype=bool))
 
 
-def proposal_fbeta(scored: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]],
-                   threshold: float, beta: float = 2.0, ratio: float = 0.5) -> float:
-    """F-beta of proposal extraction at a threshold, micro-averaged over
-    matches.  ``scored`` rows are (event scores, event labels, event types)."""
+def _threshold_inputs(scored):
+    """Per match: (scores, goal-shot mask, labeled intervals), none of which
+    depends on the threshold."""
+    return [(np.asarray(scores), _goal_mask(types), labels_to_intervals(labels))
+            for scores, labels, types in scored]
+
+
+def _fbeta_at(inputs, threshold: float, beta: float, ratio: float) -> float:
     tp = fp = fn = 0
-    for scores, labels, types in scored:
-        preds = extract_proposals(scores, threshold, types)
-        gts = labels_to_intervals(np.asarray(labels, dtype=bool))
-        a, b, c = overlap_match(preds, gts, ratio)
+    for scores, goal, gts in inputs:
+        a, b, c = overlap_match(_runs(scores >= threshold, goal), gts, ratio)
         tp += a
         fp += b
         fn += c
@@ -305,14 +340,22 @@ def proposal_fbeta(scored: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]],
     return fbeta(p, r, beta)
 
 
+def proposal_fbeta(scored: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]],
+                   threshold: float, beta: float = 2.0, ratio: float = 0.5) -> float:
+    """F-beta of proposal extraction at a threshold, micro-averaged over
+    matches.  ``scored`` rows are (event scores, event labels, event types)."""
+    return _fbeta_at(_threshold_inputs(scored), threshold, beta, ratio)
+
+
 def select_threshold(scored, beta: float = 2.0, ratio: float = 0.5) -> tuple[float, float]:
     """Grid-search the score threshold (0.01..0.99, step 0.01) maximizing
     proposal F-beta; ties go to the lowest threshold.  Returns
     (threshold, fbeta)."""
+    inputs = _threshold_inputs(scored)
     best_t, best_f = 0.01, -1.0
     for step in range(1, 100):
         t = step / 100.0
-        f = proposal_fbeta(scored, t, beta, ratio)
+        f = _fbeta_at(inputs, t, beta, ratio)
         if f > best_f:
             best_t, best_f = t, f
     return best_t, best_f
@@ -384,21 +427,13 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
         order = shuffle_rng.permutation(len(bags))
         total_loss = 0.0
         for chunk_start in range(0, len(order), config.batch):
-            chunk = order[chunk_start : chunk_start + config.batch]
-            acc: dict[str, np.ndarray] = {}
-            for bi in chunk:
-                bag = bags[bi]
-                x = features[bag.match_id][bag.start : bag.start + bag.length]
-                loss, _, grads = mil_loss_grads(params, x, float(bag.label))
-                total_loss += loss
-                for k, g in grads.items():
-                    if k in acc:
-                        acc[k] += g
-                    else:
-                        acc[k] = g.copy() if isinstance(g, np.ndarray) else np.array(g)
-            for k in acc:
-                acc[k] /= len(chunk)
-            opt.step(params, acc)
+            chunk = [bags[bi] for bi in order[chunk_start : chunk_start + config.batch]]
+            xs = [features[b.match_id][b.start : b.start + b.length] for b in chunk]
+            loss, grads = mil_batch_loss_grads(params, xs, [b.label for b in chunk])
+            total_loss += loss
+            for g in grads.values():
+                g /= len(chunk)
+            opt.step(params, grads)
 
         scored = []
         for match_id, ev_labels, types in val_scored_inputs:

@@ -214,6 +214,20 @@ def test_match_without_summary_exits_two(chain, tmp_path, capsys):
     assert "m009" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keep", [12, -5])  # cut inside the header / the last payload
+def test_truncated_checkpoint_exits_two(chain, tmp_path, capsys, keep):
+    ckpt = tmp_path / "mil.ckpt"
+    ckpt.write_bytes((chain.run / "mil.ckpt").read_bytes()[:keep])
+    rc = main(["score-events", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--model", str(ckpt),
+               "--features", str(chain.run / "stage1_features.json"),
+               "--out", str(tmp_path / "scores.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "truncated" in err and "Traceback" not in err
+    assert not (tmp_path / "scores.csv").exists()
+
+
 @pytest.mark.parametrize("fold", ["5", "-1"])
 def test_fold_outside_the_split_exits_one(chain, tmp_path, capsys, fold):
     rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(chain.data),

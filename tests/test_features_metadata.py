@@ -114,3 +114,26 @@ def test_encode_match_stacks_rows():
     assert rows.shape == (2, enc.width)
     assert np.array_equal(rows[0], enc.encode(match, 0))
     assert np.array_equal(rows[1], enc.encode(match, 1))
+
+
+class _LinearScanMatch(Match):
+    """The O(n) definition of attacks_right: count end-period events before
+    the index on every call."""
+
+    def attacks_right(self, index):
+        periods = sum(1 for e in self.events[:index] if e.type == "end-period")
+        right_first = self.attack_right_first[self.events[index].team]
+        return right_first if periods % 2 == 0 else not right_first
+
+
+def test_encode_match_equals_linear_scan_definition():
+    from soccersum.core import DEFAULT_EVENT_TYPES
+    from soccersum.synth import GenConfig, generate_match
+
+    match, _, _ = generate_match(GenConfig(events_mean=400), seed=3, ordinal=0)
+    assert sum(e.type == "end-period" for e in match.events) >= 2
+    for first in ((True, False), (False, True)):
+        match.attack_right_first = first
+        old = _LinearScanMatch(match.match_id, match.events, first)
+        enc = MetadataEncoder(DEFAULT_EVENT_TYPES, QualifierCodebook.from_events(match.events))
+        assert enc.encode_match(match).tobytes() == enc.encode_match(old).tobytes()

@@ -5,6 +5,7 @@ separate per-gate weight matrices and elementwise loops, and its backward
 pass against central finite differences of the forward loss.
 """
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -113,20 +114,83 @@ def test_lstm_backward_matches_finite_differences():
             assert abs(fd - gflat[i]) < 1e-6 * max(1.0, abs(fd))
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        x, W, U, b = random_case(rng)
-        h1, c1, g1 = kernels.lstm_forward_numpy(x, W, U, b)
-        h2, c2, g2 = kernels.lstm_forward_numba(x, W, U, b)
-        assert np.allclose(h1, h2, atol=1e-12)
-        assert np.allclose(c1, c2, atol=1e-12)
-        dh = rng.normal(size=h1.shape)
-        out1 = kernels.lstm_backward_numpy(x, h1, c1, g1, W, U, dh)
-        out2 = kernels.lstm_backward_numba(x, h2, c2, g2, W, U, dh)
-        for a, b_ in zip(out1, out2):
-            assert np.allclose(a, b_, atol=1e-12)
+def ragged_batch(rng, lengths, D, H):
+    """Left-aligned (B, T, D) batch with random padding values, the per-row
+    sequences, and weights."""
+    T = max(lengths)
+    x = rng.normal(size=(len(lengths), T, D))
+    rows = [x[i, :n].copy() for i, n in enumerate(lengths)]
+    W = rng.normal(scale=0.4, size=(4 * H, D))
+    U = rng.normal(scale=0.4, size=(4 * H, H))
+    b = rng.normal(scale=0.1, size=4 * H)
+    return x, rows, W, U, b
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("lengths", [[1], [7], [5, 1, 9, 3], [1, 1, 2], [13] * 4 + [4]])
+def test_batched_lstm_matches_per_example_oracle(lengths):
+    rng = np.random.default_rng(len(lengths) * 100 + sum(lengths))
+    D, H = 5, 4
+    x, rows, W, U, b = ragged_batch(rng, lengths, D, H)
+    h, c, gates = kernels.lstm_forward_batch(x, W, U, b)
+    dh_ext = rng.normal(size=h.shape)
+    for i, n in enumerate(lengths):
+        dh_ext[i, n:] = 0.0
+    dx, dW, dU, db = kernels.lstm_backward_batch(x, h, c, gates, W, U, dh_ext)
+    sums = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
+    for i, (row, n) in enumerate(zip(rows, lengths)):
+        h1, c1, g1 = kernels.lstm_forward(row, W, U, b)
+        assert _rel(h[i, :n], h1) <= 1e-12
+        assert _rel(c[i, :n], c1) <= 1e-12
+        assert _rel(gates[i, :n], g1) <= 1e-12
+        dx1, dW1, dU1, db1 = kernels.lstm_backward(row, h1, c1, g1, W, U, dh_ext[i, :n])
+        assert _rel(dx[i, :n], dx1) <= 1e-10
+        assert np.all(dx[i, n:] == 0.0)  # padded steps get exactly nothing
+        for acc, g in zip(sums, (dW1, dU1, db1)):
+            acc += g
+    for got, want in zip((dW, dU, db), sums):
+        assert _rel(got, want) <= 1e-10
+
+
+def test_batched_lstm_backward_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    lengths = [6, 1, 4]
+    x, _, W, U, b = ragged_batch(rng, lengths, 4, 3)
+    P = rng.normal(size=(3, 6, 3))
+    for i, n in enumerate(lengths):
+        P[i, n:] = 0.0
+
+    def loss():
+        h, _, _ = kernels.lstm_forward_batch(x, W, U, b)
+        return float(np.sum(h * P))
+
+    h, c, gates = kernels.lstm_forward_batch(x, W, U, b)
+    grads = kernels.lstm_backward_batch(x, h, c, gates, W, U, P)
+    step = 1e-4  # the step and tolerance of acceptance criterion 1
+    for arr, grad in zip((x, W, U, b), grads):
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            lp = loss()
+            flat[i] = keep - step
+            lm = loss()
+            flat[i] = keep
+            fd = (lp - lm) / (2 * step)
+            assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-3) < 1e-4
+
+
+def test_sigmoid_saturates_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(np.array([-1000.0, 1000.0]))
+    assert np.array_equal(out, [0.0, 1.0])
+    z = np.linspace(-30.0, 30.0, 61)
+    assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-15, atol=0.0)
 
 
 def test_maxpool_time_and_backward():

@@ -3,7 +3,8 @@ window fusion, proposal extraction, threshold pick, and bag training."""
 import numpy as np
 import pytest
 
-from soccersum.core import Action, Event, Match, Summary, TrainingError
+from soccersum.core import Action, Event, Match, ShapeError, Summary, TrainingError
+from soccersum.evaluation import fbeta, overlap_match, precision_recall
 from soccersum.stage1 import (
     Bag,
     MilConfig,
@@ -15,7 +16,9 @@ from soccersum.stage1 import (
     init_mil_params,
     label_events_by_vocabulary,
     labels_to_intervals,
+    mil_batch_loss_grads,
     mil_forward,
+    mil_loss_grads,
     proposal_fbeta,
     sample_training_bags,
     score_events,
@@ -23,6 +26,82 @@ from soccersum.stage1 import (
     train_mil,
     window_starts,
 )
+
+
+# ---------------------------------------------------------------------------
+# loop references for the vectorised functions
+
+def loop_fuse_event_scores(starts, window_len, window_scores, n_events, r, literal=False):
+    out = np.empty(n_events)
+    covering = [[] for _ in range(n_events)]
+    for w, s in enumerate(starts):
+        for e in range(s, min(s + window_len, n_events)):
+            covering[e].append(w)
+    for e in range(n_events):
+        o = window_scores[covering[e]]
+        if literal:
+            out[e] = np.log(np.mean(r * o)) / r
+        else:
+            m = np.max(r * o)
+            out[e] = (m + np.log(np.mean(np.exp(r * o - m)))) / r
+    return out
+
+
+def loop_extract_proposals(scores, threshold, types):
+    proposals = []
+    start = None
+    for i, s in enumerate(scores):
+        if s >= threshold:
+            if start is None:
+                start = i
+            if types[i] == "goal-shot":
+                proposals.append((start, i))
+                start = None
+        elif start is not None:
+            proposals.append((start, i - 1))
+            start = None
+    if start is not None:
+        proposals.append((start, len(scores) - 1))
+    return proposals
+
+
+def loop_labels_to_intervals(labels):
+    spans = []
+    start = None
+    for i, flag in enumerate(labels):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            spans.append((start, i - 1))
+            start = None
+    if start is not None:
+        spans.append((start, len(labels) - 1))
+    return spans
+
+
+def loop_select_threshold(scored, beta=2.0, ratio=0.5):
+    best_t, best_f = 0.01, -1.0
+    for step in range(1, 100):
+        t = step / 100.0
+        tp = fp = fn = 0
+        for scores, labels, types in scored:
+            a, b, c = overlap_match(loop_extract_proposals(scores, t, types),
+                                    loop_labels_to_intervals(labels), ratio)
+            tp += a
+            fp += b
+            fn += c
+        f = fbeta(*precision_recall(tp, fp, fn), beta)
+        if f > best_f:
+            best_t, best_f = t, f
+    return best_t, best_f
+
+
+def random_scored_match(rng, n):
+    """Smooth random scores in (0, 1), labels, and types with goal-shots."""
+    scores = np.clip(np.convolve(rng.uniform(size=n + 4), np.ones(5) / 5, "valid"), 0, 1)
+    labels = np.convolve(rng.uniform(size=n + 2) < 0.25, np.ones(3), "valid") > 0
+    types = tuple(rng.choice(["pass", "shot", "goal-shot"], size=n, p=[0.7, 0.2, 0.1]))
+    return scores, labels, types
 
 
 def typed_match(types, match_id="m"):
@@ -158,6 +237,8 @@ def test_extract_proposals_runs_and_goal_rule():
     types = ("pass", "goal-shot", "pass", "pass", "pass")
     assert extract_proposals(np.array([0.9] * 5), 0.5, types) == [(0, 1), (2, 4)]
     assert extract_proposals(np.array([0.1, 0.2]), 0.5, ("pass", "pass")) == []
+    with pytest.raises(ShapeError, match="3 event scores for a match of 2 events"):
+        extract_proposals(np.array([0.9] * 3), 0.5, ("pass", "pass"))
 
 
 def test_labels_to_intervals():
@@ -179,6 +260,32 @@ def test_select_threshold_prefers_lowest_tie():
     assert t == pytest.approx(0.11)  # first grid point where the split works
 
 
+def test_vectorised_fusion_matches_loop():
+    rng = np.random.default_rng(91)
+    for n, window, stride in [(1, 10, 5), (7, 10, 5), (23, 10, 5), (57, 10, 5), (31, 8, 3),
+                              (40, 6, 1)]:
+        starts = window_starts(n, window, stride)
+        wlen = min(window, n)
+        o = rng.uniform(size=len(starts))
+        for r in (1.0, 8.0, 100.0, 2000.0):  # 2000: a shared shift would underflow
+            for literal in (False, True):
+                want = loop_fuse_event_scores(starts, wlen, o, n, r, literal)
+                got = fuse_event_scores(starts, wlen, o, n, r, literal)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_vectorised_proposals_and_threshold_match_loops():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        scores, labels, types = random_scored_match(rng, int(rng.integers(1, 120)))
+        for t in (0.0, 0.3, 0.5, 0.62, 1.0):
+            assert extract_proposals(scores, t, types) == loop_extract_proposals(scores, t, types)
+        assert labels_to_intervals(labels) == loop_labels_to_intervals(labels)
+    scored = [random_scored_match(rng, int(rng.integers(40, 200))) for _ in range(6)]
+    assert select_threshold(scored) == loop_select_threshold(scored)
+    assert select_threshold(scored, beta=1.0, ratio=0.3) == loop_select_threshold(scored, 1.0, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # model and training
 
@@ -190,6 +297,39 @@ def test_mil_forward_outputs_probability():
     assert 0.0 < p < 1.0
     p2, _ = mil_forward(params, x)
     assert p == p2
+
+
+def test_batched_bag_gradients_match_summed_per_bag_gradients():
+    rng = np.random.default_rng(4)
+    params = init_mil_params(6, 5, rng)
+    for lengths in ([1], [4, 1, 13, 7, 7], [9] * 6):
+        xs = [rng.normal(size=(n, 6)) for n in lengths]
+        ys = [float(rng.integers(0, 2)) for _ in lengths]
+        loss, grads = mil_batch_loss_grads(params, xs, ys)
+        want_loss = 0.0
+        want = {k: np.zeros_like(v) for k, v in params.items()}
+        for x, y in zip(xs, ys):
+            l1, _, g1 = mil_loss_grads(params, x, y)
+            want_loss += l1
+            for k, g in g1.items():
+                want[k] += g
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert set(grads) == set(want)
+        for k, g in grads.items():
+            assert np.max(np.abs(g - want[k])) <= 1e-10 * np.max(np.abs(want[k]))
+
+
+def test_batched_event_scores_match_per_window_loop():
+    rng = np.random.default_rng(6)
+    params = init_mil_params(5, 4, rng)
+    for n in (3, 10, 57):
+        cfg = MilConfig(hidden=4, window=10, stride=5)
+        feats = rng.normal(size=(n, 5))
+        starts = window_starts(n, cfg.window, cfg.stride)
+        wlen = min(cfg.window, n)
+        wscores = np.array([mil_forward(params, feats[s : s + wlen])[0] for s in starts])
+        want = loop_fuse_event_scores(starts, wlen, wscores, n, cfg.lse_r)
+        assert np.allclose(score_events(params, feats, cfg), want, rtol=1e-12, atol=0.0)
 
 
 def _toy_problem(seed=31):
