@@ -7,11 +7,10 @@ frames.  Stereo input uses the first channel only.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.io import wavfile
 
 from ..core import DataFormatError
 
@@ -114,14 +113,10 @@ def spectral_flux(mag: np.ndarray) -> np.ndarray:
 def spectral_rolloff(mag: np.ndarray, freqs: np.ndarray, fraction: float = 0.9) -> np.ndarray:
     """Lowest frequency below which ``fraction`` of magnitude mass lies."""
     tot = mag.sum(axis=1)
-    cum = np.cumsum(mag, axis=1)
-    out = np.zeros(mag.shape[0])
-    for r in range(mag.shape[0]):
-        if tot[r] <= 0:
-            continue
-        k = int(np.searchsorted(cum[r], fraction * tot[r]))
-        out[r] = freqs[min(k, len(freqs) - 1)]
-    return out
+    reached = np.cumsum(mag, axis=1) >= (fraction * tot)[:, None]
+    # first bin at the target; the last bin when rounding keeps every bin below it
+    k = np.where(reached.any(axis=1), reached.argmax(axis=1), len(freqs) - 1)
+    return np.where(tot > 0, freqs[k], 0.0)
 
 
 def hz_to_mel(f):
@@ -132,10 +127,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(fs: int, n_fft_bins: int, n_filters: int = 26) -> np.ndarray:
     """Triangular filters, equally spaced on the mel scale over 0..Nyquist.
 
     Returns (n_filters, n_fft_bins) weights for one-sided spectrum bins.
+    Built once per argument tuple; the shared array is read-only.
     """
     nyquist = fs / 2.0
     mel_pts = np.linspace(0.0, float(hz_to_mel(nyquist)), n_filters + 2)
@@ -150,7 +147,20 @@ def mel_filterbank(fs: int, n_fft_bins: int, n_filters: int = 26) -> np.ndarray:
             bank[m, rising] = (freqs[rising] - lo) / (mid - lo)
         if hi > mid:
             bank[m, falling] = (hi - freqs[falling]) / (hi - mid)
+    bank.setflags(write=False)
     return bank
+
+
+@functools.lru_cache(maxsize=8)
+def dct_matrix(n: int, n_out: int) -> np.ndarray:
+    """First ``n_out`` rows of the orthonormal type-II DCT of length ``n``;
+    ``x @ dct_matrix(n, k).T`` is ``scipy.fft.dct(x, 2, norm="ortho")[..., :k]``.
+    Read-only, built once per size."""
+    k = np.arange(n_out)[:, None]
+    basis = np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    basis *= np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    basis.setflags(write=False)
+    return basis
 
 
 def mfcc(mag: np.ndarray, fs: int, n_filters: int = 26, n_mfcc: int = 13) -> np.ndarray:
@@ -162,7 +172,7 @@ def mfcc(mag: np.ndarray, fs: int, n_filters: int = 26, n_mfcc: int = 13) -> np.
     bank = mel_filterbank(fs, mag.shape[1], n_filters)
     energies = mag @ bank.T
     loge = np.log(np.maximum(energies, LOG_FLOOR))
-    return dct(loge, type=2, norm="ortho", axis=-1)[:, :n_mfcc]
+    return loge @ dct_matrix(n_filters, n_mfcc).T
 
 
 def window_features(samples: np.ndarray, fs: int,
@@ -214,6 +224,8 @@ def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
     float32) need ``rate`` declared by the caller.
     """
     if path.endswith(".wav"):
+        from scipy.io import wavfile  # imported here: it alone costs ~0.4 s
+
         fs, data = wavfile.read(path)
         if data.ndim > 1:
             data = data[:, 0]

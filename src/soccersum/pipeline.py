@@ -144,18 +144,27 @@ def read_scores_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
     if not lines:
         raise DataFormatError("%s: empty scores file" % path)
     prov = parse_provenance_line(lines[0], path)
-    rows: dict[str, list[float]] = {}
+    rows: dict[str, list[tuple[int, float]]] = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
         try:
             match_id, idx, score = line.split(",")
-            rows.setdefault(match_id, []).append((int(idx), float(score)))
+            pair = (int(idx), float(score))
         except ValueError:
             raise DataFormatError("%s:%d: bad scores row %r" % (path, lineno, line))
+        if pair[0] < 0 or not np.isfinite(pair[1]):
+            raise DataFormatError("%s:%d: negative index or non-finite score in %r"
+                                  % (path, lineno, line))
+        rows.setdefault(match_id, []).append(pair)
     out = {}
     for match_id, pairs in rows.items():
         pairs.sort()
+        # the indices of a match must be 0..n-1, each once
+        for j, (k, _s) in enumerate(pairs):
+            if k != j:
+                raise DataFormatError("%s: match %s: %s event index %d" % (
+                    path, match_id, "duplicate" if k < j else "missing", min(j, k)))
         out[match_id] = np.array([s for _, s in pairs])
     return prov, out
 
@@ -487,20 +496,48 @@ def _derived_seed(seed: int, domain: int, ordinal: int) -> int:
     return int(np.random.SeedSequence([seed, domain, ordinal]).generate_state(1)[0])
 
 
+@dataclass
+class ProposedFold:
+    """One fold after stage 1: its context, the proposal model, and the
+    per-event scores and typed proposals of every match."""
+
+    index: int
+    ctx: FoldContext
+    mil: MilModel
+    scores: dict
+    proposals: dict
+
+
+def propose_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: int,
+                 jobs: int = 1) -> ProposedFold:
+    """Stage 1 of one fold: prepare it, train the proposal model, then score
+    and cut proposals in every match."""
+    ctx = prepare_fold(dataset, config, fold_index, seed)
+    mil = train_proposal_model(dataset, config, ctx, seed)
+    scores = score_matches(mil, ctx.feats, jobs)
+    return ProposedFold(fold_index, ctx, mil, scores,
+                        typed_proposals(dataset, scores, mil.threshold))
+
+
 def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: int,
              out_dir: str | None = None, data_dir: str | None = None,
              jobs: int = 1) -> FoldResult:
     """Train all three stages on one fold and evaluate on its test shard."""
-    ctx = prepare_fold(dataset, config, fold_index, seed)
+    fold = propose_fold(dataset, config, fold_index, seed, jobs)
+    events = proposal_events(fold.proposals, dataset.match_ids())
+    audio = event_audio(dataset, data_dir, events, jobs)
+    return finish_fold(dataset, config, seed, fold, audio, out_dir)
+
+
+def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, fold: ProposedFold,
+                audio: dict, out_dir: str | None = None) -> FoldResult:
+    """Stages 2 and 3 of a proposed fold, evaluation on its test shard, and
+    its artifacts under ``out_dir``.  ``audio`` holds the descriptor rows
+    of at least every event inside the fold's proposals."""
+    ctx, mil, scores, proposals = fold.ctx, fold.mil, fold.scores, fold.proposals
     val_ids, test_ids = ctx.val_ids, ctx.test_ids
     eval_ids = val_ids + test_ids
 
-    mil = train_proposal_model(dataset, config, ctx, seed)
-    scores = score_matches(mil, ctx.feats, jobs)
-    proposals = typed_proposals(dataset, scores, mil.threshold)
-
-    events = proposal_events(proposals, dataset.match_ids())
-    audio = event_audio(dataset, data_dir, events, jobs)
     ratio = config["stage2.overlap_ratio"]
     hma = train_hma(
         stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
@@ -558,7 +595,7 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
             ranking[name].add(*summary_counts(i, c.chosen))
 
     result = FoldResult(
-        fold=fold_index,
+        fold=fold.index,
         stage1=stage1,
         selection=selection,
         ranking=ranking,
@@ -574,7 +611,7 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
 
     if out_dir is not None:
         prov = Provenance(config.config_hash(), seed)
-        fold_dir = os.path.join(out_dir, "fold_%03d" % fold_index)
+        fold_dir = os.path.join(out_dir, "fold_%03d" % fold.index)
         os.makedirs(os.path.join(fold_dir, "candidates"), exist_ok=True)
         save_model_checkpoint(os.path.join(fold_dir, "mil.ckpt"), mil.to_checkpoint(), prov)
         save_model_checkpoint(os.path.join(fold_dir, "hma.ckpt"), hma.to_checkpoint(), prov)
@@ -663,16 +700,22 @@ def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
                  out_dir: str | None = None, data_dir: str | None = None,
                  jobs: int = 1, n_folds: int | None = None) -> ProtocolResult:
     """Train and evaluate over the first ``n_folds`` cross-validation folds
-    (default from config), then aggregate counts into the report tables."""
+    (default from config), then aggregate counts into the report tables.
+
+    Runs stage 1 of every fold, then one audio pass over the events that
+    any fold's proposals need, then stages 2 and 3 and the writes of each
+    fold; each fold's outputs equal those of ``run_fold``."""
     if n_folds is None:
         n_folds = config["eval.folds"]
     n_folds = max(1, min(n_folds, config["eval.kfold"]))
-    fold_results = []
-    for fold_index in range(n_folds):
-        fold_results.append(
-            run_fold(dataset, config, fold_index, seed,
-                     out_dir=out_dir, data_dir=data_dir, jobs=jobs)
-        )
+    folds = [propose_fold(dataset, config, k, seed, jobs) for k in range(n_folds)]
+    # a descriptor row depends only on (match, event): compute the union of
+    # every fold's events once, rendering each match's audio once
+    ids = dataset.match_ids()
+    needed = [proposal_events(f.proposals, ids) for f in folds]
+    events = {i: sorted(set().union(*(e[i] for e in needed))) for i in ids}
+    audio = event_audio(dataset, data_dir, events, jobs)
+    fold_results = [finish_fold(dataset, config, seed, f, audio, out_dir) for f in folds]
     result = aggregate_results(fold_results, config)
     if out_dir is not None:
         write_results(out_dir, Provenance(config.config_hash(), seed), result)

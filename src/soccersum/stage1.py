@@ -130,33 +130,31 @@ def sample_training_bags(matches: dict[str, Match], vocab: set[tuple[str, ...]],
         raise TrainingError("no positive bags: vocabulary matched nothing")
     if max_pos_len < neg_min_len:
         max_pos_len = neg_min_len
+    # per negative length: the runs that fit it, and their cumulative counts
+    # of placements, so a pick uniform over all placements is one search
+    placements: dict[int, tuple[list, np.ndarray]] = {}
+    for length in range(neg_min_len, max_pos_len + 1):
+        eligible = [fr for fr in free_runs if fr[2] >= length]
+        placements[length] = (eligible, np.cumsum([fr[2] - length + 1 for fr in eligible]))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     negatives: list[Bag] = []
     n_needed = len(positives)
     for _ in range(n_needed):
-        placed = False
         for _attempt in range(200):
             length = int(rng.integers(neg_min_len, max_pos_len + 1))
-            eligible = [fr for fr in free_runs if fr[2] >= length]
-            if not eligible:
-                continue
-            # uniform over all valid placements across runs
-            starts_total = sum(fr[2] - length + 1 for fr in eligible)
-            pick = int(rng.integers(starts_total))
-            for match_id, run_start, run_len in eligible:
-                avail = run_len - length + 1
-                if pick < avail:
-                    negatives.append(Bag(match_id, run_start + pick, length, 0))
-                    placed = True
-                    break
-                pick -= avail
-            if placed:
+            eligible, cum = placements[length]
+            if eligible:
                 break
-        if not placed:
+        else:
             raise TrainingError(
                 "not enough negative material: placed %d of %d negative bags"
                 % (len(negatives), n_needed)
             )
+        pick = int(rng.integers(int(cum[-1])))
+        r = int(np.searchsorted(cum, pick, side="right"))
+        match_id, run_start, _run_len = eligible[r]
+        offset = pick - (int(cum[r - 1]) if r else 0)
+        negatives.append(Bag(match_id, run_start + offset, length, 0))
     return positives + negatives
 
 

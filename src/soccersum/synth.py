@@ -387,6 +387,9 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     return match, summary, planted
 
 
+RENDER_CHUNK = 1 << 16  # samples of base noise drawn per call
+
+
 def synth_audio_track(spec: dict, burst_times: list[float]) -> tuple[np.ndarray, int]:
     """Render a crowd-noise track from a manifest spec.
 
@@ -396,7 +399,17 @@ def synth_audio_track(spec: dict, burst_times: list[float]) -> tuple[np.ndarray,
     fs = int(spec["rate"])
     n = int(round(float(spec["duration"]) * fs))
     rng = np.random.default_rng(np.random.SeedSequence(list(spec["seed"])))
-    track = rng.normal(0.0, spec["base_amp"], size=n).astype(np.float32)
+    # the stream and arithmetic of rng.normal(0, base_amp, n).astype(float32),
+    # drawn a chunk at a time instead of through a full-length float64 array
+    base_amp = float(spec["base_amp"])
+    track = np.empty(n, dtype=np.float32)
+    buf = np.empty(min(n, RENDER_CHUNK))
+    for a in range(0, n, RENDER_CHUNK):
+        part = buf[: min(RENDER_CHUNK, n - a)]
+        rng.standard_normal(out=part)
+        part *= base_amp
+        part += 0.0  # as loc + scale * z in Generator.normal: -0.0 becomes 0.0
+        track[a : a + len(part)] = part
     gain = float(spec["gain"])
     if gain > 0:
         amp = spec["base_amp"] * gain

@@ -112,6 +112,14 @@ def test_module_entrypoint_runs():
     assert "usage" in proc.stderr
 
 
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, soccersum.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -228,6 +236,29 @@ def test_truncated_checkpoint_exits_two(chain, tmp_path, capsys, keep):
     assert not (tmp_path / "scores.csv").exists()
 
 
+@pytest.mark.parametrize("fault", ["nan", "inf", "duplicate", "missing", "negative"])
+def test_malformed_scores_exit_two(chain, tmp_path, capsys, fault):
+    lines = (chain.run / "scores.csv").read_text().splitlines()
+    match_id, idx, score = lines[5].split(",")  # event 3 of the first match
+    lines[5] = {
+        "nan": "%s,%s,nan" % (match_id, idx),
+        "inf": "%s,%s,inf" % (match_id, idx),
+        "duplicate": "%s,2,%s" % (match_id, score),
+        "missing": None,
+        "negative": "%s,-3,%s" % (match_id, score),
+    }[fault]
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    out = tmp_path / "proposals.json"
+    rc = main(["extract-proposals", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--scores", str(scores), "--model", str(chain.run / "mil.ckpt"),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(scores) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fold", ["5", "-1"])
 def test_fold_outside_the_split_exits_one(chain, tmp_path, capsys, fold):
     rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(chain.data),
@@ -268,3 +299,36 @@ def test_evaluate_fold_matches_piecewise_chain(chain, tmp_path):
     test_rows = fold_theta[:2] + [row for row in fold_theta[2:]
                                   if row.split(",")[0] in test_ids]
     assert test_rows == (chain.run / "theta.csv").read_text().splitlines()
+
+
+def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
+    """run_protocol computes the audio of all folds in one pass; each fold
+    directory still holds the bytes run_fold writes for that fold alone."""
+    from soccersum.config import load_config
+    from soccersum.io import load_dataset
+    from soccersum.pipeline import proposal_events, read_proposals_json, run_fold, run_protocol
+
+    cfg = load_config(str(chain.cfg), {}, use_env=False)
+    dataset = load_dataset(str(chain.data))
+    seed = 5  # its two folds need audio events that the other does not
+    run_protocol(dataset, cfg, seed, out_dir=str(tmp_path / "protocol"),
+                 data_dir=str(chain.data), jobs=2, n_folds=2)
+    for k in range(2):
+        run_fold(dataset, cfg, k, seed, out_dir=str(tmp_path / "single"),
+                 data_dir=str(chain.data))
+    ids = dataset.match_ids()
+    needed = [proposal_events(read_proposals_json(
+        str(tmp_path / "single" / ("fold_%03d" % k) / "proposals.json"))[1], ids)
+        for k in range(2)]
+    for a, b in ((0, 1), (1, 0)):
+        assert any(set(needed[a][i]) - set(needed[b][i]) for i in ids), \
+            "fold %d needs no event beyond fold %d's: choose another seed" % (a, b)
+    for k in range(2):
+        fold = "fold_%03d" % k
+        files = sorted(os.path.relpath(os.path.join(d, f), tmp_path / "single" / fold)
+                       for d, _dirs, names in os.walk(tmp_path / "single" / fold)
+                       for f in names)
+        assert "hma.ckpt" in files and any(f.startswith("candidates") for f in files)
+        for rel in files:
+            assert ((tmp_path / "protocol" / fold / rel).read_bytes()
+                    == (tmp_path / "single" / fold / rel).read_bytes()), (fold, rel)

@@ -9,12 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.io import wavfile
 
 from soccersum.core import DataFormatError
 from soccersum.features.audio import (
     AUDIO_DIM,
     AudioWindowConfig,
+    dct_matrix,
     energy_entropy,
     extract_event_audio_features,
     frame_signal,
@@ -123,6 +125,19 @@ def naive_mfcc(mag, fs, n_filters=26, n_mfcc=13):
     return out
 
 
+def loop_spectral_rolloff(mag, freqs, fraction=0.9):
+    """The per-frame binary-search rolloff that the vectorised one replaced."""
+    tot = mag.sum(axis=1)
+    cum = np.cumsum(mag, axis=1)
+    out = np.zeros(mag.shape[0])
+    for r in range(mag.shape[0]):
+        if tot[r] <= 0:
+            continue
+        k = int(np.searchsorted(cum[r], fraction * tot[r]))
+        out[r] = freqs[min(k, len(freqs) - 1)]
+    return out
+
+
 @pytest.fixture(scope="module")
 def random_frames():
     rng = np.random.default_rng(4242)
@@ -162,6 +177,36 @@ def test_mfcc_matches_explicit_cosine_transform(random_frames):
     slow = naive_mfcc(mag, FS)
     assert fast.shape == (100, 13)
     assert np.max(np.abs(fast - slow)) < 1e-6
+
+
+def test_mfcc_matches_scipy_dct(random_frames):
+    mag = magnitude_spectrum(random_frames)
+    bank = mel_filterbank(FS, mag.shape[1], 26)
+    loge = np.log(np.maximum(mag @ bank.T, 1e-10))
+    want = dct(loge, type=2, norm="ortho", axis=-1)[:, :13]
+    assert np.max(np.abs(mfcc(mag, FS) - want)) <= 1e-12
+    assert not dct_matrix(26, 13).flags.writeable
+
+
+def test_rolloff_matches_search_loop(random_frames):
+    mag = magnitude_spectrum(random_frames)
+    mag[3] = 0.0  # silent frame
+    mag[7, 1:] = 0.0  # all mass in the first bin
+    mag[9, :-1] = 0.0  # all mass in the last bin
+    freqs = np.fft.rfftfreq(FRAME, d=1.0 / FS)
+    for fraction in (0.5, 0.9, 1.0):
+        assert np.array_equal(spectral_rolloff(mag, freqs, fraction),
+                              loop_spectral_rolloff(mag, freqs, fraction))
+    # rows whose running sum stays below the target fall back to the last bin
+    unreached = spectral_rolloff(mag, freqs, 1.5)
+    assert np.array_equal(unreached, loop_spectral_rolloff(mag, freqs, 1.5))
+    assert unreached[3] == 0.0 and np.all(np.delete(unreached, 3) == freqs[-1])
+    rng = np.random.default_rng(11)
+    rounding = rng.uniform(size=(500, 201)) * 10.0 ** rng.integers(-6, 6, size=(500, 1))
+    cum_short = np.cumsum(rounding, axis=1)[:, -1] < rounding.sum(axis=1)
+    assert cum_short.any()  # some rows miss fraction 1.0 by rounding alone
+    assert np.array_equal(spectral_rolloff(rounding, freqs, 1.0),
+                          loop_spectral_rolloff(rounding, freqs, 1.0))
 
 
 def test_pure_tone_centroid_lands_on_its_bin():
@@ -230,6 +275,15 @@ def test_mel_filterbank_structure():
     assert np.all(bank.sum(axis=1) > 0)
     peaks = bank.argmax(axis=1)
     assert np.all(np.diff(peaks) > 0)  # filter centers march up the spectrum
+
+
+def test_mel_filterbank_is_cached_and_read_only():
+    bank = mel_filterbank(FS, FRAME // 2 + 1, 26)
+    assert mel_filterbank(FS, FRAME // 2 + 1, 26) is bank
+    assert np.array_equal(bank, mel_filterbank.__wrapped__(FS, FRAME // 2 + 1, 26))
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
 
 
 def test_load_audio_formats(tmp_path):

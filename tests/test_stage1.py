@@ -5,6 +5,7 @@ import pytest
 
 from soccersum.core import Action, Event, Match, ShapeError, Summary, TrainingError
 from soccersum.evaluation import fbeta, overlap_match, precision_recall
+from soccersum.synth import GenConfig, generate_dataset
 from soccersum.stage1 import (
     Bag,
     MilConfig,
@@ -96,6 +97,43 @@ def loop_select_threshold(scored, beta=2.0, ratio=0.5):
     return best_t, best_f
 
 
+def loop_sample_training_bags(matches, vocab, seed, neg_min_len=4):
+    """Bag sampling with a scan over every free run per negative bag."""
+    positives, free_runs, max_pos_len = [], [], 0
+    for match_id, match in matches.items():
+        labels, spans = label_events_by_vocabulary(match, vocab)
+        for s, e in dict.fromkeys(spans):
+            positives.append(Bag(match_id, s, e - s + 1, 1))
+            max_pos_len = max(max_pos_len, e - s + 1)
+        i = 0
+        while i < len(labels):
+            j = i
+            while j < len(labels) and not labels[j]:
+                j += 1
+            if j > i:
+                free_runs.append((match_id, i, j - i))
+            i = j + 1
+    max_pos_len = max(max_pos_len, neg_min_len)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    negatives = []
+    for _ in range(len(positives)):
+        for _attempt in range(200):
+            length = int(rng.integers(neg_min_len, max_pos_len + 1))
+            eligible = [fr for fr in free_runs if fr[2] >= length]
+            if not eligible:
+                continue
+            pick = int(rng.integers(sum(fr[2] - length + 1 for fr in eligible)))
+            for match_id, run_start, run_len in eligible:
+                if pick < run_len - length + 1:
+                    negatives.append(Bag(match_id, run_start + pick, length, 0))
+                    break
+                pick -= run_len - length + 1
+            break
+        else:
+            raise TrainingError("not enough negative material")
+    return positives + negatives
+
+
 def random_scored_match(rng, n):
     """Smooth random scores in (0, 1), labels, and types with goal-shots."""
     scores = np.clip(np.convolve(rng.uniform(size=n + 4), np.ones(5) / 5, "valid"), 0, 1)
@@ -158,6 +196,25 @@ def test_sample_training_bags_structure_and_determinism():
     assert again == bags
     other = sample_training_bags({"m": m}, vocab, seed=6, neg_min_len=2)
     assert {b.start for b in other if not b.label} != {b.start for b in neg} or other != bags
+
+
+def test_sample_training_bags_matches_the_scan_over_runs():
+    ds = generate_dataset(GenConfig(matches=4, events_mean=300), 3)
+    matches = {m.match_id: m for m in ds.matches}
+    vocab = build_action_vocabulary(matches, ds.summaries)
+    for seed in (0, 1, 7):
+        for neg_min_len in (2, 4):
+            assert (sample_training_bags(matches, vocab, seed, neg_min_len)
+                    == loop_sample_training_bags(matches, vocab, seed, neg_min_len))
+    # free runs of 2 and 5 events and positives of 9: most drawn lengths fit
+    # no run, so draws are retried
+    types = ["x"] * 2 + list("abcdefghi") + ["x"] * 5 + list("abcdefghi") + ["x"] * 2
+    m = typed_match(types)
+    vocab = {tuple("abcdefghi")}
+    for seed in range(5):
+        bags = sample_training_bags({"m": m}, vocab, seed, neg_min_len=2)
+        assert bags == loop_sample_training_bags({"m": m}, vocab, seed, neg_min_len=2)
+        assert all(b.length <= 5 for b in bags if not b.label)
 
 
 def test_sample_training_bags_error_paths():

@@ -11,6 +11,7 @@ from soccersum.core import (
 )
 from soccersum.stage1 import build_action_vocabulary, label_events_by_vocabulary
 from soccersum.synth import (
+    RENDER_CHUNK,
     GenConfig,
     GenerationError,
     generate_dataset,
@@ -142,6 +143,39 @@ def test_audio_render_deterministic(default_match):
     assert f1 == f2
     assert np.array_equal(t1, t2)
     assert t1.dtype == np.float32
+
+
+def one_shot_audio_track(spec, burst_times):
+    """The render as one full-length draw, before it was chunked."""
+    fs = int(spec["rate"])
+    n = int(round(float(spec["duration"]) * fs))
+    rng = np.random.default_rng(np.random.SeedSequence(list(spec["seed"])))
+    track = rng.normal(0.0, spec["base_amp"], size=n).astype(np.float32)
+    amp = spec["base_amp"] * spec["gain"]
+    for t in sorted(burst_times):
+        a = int(round(t * fs))
+        b = min(a + 2 * fs, n)
+        if a < n:
+            track[a:b] += rng.normal(0.0, amp, size=b - a).astype(np.float32)
+    return track, fs
+
+
+@pytest.mark.parametrize("n", [0, 1000, RENDER_CHUNK, RENDER_CHUNK + 1, 3 * RENDER_CHUNK + 7])
+def test_chunked_render_equals_one_shot_draw(n):
+    spec = {"rate": 8000, "gain": 3.0, "base_amp": 0.05, "seed": [7, 2, n],
+            "duration": n / 8000}
+    bursts = [0.0, 0.1, max(n / 8000 - 0.5, 0.0), n / 8000 + 1.0]
+    track, fs = synth_audio_track(spec, bursts)
+    want, _ = one_shot_audio_track(spec, bursts)
+    assert fs == 8000 and track.dtype == np.float32 and len(track) == n
+    assert track.tobytes() == want.tobytes()
+
+
+def test_chunked_render_equals_one_shot_draw_on_a_full_match(default_match):
+    m, s, _ = default_match
+    bursts = summary_event_times(m, s)
+    track, _ = synth_audio_track(m.audio["synth"], bursts)
+    assert track.tobytes() == one_shot_audio_track(m.audio["synth"], bursts)[0].tobytes()
 
 
 def test_resolve_audio_paths():
