@@ -189,7 +189,7 @@ def cmd_extract_proposals(args) -> int:
 def cmd_train_hma(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    prov_p, proposals = read_proposals_json(args.proposals)
+    prov_p, proposals = read_proposals_json(args.proposals, dataset)
     _require_current(cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
     events = proposal_events(proposals, ctx.train_ids + ctx.val_ids)
@@ -210,7 +210,7 @@ def cmd_train_hma(args) -> int:
 def cmd_summarize(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    prov_p, proposals = read_proposals_json(args.proposals)
+    prov_p, proposals = read_proposals_json(args.proposals, dataset)
     ckpt, prov_m = load_model_checkpoint(args.model)
     _require_current(cfg, [(args.proposals, prov_p), (args.model, prov_m)])
     model = HmaModel.from_checkpoint(ckpt)

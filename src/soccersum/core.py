@@ -7,6 +7,7 @@ a set of actions chosen to be shown to a viewer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # Default event-type vocabulary.  Datasets may carry their own vocabulary;
@@ -122,22 +123,13 @@ class Match:
     events: list[Event]
     attack_right_first: tuple[bool, bool] = (True, False)
     audio: object = None
-    # _period_ends[i]: end-period events among events[:i]; built on first use
-    _period_ends: list[int] | None = field(default=None, init=False, repr=False,
-                                           compare=False)
 
     def type_sequence(self) -> tuple[str, ...]:
         return tuple(e.type for e in self.events)
 
     def n_periods_before(self, index: int) -> int:
         """Number of completed periods before event ``index``."""
-        ends = self._period_ends
-        if ends is None or len(ends) != len(self.events) + 1:
-            ends = [0]
-            for e in self.events:
-                ends.append(ends[-1] + (e.type == "end-period"))
-            self._period_ends = ends
-        return ends[index]
+        return sum(1 for e in self.events[:index] if e.type == "end-period")
 
     def attacks_right(self, index: int) -> bool:
         """Whether the team of event ``index`` attacks the right goal there."""
@@ -222,9 +214,10 @@ class ValidationIssue:
 def validate_match(match: Match, vocabulary: tuple[str, ...] | list[str]) -> list[ValidationIssue]:
     """Check structural invariants of a match; returns found issues.
 
-    Checked: at least one event, dense indices starting at 0, non-decreasing
-    timestamps, coordinates within [0, 100], team in {0, 1}, outcome in
-    {0, 1}, and all event types members of ``vocabulary``.
+    Checked: at least one event, dense indices starting at 0, finite,
+    non-negative and non-decreasing timestamps, coordinates within [0, 100],
+    team in {0, 1}, outcome in {0, 1}, and all event types members of
+    ``vocabulary``.
     """
     issues: list[ValidationIssue] = []
     vocab = set(vocabulary)
@@ -239,7 +232,13 @@ def validate_match(match: Match, vocabulary: tuple[str, ...] | list[str]) -> lis
                     "index", "event at position %d has index %d" % (pos, ev.index), pos
                 )
             )
-        if prev_t is not None and ev.t < prev_t:
+        if not 0.0 <= ev.t < math.inf:
+            issues.append(
+                ValidationIssue(
+                    "time", "timestamp %r negative or not finite at index %d" % (ev.t, pos), pos
+                )
+            )
+        elif prev_t is not None and ev.t < prev_t:
             issues.append(
                 ValidationIssue(
                     "time",

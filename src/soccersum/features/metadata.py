@@ -39,12 +39,12 @@ def geometry_to_goal(x: float, y: float, goal_x: float, goal_y: float,
     Distance is Euclidean, divided by ``scale``.  Angle is
     atan2(lateral offset, longitudinal distance) in (-pi, pi]; a location
     straight in front of goal gives 0, level with the goal line gives
-    +/- pi/2, and the goal center itself gives (0, 0).
+    +/- pi/2, and the goal center itself gives (0, 0).  Works elementwise
+    on arrays of locations and goals.
     """
-    dx = x - goal_x
-    dy = y - goal_y
-    dist = float(np.hypot(dx, dy)) / scale
-    angle = float(np.arctan2(goal_y - y, abs(dx)))
+    dx = np.subtract(x, goal_x)
+    dist = np.hypot(dx, np.subtract(y, goal_y)) / scale
+    angle = np.arctan2(np.subtract(goal_y, y), np.abs(dx))
     return dist, angle
 
 
@@ -119,7 +119,33 @@ class MetadataEncoder:
         return v
 
     def encode_match(self, match: Match) -> np.ndarray:
-        out = np.zeros((len(match.events), self.width))
-        for i in range(len(match.events)):
-            out[i] = self.encode(match, i)
+        """The rows of ``encode`` for every event, built column by column."""
+        events = match.events
+        for ev in events:
+            if ev.type not in self._type_index:
+                raise VocabularyError("event type %r not in vocabulary" % ev.type)
+        n = len(events)
+        rows = np.arange(n)
+        out = np.zeros((n, self.width))
+        sx, sy, ex, ey = np.array([(e.sx, e.sy, e.ex, e.ey) for e in events],
+                                  dtype=float).reshape(n, 4).T
+        out[:, 0] = sx / self.field.width
+        out[:, 1] = sy / self.field.height
+        out[:, 2] = ex / self.field.width
+        out[:, 3] = ey / self.field.height
+        out[1:, 4] = np.log1p(np.diff(np.array([e.t for e in events], dtype=float)))
+        # Match.attacks_right: the direction flips after every completed period
+        is_end = np.array([e.type == "end-period" for e in events], dtype=bool)
+        periods = np.cumsum(is_end) - is_end
+        right_first = np.array([match.attack_right_first[e.team] for e in events], dtype=bool)
+        right = right_first == (periods % 2 == 0)
+        # FieldConfig.goal_center
+        gx = np.where(right, self.field.width, 0.0)
+        gy = self.field.height / 2.0
+        out[:, 5], out[:, 7] = geometry_to_goal(sx, sy, gx, gy)
+        out[:, 6], out[:, 8] = geometry_to_goal(ex, ey, gx, gy)
+        out[:, 9] = [float(e.outcome) for e in events]
+        out[rows, [10 + self._type_index[e.type] for e in events]] = 1.0
+        out[rows, [10 + len(self.vocabulary) + self.codebook.encode(e.qualifier)
+                   for e in events]] = 1.0
         return out

@@ -13,6 +13,7 @@ read/write cycle is byte-stable for data already at that precision.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -164,6 +165,11 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
             except json.JSONDecodeError as exc:
                 raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc))
             match_id, ev = record_to_event(rec, lineno)
+            if not 0.0 <= ev.t < math.inf:
+                raise DataFormatError(
+                    "events.jsonl line %d: event time %r is negative or not finite"
+                    % (lineno, ev.t)
+                )
             if validate and ev.type not in vocab_set:
                 raise VocabularyError(
                     "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
@@ -193,8 +199,8 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
             )
         )
 
-    known_ids = {m.match_id for m in matches}
-    extra = sorted(set(events_by_match) - known_ids)
+    by_id = {m.match_id: m for m in matches}
+    extra = sorted(set(events_by_match) - set(by_id))
     if extra:
         raise DataFormatError("events.jsonl has matches absent from manifest: %s" % extra)
 
@@ -205,16 +211,25 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
             if not name.endswith(".json"):
                 continue
             match_id = name[: -len(".json")]
-            if match_id not in known_ids:
+            if match_id not in by_id:
                 raise DataFormatError("summary file for unknown match %r" % match_id)
             with open(os.path.join(sdir, name)) as fh:
                 recs = json.load(fh)
             if not isinstance(recs, list):
                 raise DataFormatError("summary %r: top level must be a JSON array" % name)
-            actions = [
-                Action(int(r["start_index"]), int(r["end_index"]), str(r["type"]))
-                for r in recs
-            ]
+            n = len(by_id[match_id].events)
+            actions = []
+            for r in recs:
+                try:
+                    a = Action(int(r["start_index"]), int(r["end_index"]), str(r["type"]))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataFormatError("summary %r: malformed action %r (%s)"
+                                          % (name, r, exc)) from None
+                if not 0 <= a.start_index <= a.end_index < n:
+                    raise DataFormatError("summary %r: action %d..%d outside the match's "
+                                          "events 0..%d" % (name, a.start_index, a.end_index,
+                                                            n - 1))
+                actions.append(a)
             summaries[match_id] = Summary(match_id=match_id, actions=actions)
 
     return Dataset(

@@ -13,7 +13,7 @@ only mask padding where they reduce over time.
 
 ``lstm_forward``/``lstm_backward`` run one (T, D) sequence step by step.
 They are the reference the batched kernels are tested against, and the
-kernel stage 2 runs per example.
+kernels of the per-example stage-1 and stage-2 references.
 """
 from __future__ import annotations
 

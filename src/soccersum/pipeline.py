@@ -27,6 +27,7 @@ from .core import (
     ConfigError,
     DataFormatError,
     PaddingConfig,
+    SUMMARY_ACTION_TYPES,
     SoccersumError,
     action_duration,
     action_type,
@@ -187,17 +188,38 @@ def write_proposals_json(path: str, prov: Provenance,
         fh.write("\n")
 
 
-def read_proposals_json(path: str) -> tuple[Provenance, dict[str, list[tuple[int, int, str]]]]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "config_hash" not in payload or "seed" not in payload:
+def read_proposals_json(path: str, dataset: Dataset
+                        ) -> tuple[Provenance, dict[str, list[tuple[int, int, str]]]]:
+    """Provenance and per-match proposals of a proposals file.  Every
+    proposal must be an event span of its match in ``dataset`` with integer
+    indices and a summary action type."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError("%s: not a JSON file (%s)" % (path, exc)) from None
+    if not isinstance(payload, dict) or "config_hash" not in payload or "seed" not in payload:
         raise DataFormatError("%s: missing provenance fields" % path)
     prov = Provenance(payload["config_hash"], int(payload["seed"]))
+    matches = payload.get("matches", {})
+    if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
+        raise DataFormatError("%s: \"matches\" must map match ids to lists" % path)
+    known = set(dataset.match_ids())
     out = {}
-    for match_id, items in payload.get("matches", {}).items():
-        out[match_id] = [
-            (int(d["start_index"]), int(d["end_index"]), str(d["type"])) for d in items
-        ]
+    for match_id, items in matches.items():
+        if match_id not in known:
+            raise DataFormatError("%s: unknown match id %r" % (path, match_id))
+        n = len(dataset.by_id(match_id).events)
+        out[match_id] = []
+        for d in items:
+            s, e, t = (d.get(k) for k in ("start_index", "end_index", "type")) \
+                if isinstance(d, dict) else (None, None, None)
+            if not (type(s) is int and type(e) is int and 0 <= s <= e < n
+                    and t in SUMMARY_ACTION_TYPES):
+                raise DataFormatError(
+                    "%s: match %s: proposal %r is not an event span within 0..%d "
+                    "with a summary action type" % (path, match_id, d, n - 1))
+            out[match_id].append((s, e, t))
     return prov, out
 
 

@@ -5,6 +5,11 @@ LSTMs encode the modalities; a shared projection scores each modality per
 event and a two-way softmax mixes the hidden states.  A fusion LSTM reads
 the mixed sequence, an event-attention layer pools it to one vector, and a
 sigmoid neuron emits the probability the proposal belongs in the summary.
+
+Training and scoring run on left-aligned (B, T, D) batches of proposals
+(``hma_forward_batch``/``hma_backward_batch``).  The per-example
+``hma_forward``/``hma_backward`` are the reference the batched pair is
+tested against, and what ``attention_weights`` reports from.
 """
 from __future__ import annotations
 
@@ -20,7 +25,9 @@ from .neural import (
     bce_sigmoid_grad,
     dense_init,
     lstm_backward,
+    lstm_backward_batch,
     lstm_forward,
+    lstm_forward_batch,
     lstm_init,
     sigmoid,
     softmax,
@@ -53,12 +60,7 @@ def init_hma_params(meta_dim: int, audio_dim: int, config: HmaConfig,
     return params
 
 
-def hma_forward(params: dict, xm: np.ndarray, xa: np.ndarray):
-    """Summary-membership probability for one proposal.
-
-    xm: (L, meta_dim) metadata vectors, xa: (L, audio_dim) audio vectors,
-    same event count L >= 1.  Returns (p, cache).
-    """
+def _check_proposal(xm: np.ndarray, xa: np.ndarray) -> None:
     if xm.shape[0] != xa.shape[0]:
         raise ShapeError(
             "modalities disagree on length: %d metadata vs %d audio events"
@@ -66,6 +68,15 @@ def hma_forward(params: dict, xm: np.ndarray, xa: np.ndarray):
         )
     if xm.shape[0] == 0:
         raise ShapeError("proposal has no events")
+
+
+def hma_forward(params: dict, xm: np.ndarray, xa: np.ndarray):
+    """Summary-membership probability for one proposal.
+
+    xm: (L, meta_dim) metadata vectors, xa: (L, audio_dim) audio vectors,
+    same event count L >= 1.  Returns (p, cache).
+    """
+    _check_proposal(xm, xa)
     hm, cm, gm = lstm_forward(xm, params["meta.W"], params["meta.U"], params["meta.b"])
     ha, ca, ga = lstm_forward(xa, params["audio.W"], params["audio.U"], params["audio.b"])
     # per-event modality attention, shared projection
@@ -166,6 +177,116 @@ def hma_loss_grads(params: dict, xm: np.ndarray, xa: np.ndarray, y: float):
     return loss, p, grads
 
 
+def pad_proposals(items):
+    """Left-aligned (B, T, meta_dim) and (B, T, audio_dim) batches of the
+    (xm, xa, ...) items, zero past each row's event count, and the counts."""
+    for xm, xa, *_ in items:
+        _check_proposal(xm, xa)
+    lengths = np.array([item[0].shape[0] for item in items])
+    T = int(lengths.max())
+    xm_b = np.zeros((len(items), T, items[0][0].shape[1]))
+    xa_b = np.zeros((len(items), T, items[0][1].shape[1]))
+    for b, (xm, xa, *_) in enumerate(items):
+        xm_b[b, : xm.shape[0]] = xm
+        xa_b[b, : xa.shape[0]] = xa
+    return xm_b, xa_b, lengths
+
+
+def hma_forward_batch(params: dict, xm: np.ndarray, xa: np.ndarray, lengths: np.ndarray):
+    """Probabilities (B,) for a left-aligned batch from ``pad_proposals``;
+    row b holds ``lengths[b]`` real events.  Returns (p, cache).
+
+    Padding is masked in one place: the event-attention logits of padded
+    steps are -inf, so beta is exactly 0 there.  Padded steps only feed
+    later (padded) steps of the LSTMs, so nothing else needs a mask.
+    """
+    hm, cm, gm = lstm_forward_batch(xm, params["meta.W"], params["meta.U"], params["meta.b"])
+    ha, ca, ga = lstm_forward_batch(xa, params["audio.W"], params["audio.U"], params["audio.b"])
+    em = np.tanh(hm @ params["att.w"])
+    ea = np.tanh(ha @ params["att.w"])
+    lam_m = sigmoid(em - ea)
+    lam_a = 1.0 - lam_m
+    c_seq = lam_m[..., None] * hm + lam_a[..., None] * ha
+    hc, cc, gc = lstm_forward_batch(c_seq, params["fuse.W"], params["fuse.U"], params["fuse.b"])
+    th = np.tanh(hc)
+    s = th @ params["evatt.u"]
+    s[np.arange(s.shape[1]) >= lengths[:, None]] = -np.inf
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    beta = e / e.sum(axis=1, keepdims=True)
+    d = (beta[:, None, :] @ hc)[:, 0]
+    p = sigmoid(d @ params["out.w"] + params["out.b"][0])
+    cache = {
+        "xm": xm, "xa": xa,
+        "hm": hm, "cm": cm, "gm": gm,
+        "ha": ha, "ca": ca, "ga": ga,
+        "em": em, "ea": ea, "lam_m": lam_m, "lam_a": lam_a,
+        "c_seq": c_seq, "hc": hc, "cc": cc, "gc": gc,
+        "th": th, "beta": beta, "d": d, "p": p,
+    }
+    return p, cache
+
+
+def hma_backward_batch(params: dict, cache: dict, dlogit: np.ndarray):
+    """Backward pass matching ``hma_forward_batch`` for per-row logit
+    gradients ``dlogit`` (B,).  Returns (grads, dxm, dxa): parameter
+    gradients summed over the batch, and the gradients of the inputs.
+
+    beta is 0 on padded steps, so the gradients reaching the fusion LSTM
+    there (dhc, through ds) are exactly 0; as in ``lstm_backward_batch``
+    that makes dc_seq, dem and every later gradient on padding exactly 0.
+    """
+    hm, ha = cache["hm"], cache["ha"]
+    hc, th, beta = cache["hc"], cache["th"], cache["beta"]
+    lam_m, lam_a = cache["lam_m"], cache["lam_a"]
+    em, ea = cache["em"], cache["ea"]
+    u, w = params["evatt.u"], params["att.w"]
+
+    grads = {
+        "out.w": dlogit @ cache["d"],
+        "out.b": np.array([dlogit.sum()]),
+    }
+    dd = dlogit[:, None] * params["out.w"]
+    dbeta = (hc @ dd[:, :, None])[..., 0]
+    ds = beta * (dbeta - np.sum(beta * dbeta, axis=1, keepdims=True))
+    grads["evatt.u"] = np.einsum("bth,bt->h", th, ds)
+    dhc = beta[..., None] * dd[:, None, :] + ds[..., None] * (1.0 - th * th) * u
+
+    dc_seq, grads["fuse.W"], grads["fuse.U"], grads["fuse.b"] = lstm_backward_batch(
+        cache["c_seq"], hc, cache["cc"], cache["gc"], params["fuse.W"], params["fuse.U"], dhc,
+    )
+    dem = lam_m * lam_a * (np.sum(dc_seq * hm, axis=2) - np.sum(dc_seq * ha, axis=2))
+    gm_pre = dem * (1.0 - em * em)
+    ga_pre = -dem * (1.0 - ea * ea)
+    grads["att.w"] = np.einsum("bth,bt->h", hm, gm_pre) + np.einsum("bth,bt->h", ha, ga_pre)
+    dhm = lam_m[..., None] * dc_seq + gm_pre[..., None] * w
+    dha = lam_a[..., None] * dc_seq + ga_pre[..., None] * w
+
+    dxm, grads["meta.W"], grads["meta.U"], grads["meta.b"] = lstm_backward_batch(
+        cache["xm"], hm, cache["cm"], cache["gm"], params["meta.W"], params["meta.U"], dhm,
+    )
+    dxa, grads["audio.W"], grads["audio.U"], grads["audio.b"] = lstm_backward_batch(
+        cache["xa"], ha, cache["ca"], cache["ga"], params["audio.W"], params["audio.U"], dha,
+    )
+    return grads, dxm, dxa
+
+
+def hma_batch_loss_grads(params: dict, items) -> tuple[float, dict]:
+    """Summed loss and summed parameter gradients of a minibatch of
+    (xm, xa, label) items: the batched form of ``hma_loss_grads``, one
+    forward and one backward call for the whole minibatch."""
+    y = np.array([float(item[2]) for item in items])
+    p, cache = hma_forward_batch(params, *pad_proposals(items))
+    grads, _, _ = hma_backward_batch(params, cache, bce_sigmoid_grad(p, y))
+    return float(np.sum(bce_loss(p, y))), grads
+
+
+def _probabilities(params: dict, items) -> np.ndarray:
+    """Probabilities of the (xm, xa, ...) items, in one forward call."""
+    if not items:
+        return np.empty(0)
+    return hma_forward_batch(params, *pad_proposals(items))[0]
+
+
 def label_proposal(span: tuple[int, int], gt_intervals, ratio: float = 0.5) -> int:
     """1 when at least ``ratio`` of the span lies inside one ground-truth
     summary action's event range."""
@@ -209,16 +330,11 @@ class HmaModel:
 
 
 def _classification_f(params: dict, items, threshold: float = 0.5) -> float:
-    tp = fp = fn = 0
-    for xm, xa, y in items:
-        p, _ = hma_forward(params, xm, xa)
-        pred = 1 if p >= threshold else 0
-        if pred and y:
-            tp += 1
-        elif pred and not y:
-            fp += 1
-        elif y and not pred:
-            fn += 1
+    pred = _probabilities(params, items) >= threshold
+    y = np.array([bool(item[2]) for item in items], dtype=bool)
+    tp = int(np.sum(pred & y))
+    fp = int(np.sum(pred & ~y))
+    fn = int(np.sum(~pred & y))
     p_, r_ = precision_recall(tp, fp, fn)
     return fbeta(p_, r_, 1.0)
 
@@ -260,19 +376,11 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
         total_loss = 0.0
         for chunk_start in range(0, len(order), config.batch):
             chunk = order[chunk_start : chunk_start + config.batch]
-            acc: dict[str, np.ndarray] = {}
-            for bi in chunk:
-                xm, xa, y = train_items[bi]
-                loss, _, grads = hma_loss_grads(params, xm, xa, float(y))
-                total_loss += loss
-                for k, g in grads.items():
-                    if k in acc:
-                        acc[k] += g
-                    else:
-                        acc[k] = np.array(g, dtype=float)
-            for k in acc:
-                acc[k] /= len(chunk)
-            opt.step(params, acc)
+            loss, grads = hma_batch_loss_grads(params, [train_items[bi] for bi in chunk])
+            total_loss += loss
+            for g in grads.values():
+                g /= len(chunk)
+            opt.step(params, grads)
         f = _classification_f(params, val_items)
         history.append({"epoch": epoch, "loss": total_loss / len(train_items), "val_f": f})
         if f > best_f:
@@ -289,8 +397,6 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
 
 
 def score_proposals(model: HmaModel, items) -> np.ndarray:
-    """Summary-membership probability per raw (xm, xa) pair."""
-    out = np.empty(len(items))
-    for i, (xm, xa) in enumerate(items):
-        out[i], _ = hma_forward(model.params, xm, model.normalize_audio(xa))
-    return out
+    """Summary-membership probability per raw (xm, xa) pair, all pairs in
+    one forward call."""
+    return _probabilities(model.params, [(xm, model.normalize_audio(xa)) for xm, xa in items])

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     DEFAULT_EVENT_TYPES,
     Action,
+    DataFormatError,
     Event,
     Match,
     PaddingConfig,
@@ -396,6 +397,9 @@ def synth_audio_track(spec: dict, burst_times: list[float]) -> tuple[np.ndarray,
     Baseline Gaussian noise at ``base_amp``; every burst time adds noise of
     ``base_amp * gain`` std over the following 2 seconds.
     """
+    bad = [t for t in burst_times if not t >= 0.0]
+    if bad:
+        raise DataFormatError("audio burst time %r is negative or not a number" % bad[0])
     fs = int(spec["rate"])
     n = int(round(float(spec["duration"]) * fs))
     rng = np.random.default_rng(np.random.SeedSequence(list(spec["seed"])))

@@ -259,6 +259,48 @@ def test_malformed_scores_exit_two(chain, tmp_path, capsys, fault):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", ["-0.5", "NaN"])
+def test_bad_event_time_exits_two(chain, tmp_path, capsys, t):
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    lines = (data / "events.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    lines[3] = json.dumps(rec).replace('"t": %s' % json.dumps(rec["t"]), '"t": %s' % t)
+    (data / "events.jsonl").write_text("\n".join(lines) + "\n")
+    rc = main(["extract-features", "--config", str(chain.cfg), "--data", str(data), "--audio",
+               "--out-dir", str(tmp_path / "feats")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "line 4" in err and "Traceback" not in err
+
+
+PROPOSAL_DEFECTS = {
+    "unknown-match": lambda m: {"nope": [{"start_index": 0, "end_index": 1, "type": "goal"}]},
+    "non-integer": lambda m: {m: [{"start_index": 0, "end_index": 1.5, "type": "goal"}]},
+    "past-the-end": lambda m: {m: [{"start_index": 0, "end_index": 100000, "type": "goal"}]},
+    "negative": lambda m: {m: [{"start_index": -1, "end_index": 2, "type": "goal"}]},
+    "start-after-end": lambda m: {m: [{"start_index": 5, "end_index": 4, "type": "goal"}]},
+    "unknown-type": lambda m: {m: [{"start_index": 0, "end_index": 1, "type": "header"}]},
+}
+
+
+@pytest.mark.parametrize("command", ["train-hma", "summarize"])
+@pytest.mark.parametrize("defect", sorted(PROPOSAL_DEFECTS))
+def test_malformed_proposals_exit_two(chain, tmp_path, capsys, command, defect):
+    payload = json.loads((chain.run / "proposals.json").read_text())
+    match_id = sorted(payload["matches"])[0]
+    payload["matches"].update(PROPOSAL_DEFECTS[defect](match_id))
+    proposals = tmp_path / "proposals.json"
+    proposals.write_text(json.dumps(payload))
+    extra = {"train-hma": [], "summarize": ["--model", str(chain.run / "hma.ckpt")]}[command]
+    rc = main([command, "--config", str(chain.cfg), "--data", str(chain.data),
+               "--proposals", str(proposals), "--out-dir", str(tmp_path / "out"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(proposals) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fold", ["5", "-1"])
 def test_fold_outside_the_split_exits_one(chain, tmp_path, capsys, fold):
     rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(chain.data),
@@ -318,7 +360,7 @@ def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
                  data_dir=str(chain.data))
     ids = dataset.match_ids()
     needed = [proposal_events(read_proposals_json(
-        str(tmp_path / "single" / ("fold_%03d" % k) / "proposals.json"))[1], ids)
+        str(tmp_path / "single" / ("fold_%03d" % k) / "proposals.json"), dataset)[1], ids)
         for k in range(2)]
     for a, b in ((0, 1), (1, 0)):
         assert any(set(needed[a][i]) - set(needed[b][i]) for i in ids), \

@@ -113,6 +113,13 @@ def test_validate_match_flags_each_violation():
     assert by_kind["coord"].index == 3
 
 
+@pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
+def test_validate_match_flags_bad_times(t):
+    m = Match(match_id="n", events=[ev(0, 0.0, "pass"), ev(1, t, "pass")])
+    issues = validate_match(m, ("pass",))
+    assert [(i.kind, i.index) for i in issues] == [("time", 1)]
+
+
 def test_validate_match_reports_all_bad_coordinates():
     m = Match(match_id="c", events=[ev(0, 0.0, "pass", sx=-1.0, ey=101.0)])
     issues = validate_match(m, ("pass",))

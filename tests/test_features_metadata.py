@@ -136,4 +136,42 @@ def test_encode_match_equals_linear_scan_definition():
         match.attack_right_first = first
         old = _LinearScanMatch(match.match_id, match.events, first)
         enc = MetadataEncoder(DEFAULT_EVENT_TYPES, QualifierCodebook.from_events(match.events))
-        assert enc.encode_match(match).tobytes() == enc.encode_match(old).tobytes()
+        want = np.stack([enc.encode(old, i) for i in range(len(old.events))])
+        assert enc.encode_match(match).tobytes() == want.tobytes()
+
+
+def _random_match(rng, n):
+    """Random events over a vocabulary with end-period markers, a half-time
+    gap after the first one, both teams and qualifier codes 0..9."""
+    vocab = ("pass", "shot", "foul", "end-period")
+    t = np.cumsum(rng.exponential(3.0, size=n))
+    types = rng.choice(vocab, size=n, p=[0.6, 0.2, 0.15, 0.05])
+    ends = np.flatnonzero(types == "end-period")
+    if ends.size:
+        t[ends[0] + 1 :] += 900.0
+    xy = rng.uniform(0.0, 100.0, size=(n, 4))
+    events = [ev(i, float(t[i]), str(types[i]), team=int(rng.integers(0, 2)),
+                 sx=xy[i, 0], sy=xy[i, 1], ex=xy[i, 2], ey=xy[i, 3],
+                 outcome=int(rng.integers(0, 2)), qual=int(rng.integers(0, 10)))
+              for i in range(n)]
+    return vocab, Match(match_id="r", events=events)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_encode_match_equals_stacked_encode_rows(seed):
+    rng = np.random.default_rng(seed)
+    vocab, match = _random_match(rng, int(rng.integers(1, 300)))
+    # three kept codes: the other seven land in the catch-all bucket
+    codebook = QualifierCodebook.from_events(match.events, dims=4)
+    enc = MetadataEncoder(vocab, codebook, FieldConfig(width=105.0, height=68.0))
+    for first in ((True, False), (False, True), (True, True)):
+        match.attack_right_first = first
+        want = np.stack([enc.encode(match, i) for i in range(len(match.events))])
+        assert enc.encode_match(match).tobytes() == want.tobytes()
+
+
+def test_encode_match_rejects_unknown_type():
+    match = Match(match_id="m", events=[ev(0, 0.0, "pass"), ev(1, 1.0, "dive")])
+    enc = MetadataEncoder(("pass",), QualifierCodebook([], 1))
+    with pytest.raises(VocabularyError, match="dive"):
+        enc.encode_match(match)

@@ -95,8 +95,8 @@ def _write_minimal(tmp_path, event_lines, manifest=None, summary=None):
     return str(d)
 
 
-def _line(i, etype="pass", match_id="m0", drop=None):
-    rec = {"match_id": match_id, "index": i, "t": float(i), "type": etype,
+def _line(i, etype="pass", match_id="m0", drop=None, t=None):
+    rec = {"match_id": match_id, "index": i, "t": float(i) if t is None else t, "type": etype,
            "team": 0, "player": 1, "sx": 1.0, "sy": 2.0, "ex": 3.0, "ey": 4.0,
            "outcome": 1, "qualifier": 0}
     if drop:
@@ -155,6 +155,25 @@ def test_summary_must_be_an_array(tmp_path):
     path = _write_minimal(tmp_path, [_line(0)],
                           summary=("m0.json", {"start_index": 0}))
     with pytest.raises(DataFormatError, match="array"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
+def test_bad_event_time_names_its_line(tmp_path, t):
+    path = _write_minimal(tmp_path, [_line(0), _line(1, t=t)])
+    with pytest.raises(DataFormatError, match="line 2: event time"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("action", [
+    {"start_index": 1, "end_index": 2, "type": "goal"},     # past the last event
+    {"start_index": -1, "end_index": 0, "type": "goal"},
+    {"start_index": 1, "end_index": 0, "type": "goal"},
+    {"start_index": 0, "type": "goal"},
+])
+def test_summary_action_outside_the_match(tmp_path, action):
+    path = _write_minimal(tmp_path, [_line(0), _line(1)], summary=("m0.json", [action]))
+    with pytest.raises(DataFormatError, match="m0.json"):
         load_dataset(path)
 
 

@@ -8,10 +8,14 @@ from soccersum.stage2 import (
     HmaConfig,
     HmaModel,
     attention_weights,
+    hma_backward_batch,
+    hma_batch_loss_grads,
     hma_forward,
+    hma_forward_batch,
     hma_loss_grads,
     init_hma_params,
     label_proposal,
+    pad_proposals,
     score_proposals,
     train_hma,
 )
@@ -100,6 +104,107 @@ def test_gradients_match_finite_differences_spot_check():
             fd = (lp - lm) / (2 * eps)
             got = grads[name].reshape(-1)[i]
             assert got == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
+
+
+RAGGED = ([1], [4, 1, 13, 7, 7], [9] * 6, [2, 1, 1])
+
+
+def random_items(rng, lengths):
+    return [random_pair(rng, n) + (int(rng.integers(0, 2)),) for n in lengths]
+
+
+@pytest.mark.parametrize("lengths", RAGGED)
+def test_batched_forward_matches_per_example_forward(lengths):
+    rng = np.random.default_rng(41)
+    params = small_params(9)
+    items = random_items(rng, lengths)
+    p, _ = hma_forward_batch(params, *pad_proposals(items))
+    want = np.array([hma_forward(params, xm, xa)[0] for xm, xa, _ in items])
+    assert np.max(np.abs(p - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("lengths", RAGGED)
+def test_batched_gradients_match_summed_per_example_gradients(lengths):
+    rng = np.random.default_rng(42)
+    params = small_params(10)
+    items = random_items(rng, lengths)
+    loss, grads = hma_batch_loss_grads(params, items)
+    want_loss = 0.0
+    want = {k: np.zeros_like(v) for k, v in params.items()}
+    for xm, xa, y in items:
+        l1, _, g1 = hma_loss_grads(params, xm, xa, float(y))
+        want_loss += l1
+        for k, g in g1.items():
+            want[k] += g
+    assert loss == pytest.approx(want_loss, rel=1e-10)
+    assert set(grads) == set(want)
+    for k, g in grads.items():
+        assert np.max(np.abs(g - want[k])) <= 1e-10 * np.max(np.abs(want[k]))
+
+
+def test_batched_gradients_match_finite_differences():
+    # criterion 1's step and tolerance
+    step, tol = 1e-4, 1e-4
+    rng = np.random.default_rng(43)
+    params = small_params(11, hm=4, hf=3)
+    items = random_items(rng, [5, 1, 3])
+    _, grads = hma_batch_loss_grads(params, items)
+    worst = 0.0
+    for name, g in grads.items():
+        flat = params[name].reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            lp, _ = hma_batch_loss_grads(params, items)
+            flat[i] = keep - step
+            lm, _ = hma_batch_loss_grads(params, items)
+            flat[i] = keep
+            fd = (lp - lm) / (2 * step)
+            got = g.reshape(-1)[i]
+            worst = max(worst, abs(got - fd) / max(abs(got), abs(fd), 1e-3))
+    assert worst < tol
+
+
+def test_padded_steps_get_exactly_zero_input_gradient():
+    rng = np.random.default_rng(44)
+    params = small_params(12)
+    lengths = [6, 2, 1, 4]
+    xm, xa, lens = pad_proposals(random_items(rng, lengths))
+    p, cache = hma_forward_batch(params, xm, xa, lens)
+    assert np.all(cache["beta"][1, 2:] == 0.0)
+    _, dxm, dxa = hma_backward_batch(params, cache, p - 1.0)
+    for b, n in enumerate(lengths):
+        assert np.all(dxm[b, n:] == 0.0) and np.all(dxa[b, n:] == 0.0)
+        assert np.all(np.any(dxm[b, :n] != 0.0, axis=1))
+    # what the padding holds changes nothing
+    pad = np.arange(xm.shape[1])[None, :] >= lens[:, None]
+    xm[pad] = rng.normal(size=(pad.sum(), META_DIM)) * 50.0
+    xa[pad] = rng.normal(size=(pad.sum(), AUDIO_DIM)) * 50.0
+    p2, cache2 = hma_forward_batch(params, xm, xa, lens)
+    np.testing.assert_array_equal(p2, p)
+    g1, _, _ = hma_backward_batch(params, cache, p - 1.0)
+    g2, _, _ = hma_backward_batch(params, cache2, p2 - 1.0)
+    for k in g1:
+        np.testing.assert_array_equal(g2[k], g1[k])
+
+
+def test_batched_paths_reject_bad_items():
+    params = small_params()
+    model = HmaModel(params=params, config=HmaConfig())
+    good = (np.zeros((2, META_DIM)), np.zeros((2, AUDIO_DIM)))
+    mismatched = (np.zeros((3, META_DIM)), np.zeros((2, AUDIO_DIM)))
+    empty = (np.zeros((0, META_DIM)), np.zeros((0, AUDIO_DIM)))
+    for bad, message in ((mismatched, "disagree"), (empty, "no events")):
+        with pytest.raises(ShapeError, match=message):
+            hma_batch_loss_grads(params, [good + (1,), bad + (0,)])
+        with pytest.raises(ShapeError, match=message):
+            score_proposals(model, [good, bad])
+
+
+def test_score_proposals_of_nothing_is_empty():
+    model = HmaModel(params=small_params(), config=HmaConfig())
+    out = score_proposals(model, [])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_label_proposal_coverage_rule():

@@ -5,6 +5,7 @@ import pytest
 
 from soccersum.core import (
     DEFAULT_EVENT_TYPES,
+    DataFormatError,
     PaddingConfig,
     SoccersumError,
     validate_match,
@@ -169,6 +170,13 @@ def test_chunked_render_equals_one_shot_draw(n):
     want, _ = one_shot_audio_track(spec, bursts)
     assert fs == 8000 and track.dtype == np.float32 and len(track) == n
     assert track.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t", [-0.5, -3.0, float("nan")])
+def test_render_rejects_a_negative_burst_time(t):
+    spec = {"rate": 8000, "gain": 3.0, "base_amp": 0.05, "seed": [7, 2, 0], "duration": 10.0}
+    with pytest.raises(DataFormatError, match="burst time"):
+        synth_audio_track(spec, [1.0, t])
 
 
 def test_chunked_render_equals_one_shot_draw_on_a_full_match(default_match):
