@@ -22,7 +22,7 @@ from .synth import GenConfig
 
 ENV_PREFIX = "SOCCERSUM_"
 
-# key -> (type, default); bool values parse from true/false/1/0/yes/no
+# key -> (type, default)
 KNOWN_KEYS: dict[str, tuple[type, object]] = {
     "seed": (int, 7),
     "jobs": (int, 1),
@@ -44,7 +44,6 @@ KNOWN_KEYS: dict[str, tuple[type, object]] = {
     "stage1.window": (int, 10),
     "stage1.stride": (int, 5),
     "stage1.lse_r": (float, 8.0),
-    "stage1.literal_lse": (bool, False),
     "stage1.epochs": (int, 100),
     "stage1.patience": (int, 20),
     "stage1.batch": (int, 32),
@@ -72,13 +71,6 @@ def _parse_value(key: str, raw: str):
     typ, _default = KNOWN_KEYS[key]
     raw = raw.strip()
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError:
         raise ConfigError("key %r: cannot parse %r as %s" % (key, raw, typ.__name__))
@@ -117,10 +109,7 @@ class PipelineConfig:
                 # worker count cannot change any result, so it is not part
                 # of the experiment identity
                 continue
-            v = self.values[key]
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append("%s = %s" % (key, v))
+            lines.append("%s = %s" % (key, self.values[key]))
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -150,7 +139,6 @@ class PipelineConfig:
             window=self["stage1.window"],
             stride=self["stage1.stride"],
             lse_r=self["stage1.lse_r"],
-            literal_lse=self["stage1.literal_lse"],
             epochs=self["stage1.epochs"],
             patience=self["stage1.patience"],
             batch=self["stage1.batch"],

@@ -24,6 +24,7 @@ from .core import (
     Match,
     Summary,
     VocabularyError,
+    validate_match,
 )
 
 _EVENT_FIELDS = (
@@ -87,25 +88,40 @@ def event_to_record(ev: Event, match_id: str) -> dict:
 
 
 def record_to_event(rec: dict, lineno: int = -1) -> tuple[str, Event]:
+    if not isinstance(rec, dict):
+        raise DataFormatError("events.jsonl line %d: not a JSON object" % lineno)
     missing = [f for f in _EVENT_FIELDS if f not in rec]
     if missing:
         raise DataFormatError(
-            "event line %d missing fields %s" % (lineno, ", ".join(missing))
+            "events.jsonl line %d: missing fields %s" % (lineno, ", ".join(missing))
         )
-    ev = Event(
-        index=int(rec["index"]),
-        t=float(rec["t"]),
-        type=str(rec["type"]),
-        team=int(rec["team"]),
-        player=int(rec["player"]),
-        sx=float(rec["sx"]),
-        sy=float(rec["sy"]),
-        ex=float(rec["ex"]),
-        ey=float(rec["ey"]),
-        outcome=int(rec["outcome"]),
-        qualifier=int(rec["qualifier"]),
-    )
+    try:
+        ev = Event(
+            index=int(rec["index"]),
+            t=float(rec["t"]),
+            type=str(rec["type"]),
+            team=int(rec["team"]),
+            player=int(rec["player"]),
+            sx=float(rec["sx"]),
+            sy=float(rec["sy"]),
+            ex=float(rec["ex"]),
+            ey=float(rec["ey"]),
+            outcome=int(rec["outcome"]),
+            qualifier=int(rec["qualifier"]),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError("events.jsonl line %d: malformed field (%s)"
+                              % (lineno, exc)) from None
     return str(rec["match_id"]), ev
+
+
+def _read_json(path: str, name: str):
+    """The parsed JSON file at ``path``; ``name`` labels it in errors."""
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise DataFormatError("%s: not valid JSON (%s)" % (name, exc)) from None
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> None:
@@ -145,17 +161,31 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
             fh.write("\n")
 
 
-def load_dataset(path: str, validate: bool = True) -> Dataset:
+def load_dataset(path: str) -> Dataset:
+    """Read and check a dataset directory.  Any input that breaks the
+    layout above or fails ``validate_match`` raises ``DataFormatError``
+    (``VocabularyError`` for an event type outside the vocabulary) naming
+    the file, line or match at fault."""
     manifest_path = os.path.join(path, "dataset.json")
     if not os.path.exists(manifest_path):
         raise DataFormatError("no dataset.json under %r" % path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    vocabulary = tuple(manifest["vocabulary"])
-    vocab_set = set(vocabulary)
+    manifest = _read_json(manifest_path, "dataset.json")
+    try:
+        vocabulary = tuple(manifest["vocabulary"])
+        vocab_set = set(vocabulary)
+        entries = [(str(e["match_id"]), tuple(e.get("attack_right_first", (True, False))),
+                    e.get("audio")) for e in manifest["matches"]]
+        meta = manifest.get("meta", {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError("dataset.json: malformed manifest (%s: %s)"
+                              % (type(exc).__name__, exc)) from None
 
+    events_path = os.path.join(path, "events.jsonl")
+    if not os.path.exists(events_path):
+        raise DataFormatError("no events.jsonl under %r" % path)
     events_by_match: dict[str, list[Event]] = {}
-    with open(os.path.join(path, "events.jsonl")) as fh:
+    # bytes that are not UTF-8 read as U+FFFD, which no field accepts
+    with open(events_path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -170,15 +200,17 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
                     "events.jsonl line %d: event time %r is negative or not finite"
                     % (lineno, ev.t)
                 )
-            if validate and ev.type not in vocab_set:
+            if ev.type not in vocab_set:
                 raise VocabularyError(
                     "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
                 )
             events_by_match.setdefault(match_id, []).append(ev)
 
     matches: list[Match] = []
-    for entry in manifest["matches"]:
-        match_id = entry["match_id"]
+    for match_id, attack_right_first, audio in entries:
+        if len(attack_right_first) != 2:
+            raise DataFormatError("dataset.json: match %r: attack_right_first has %d entries, "
+                                  "not one per team" % (match_id, len(attack_right_first)))
         events = events_by_match.get(match_id, [])
         if not events:
             raise DataFormatError(
@@ -190,16 +222,19 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
                 raise DataFormatError(
                     "match %r: event indices not dense at position %d" % (match_id, pos)
                 )
-        matches.append(
-            Match(
-                match_id=match_id,
-                events=events,
-                attack_right_first=tuple(entry.get("attack_right_first", (True, False))),
-                audio=entry.get("audio"),
-            )
-        )
+        match = Match(match_id=match_id, events=events,
+                      attack_right_first=attack_right_first, audio=audio)
+        issues = validate_match(match, vocabulary)
+        if issues:
+            first = issues[0]
+            raise DataFormatError("match %r, event %d, %s issue: %s (%d issue(s) in all)"
+                                  % (match_id, first.index, first.kind, first.message,
+                                     len(issues)))
+        matches.append(match)
 
     by_id = {m.match_id: m for m in matches}
+    if len(by_id) != len(matches):
+        raise DataFormatError("dataset.json lists a match id more than once")
     extra = sorted(set(events_by_match) - set(by_id))
     if extra:
         raise DataFormatError("events.jsonl has matches absent from manifest: %s" % extra)
@@ -213,8 +248,7 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
             match_id = name[: -len(".json")]
             if match_id not in by_id:
                 raise DataFormatError("summary file for unknown match %r" % match_id)
-            with open(os.path.join(sdir, name)) as fh:
-                recs = json.load(fh)
+            recs = _read_json(os.path.join(sdir, name), "summary %r" % name)
             if not isinstance(recs, list):
                 raise DataFormatError("summary %r: top level must be a JSON array" % name)
             n = len(by_id[match_id].events)
@@ -232,9 +266,4 @@ def load_dataset(path: str, validate: bool = True) -> Dataset:
                 actions.append(a)
             summaries[match_id] = Summary(match_id=match_id, actions=actions)
 
-    return Dataset(
-        vocabulary=vocabulary,
-        matches=matches,
-        summaries=summaries,
-        meta=manifest.get("meta", {}),
-    )
+    return Dataset(vocabulary=vocabulary, matches=matches, summaries=summaries, meta=meta)

@@ -8,11 +8,7 @@ from .kernels import (  # noqa: F401
 from .layers import (  # noqa: F401
     bce_loss,
     bce_sigmoid_grad,
-    maxpool_time,
-    maxpool_time_backward,
     sigmoid,
-    softmax,
-    softmax_backward,
 )
 from .optim import Adam  # noqa: F401
 from .params import (  # noqa: F401

@@ -11,9 +11,8 @@ of a row's real steps, and when the upstream gradient is zero on the padded
 steps they contribute exactly zero to every gradient.  Callers therefore
 only mask padding where they reduce over time.
 
-``lstm_forward``/``lstm_backward`` run one (T, D) sequence step by step.
-They are the reference the batched kernels are tested against, and the
-kernels of the per-example stage-1 and stage-2 references.
+``lstm_forward``/``lstm_backward`` run one (T, D) sequence as a batch of
+one.
 """
 from __future__ import annotations
 
@@ -22,98 +21,13 @@ import numpy as np
 from .layers import sigmoid
 
 
-def _lstm_forward(x, W, U, b):
-    """Run an LSTM over x (T, D); returns (h, c, gates).
-
-    h, c: (T, H) hidden and cell states.  gates: (T, 4H) post-activation
-    gate values in (i, f, g, o) order, cached for the backward pass.
-    """
-    T = x.shape[0]
-    H = U.shape[1]
-    h = np.zeros((T, H))
-    c = np.zeros((T, H))
-    gates = np.zeros((T, 4 * H))
-    h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
-    for t in range(T):
-        z = np.dot(W, x[t]) + np.dot(U, h_prev) + b
-        i_g = 1.0 / (1.0 + np.exp(-z[:H]))
-        f_g = 1.0 / (1.0 + np.exp(-z[H : 2 * H]))
-        g_g = np.tanh(z[2 * H : 3 * H])
-        o_g = 1.0 / (1.0 + np.exp(-z[3 * H :]))
-        c_t = f_g * c_prev + i_g * g_g
-        h[t] = o_g * np.tanh(c_t)
-        c[t] = c_t
-        gates[t, :H] = i_g
-        gates[t, H : 2 * H] = f_g
-        gates[t, 2 * H : 3 * H] = g_g
-        gates[t, 3 * H :] = o_g
-        h_prev = h[t]
-        c_prev = c_t
-    return h, c, gates
-
-
-def _lstm_backward(x, h, c, gates, W, U, dh_ext):
-    """Backward pass matching _lstm_forward.
-
-    dh_ext: (T, H) gradient flowing into each hidden state from outside the
-    recurrence (zeros where a state feeds nothing but the next step).
-    Returns (dx, dW, dU, db).
-    """
-    T = x.shape[0]
-    H = U.shape[1]
-    D = W.shape[1]
-    dx = np.zeros((T, D))
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    dz = np.zeros(4 * H)
-    zeros_h = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        if t > 0:
-            c_prev = c[t - 1]
-            h_prev = h[t - 1]
-        else:
-            c_prev = zeros_h
-            h_prev = zeros_h
-        i_g = gates[t, :H]
-        f_g = gates[t, H : 2 * H]
-        g_g = gates[t, 2 * H : 3 * H]
-        o_g = gates[t, 3 * H :]
-        tc = np.tanh(c[t])
-        dh = dh_ext[t] + dh_next
-        do = dh * tc
-        dc = dc_next + dh * o_g * (1.0 - tc * tc)
-        di = dc * g_g
-        dg = dc * i_g
-        df = dc * c_prev
-        dz[:H] = di * i_g * (1.0 - i_g)
-        dz[H : 2 * H] = df * f_g * (1.0 - f_g)
-        dz[2 * H : 3 * H] = dg * (1.0 - g_g * g_g)
-        dz[3 * H :] = do * o_g * (1.0 - o_g)
-        dW += np.outer(dz, x[t])
-        dU += np.outer(dz, h_prev)
-        db += dz
-        dx[t] = np.dot(W.T, dz)
-        dh_next = np.dot(U.T, dz)
-        dc_next = dc * f_g
-    return dx, dW, dU, db
-
-
-# lstm_forward_numpy names the same function: the benchmark's environment
-# record reports whether lstm_forward is the numpy kernel.
-lstm_forward = lstm_forward_numpy = _lstm_forward
-lstm_backward = _lstm_backward
-
-
 def lstm_forward_batch(x, W, U, b):
     """Run an LSTM over a left-aligned batch x (B, T, D).
 
-    Returns (h, c, gates) shaped (B, T, H), (B, T, H), (B, T, 4H), with the
-    per-step values of ``lstm_forward`` for every row.  The input
-    projection of all steps is one matrix product.
+    Returns (h, c, gates) shaped (B, T, H), (B, T, H), (B, T, 4H): hidden
+    and cell states, and post-activation gate values in (i, f, g, o) order,
+    cached for the backward pass.  The input projection of all steps is one
+    matrix product.
     """
     B, T, _ = x.shape
     H = U.shape[1]
@@ -174,3 +88,23 @@ def lstm_backward_batch(x, h, c, gates, W, U, dh_ext):
     db = dz2.sum(axis=0)
     dx = dz @ W
     return dx, dW, dU, db
+
+
+def lstm_forward(x, W, U, b):
+    """``lstm_forward_batch`` for one (T, D) sequence; returns (h, c, gates)
+    shaped (T, H), (T, H), (T, 4H)."""
+    h, c, gates = lstm_forward_batch(x[None], W, U, b)
+    return h[0], c[0], gates[0]
+
+
+def lstm_backward(x, h, c, gates, W, U, dh_ext):
+    """``lstm_backward_batch`` for one (T, D) sequence; dh_ext is (T, H).
+    Returns (dx, dW, dU, db)."""
+    dx, dW, dU, db = lstm_backward_batch(x[None], h[None], c[None], gates[None], W, U,
+                                         dh_ext[None])
+    return dx[0], dW, dU, db
+
+
+# lstm_forward_numpy names the same function: the benchmark's environment
+# record reports whether lstm_forward is the numpy kernel.
+lstm_forward_numpy = lstm_forward

@@ -665,9 +665,6 @@ class ProtocolResult:
     tables: dict = field(default_factory=dict)
     text: str = ""
 
-    def table_rows(self, name: str):
-        return self.tables[name]
-
 
 def _sum_counts(fold_results, section: str, name: str) -> Counts:
     total = Counts()

@@ -21,15 +21,14 @@ from .neural import (
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
-    lstm_backward,
     lstm_backward_batch,
-    lstm_forward,
     lstm_forward_batch,
     lstm_init,
-    maxpool_time,
-    maxpool_time_backward,
     sigmoid,
 )
+# Unused here: perfbench's tracer (perfbench/tracing.py) wraps these
+# bindings of stage1 and stage2 by name.
+from .neural import lstm_backward, lstm_forward  # noqa: F401
 
 
 @dataclass
@@ -38,7 +37,6 @@ class MilConfig:
     window: int = 10
     stride: int = 5
     lse_r: float = 8.0
-    literal_lse: bool = False
     epochs: int = 100
     patience: int = 20
     batch: int = 32
@@ -167,30 +165,11 @@ def init_mil_params(input_dim: int, hidden: int, rng: np.random.Generator) -> di
     return params
 
 
-def mil_forward(params: dict, x: np.ndarray):
-    """Bag score in (0, 1) for a (K, D) bag of event vectors."""
-    h, c, gates = lstm_forward(x, params["lstm.W"], params["lstm.U"], params["lstm.b"])
-    z, kstar = maxpool_time(h)
-    logit = float(np.dot(z, params["out.w"]) + params["out.b"][0])
-    p = float(sigmoid(logit))
-    return p, (h, c, gates, z, kstar)
-
-
 def mil_loss_grads(params: dict, x: np.ndarray, y: float):
-    p, (h, c, gates, z, kstar) = mil_forward(params, x)
-    loss = bce_loss(p, y)
-    dlogit = bce_sigmoid_grad(p, y)
-    grads = {
-        "out.w": dlogit * z,
-        "out.b": np.array([dlogit]),
-    }
-    dz = dlogit * params["out.w"]
-    dh_ext = maxpool_time_backward(dz, kstar, x.shape[0])
-    _, dW, dU, db = lstm_backward(x, h, c, gates, params["lstm.W"], params["lstm.U"], dh_ext)
-    grads["lstm.W"] = dW
-    grads["lstm.U"] = dU
-    grads["lstm.b"] = db
-    return loss, p, grads
+    """(loss, probability, parameter gradients) of one (K, D) bag with
+    label ``y``: ``mil_batch_loss_grads`` on a minibatch of one."""
+    loss, p, grads = mil_batch_loss_grads(params, [x], [y])
+    return loss, float(p[0]), grads
 
 
 def _mil_batch_forward(params: dict, x: np.ndarray, lengths: np.ndarray):
@@ -204,10 +183,10 @@ def _mil_batch_forward(params: dict, x: np.ndarray, lengths: np.ndarray):
     return p, (h, c, gates, z, kstar)
 
 
-def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys) -> tuple[float, dict]:
-    """Summed loss and summed parameter gradients of a minibatch of (K_i, D)
-    bags ``xs`` with labels ``ys``: the batched form of ``mil_loss_grads``,
-    one forward and one backward kernel call for the whole minibatch."""
+def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys):
+    """Summed loss, bag probabilities (B,) and summed parameter gradients of
+    a minibatch of (K_i, D) bags ``xs`` with labels ``ys``, in one forward
+    and one backward kernel call."""
     lengths = np.array([x.shape[0] for x in xs])
     batch = np.zeros((len(xs), int(lengths.max()), xs[0].shape[1]))
     for row, x in zip(batch, xs):
@@ -227,7 +206,7 @@ def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys) -> tuple[float,
         "lstm.U": dU,
         "lstm.b": db,
     }
-    return float(np.sum(bce_loss(p, y))), grads
+    return float(np.sum(bce_loss(p, y))), p, grads
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +235,9 @@ def score_windows(params: dict, feats: np.ndarray, window: int, stride: int):
 
 
 def fuse_event_scores(starts: list[int], window_len: int, window_scores: np.ndarray,
-                      n_events: int, r: float, literal: bool = False) -> np.ndarray:
-    """Per-event score: log-sum-exp fusion of all windows covering the event.
-
-    Standard form: S = (1/r) * log(mean(exp(r * O))).  ``literal`` switches
-    to the diagnostic variant S = (1/r) * log(mean(r * O)), kept for
-    comparison experiments; it is not a log-sum-exp and loses the
-    mean <= S <= max envelope.
+                      n_events: int, r: float) -> np.ndarray:
+    """Per-event score: log-sum-exp fusion of all windows covering the event,
+    S = (1/r) * log(mean(exp(r * O))).
 
     Each window adds its term to every event it covers; the sums are
     divided by the events' cover counts.
@@ -272,8 +247,6 @@ def fuse_event_scores(starts: list[int], window_len: int, window_scores: np.ndar
     inside = covered < n_events
     covered, ro = covered[inside], ro[inside]
     count = np.bincount(covered, minlength=n_events)
-    if literal:
-        return np.log(np.bincount(covered, weights=ro, minlength=n_events) / count) / r
     m = np.full(n_events, -np.inf)
     np.maximum.at(m, covered, ro)
     total = np.bincount(covered, weights=np.exp(ro - m[covered]), minlength=n_events)
@@ -282,8 +255,7 @@ def fuse_event_scores(starts: list[int], window_len: int, window_scores: np.ndar
 
 def score_events(params: dict, feats: np.ndarray, config: MilConfig) -> np.ndarray:
     starts, wlen, wscores = score_windows(params, feats, config.window, config.stride)
-    return fuse_event_scores(starts, wlen, wscores, feats.shape[0], config.lse_r,
-                             config.literal_lse)
+    return fuse_event_scores(starts, wlen, wscores, feats.shape[0], config.lse_r)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +310,6 @@ def _fbeta_at(inputs, threshold: float, beta: float, ratio: float) -> float:
     return fbeta(p, r, beta)
 
 
-def proposal_fbeta(scored: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]],
-                   threshold: float, beta: float = 2.0, ratio: float = 0.5) -> float:
-    """F-beta of proposal extraction at a threshold, micro-averaged over
-    matches.  ``scored`` rows are (event scores, event labels, event types)."""
-    return _fbeta_at(_threshold_inputs(scored), threshold, beta, ratio)
-
-
 def select_threshold(scored, beta: float = 2.0, ratio: float = 0.5) -> tuple[float, float]:
     """Grid-search the score threshold (0.01..0.99, step 0.01) maximizing
     proposal F-beta; ties go to the lowest threshold.  Returns
@@ -377,7 +342,6 @@ class MilModel:
         out["_meta.window"] = np.array([float(self.config.window)])
         out["_meta.stride"] = np.array([float(self.config.stride)])
         out["_meta.lse_r"] = np.array([self.config.lse_r])
-        out["_meta.literal_lse"] = np.array([1.0 if self.config.literal_lse else 0.0])
         out["_meta.threshold"] = np.array([self.threshold])
         return out
 
@@ -389,7 +353,6 @@ class MilModel:
             window=int(ckpt["_meta.window"][0]),
             stride=int(ckpt["_meta.stride"][0]),
             lse_r=float(ckpt["_meta.lse_r"][0]),
-            literal_lse=bool(ckpt["_meta.literal_lse"][0]),
         )
         return cls(params=params, config=cfg, threshold=float(ckpt["_meta.threshold"][0]))
 
@@ -427,7 +390,7 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
         for chunk_start in range(0, len(order), config.batch):
             chunk = [bags[bi] for bi in order[chunk_start : chunk_start + config.batch]]
             xs = [features[b.match_id][b.start : b.start + b.length] for b in chunk]
-            loss, grads = mil_batch_loss_grads(params, xs, [b.label for b in chunk])
+            loss, _, grads = mil_batch_loss_grads(params, xs, [b.label for b in chunk])
             total_loss += loss
             for g in grads.values():
                 g /= len(chunk)

@@ -6,10 +6,9 @@ event and a two-way softmax mixes the hidden states.  A fusion LSTM reads
 the mixed sequence, an event-attention layer pools it to one vector, and a
 sigmoid neuron emits the probability the proposal belongs in the summary.
 
-Training and scoring run on left-aligned (B, T, D) batches of proposals
-(``hma_forward_batch``/``hma_backward_batch``).  The per-example
-``hma_forward``/``hma_backward`` are the reference the batched pair is
-tested against, and what ``attention_weights`` reports from.
+Everything runs on left-aligned (B, T, D) batches of proposals
+(``hma_forward_batch``/``hma_backward_batch``); ``hma_loss_grads`` and
+``attention_weights`` are batches of one.
 """
 from __future__ import annotations
 
@@ -24,16 +23,15 @@ from .neural import (
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
-    lstm_backward,
     lstm_backward_batch,
-    lstm_forward,
     lstm_forward_batch,
     lstm_init,
     sigmoid,
-    softmax,
-    softmax_backward,
     vector_init,
 )
+# Unused here: perfbench's tracer (perfbench/tracing.py) wraps these
+# bindings of stage1 and stage2 by name.
+from .neural import lstm_backward, lstm_forward  # noqa: F401
 
 
 @dataclass
@@ -68,113 +66,6 @@ def _check_proposal(xm: np.ndarray, xa: np.ndarray) -> None:
         )
     if xm.shape[0] == 0:
         raise ShapeError("proposal has no events")
-
-
-def hma_forward(params: dict, xm: np.ndarray, xa: np.ndarray):
-    """Summary-membership probability for one proposal.
-
-    xm: (L, meta_dim) metadata vectors, xa: (L, audio_dim) audio vectors,
-    same event count L >= 1.  Returns (p, cache).
-    """
-    _check_proposal(xm, xa)
-    hm, cm, gm = lstm_forward(xm, params["meta.W"], params["meta.U"], params["meta.b"])
-    ha, ca, ga = lstm_forward(xa, params["audio.W"], params["audio.U"], params["audio.b"])
-    # per-event modality attention, shared projection
-    em = np.tanh(hm @ params["att.w"])
-    ea = np.tanh(ha @ params["att.w"])
-    lam_m = sigmoid(em - ea)  # two-way softmax
-    lam_a = 1.0 - lam_m
-    c_seq = lam_m[:, None] * hm + lam_a[:, None] * ha
-    hc, cc, gc = lstm_forward(c_seq, params["fuse.W"], params["fuse.U"], params["fuse.b"])
-    # event attention over the fused sequence
-    th = np.tanh(hc)
-    s = th @ params["evatt.u"]
-    beta = softmax(s)
-    d = beta @ hc
-    logit = float(np.dot(d, params["out.w"]) + params["out.b"][0])
-    p = float(sigmoid(logit))
-    cache = {
-        "xm": xm, "xa": xa,
-        "hm": hm, "cm": cm, "gm": gm,
-        "ha": ha, "ca": ca, "ga": ga,
-        "em": em, "ea": ea, "lam_m": lam_m, "lam_a": lam_a,
-        "c_seq": c_seq, "hc": hc, "cc": cc, "gc": gc,
-        "th": th, "beta": beta, "d": d, "p": p,
-    }
-    return p, cache
-
-
-def attention_weights(params: dict, xm: np.ndarray, xa: np.ndarray):
-    """(lambda_meta, lambda_audio, beta) diagnostics for one proposal."""
-    _, cache = hma_forward(params, xm, xa)
-    return cache["lam_m"], cache["lam_a"], cache["beta"]
-
-
-def hma_backward(params: dict, cache: dict, dlogit: float) -> dict:
-    hm, ha = cache["hm"], cache["ha"]
-    hc, th, beta = cache["hc"], cache["th"], cache["beta"]
-    lam_m, lam_a = cache["lam_m"], cache["lam_a"]
-    em, ea = cache["em"], cache["ea"]
-
-    grads = {
-        "out.w": dlogit * cache["d"],
-        "out.b": np.array([dlogit]),
-    }
-    dd = dlogit * params["out.w"]
-
-    # d = sum_i beta_i hc_i
-    dbeta = hc @ dd
-    dhc = beta[:, None] * dd[None, :]
-    # beta = softmax(s), s_i = u . tanh(hc_i)
-    ds = softmax_backward(beta, dbeta)
-    grads["evatt.u"] = th.T @ ds
-    dhc = dhc + ds[:, None] * (1.0 - th * th) * params["evatt.u"][None, :]
-
-    dc_seq, dWf, dUf, dbf = lstm_backward(
-        cache["c_seq"], hc, cache["cc"], cache["gc"],
-        params["fuse.W"], params["fuse.U"], dhc,
-    )
-    grads["fuse.W"] = dWf
-    grads["fuse.U"] = dUf
-    grads["fuse.b"] = dbf
-
-    # c_i = lam_m_i hm_i + lam_a_i ha_i
-    dlam_m = np.sum(dc_seq * hm, axis=1)
-    dlam_a = np.sum(dc_seq * ha, axis=1)
-    dhm = lam_m[:, None] * dc_seq
-    dha = lam_a[:, None] * dc_seq
-    # two-way softmax over (em, ea)
-    dem = lam_m * lam_a * (dlam_m - dlam_a)
-    dea = -dem
-    # em = tanh(hm . w), ea = tanh(ha . w), shared w
-    gm_pre = dem * (1.0 - em * em)
-    ga_pre = dea * (1.0 - ea * ea)
-    grads["att.w"] = hm.T @ gm_pre + ha.T @ ga_pre
-    dhm = dhm + gm_pre[:, None] * params["att.w"][None, :]
-    dha = dha + ga_pre[:, None] * params["att.w"][None, :]
-
-    _, dWm, dUm, dbm = lstm_backward(
-        cache["xm"], hm, cache["cm"], cache["gm"],
-        params["meta.W"], params["meta.U"], dhm,
-    )
-    grads["meta.W"] = dWm
-    grads["meta.U"] = dUm
-    grads["meta.b"] = dbm
-    _, dWa, dUa, dba = lstm_backward(
-        cache["xa"], ha, cache["ca"], cache["ga"],
-        params["audio.W"], params["audio.U"], dha,
-    )
-    grads["audio.W"] = dWa
-    grads["audio.U"] = dUa
-    grads["audio.b"] = dba
-    return grads
-
-
-def hma_loss_grads(params: dict, xm: np.ndarray, xa: np.ndarray, y: float):
-    p, cache = hma_forward(params, xm, xa)
-    loss = bce_loss(p, y)
-    grads = hma_backward(params, cache, bce_sigmoid_grad(p, y))
-    return loss, p, grads
 
 
 def pad_proposals(items):
@@ -270,14 +161,28 @@ def hma_backward_batch(params: dict, cache: dict, dlogit: np.ndarray):
     return grads, dxm, dxa
 
 
-def hma_batch_loss_grads(params: dict, items) -> tuple[float, dict]:
-    """Summed loss and summed parameter gradients of a minibatch of
-    (xm, xa, label) items: the batched form of ``hma_loss_grads``, one
-    forward and one backward call for the whole minibatch."""
+def hma_batch_loss_grads(params: dict, items):
+    """Summed loss, probabilities (B,) and summed parameter gradients of a
+    minibatch of (xm, xa, label) items, in one forward and one backward
+    call."""
     y = np.array([float(item[2]) for item in items])
     p, cache = hma_forward_batch(params, *pad_proposals(items))
     grads, _, _ = hma_backward_batch(params, cache, bce_sigmoid_grad(p, y))
-    return float(np.sum(bce_loss(p, y))), grads
+    return float(np.sum(bce_loss(p, y))), p, grads
+
+
+def hma_loss_grads(params: dict, xm: np.ndarray, xa: np.ndarray, y: float):
+    """(loss, probability, parameter gradients) of one proposal with label
+    ``y``: ``hma_batch_loss_grads`` on a minibatch of one."""
+    loss, p, grads = hma_batch_loss_grads(params, [(xm, xa, y)])
+    return loss, float(p[0]), grads
+
+
+def attention_weights(params: dict, xm: np.ndarray, xa: np.ndarray):
+    """(lambda_meta, lambda_audio, beta) diagnostics for one proposal, each
+    of shape (L,)."""
+    _, cache = hma_forward_batch(params, *pad_proposals([(xm, xa)]))
+    return cache["lam_m"][0], cache["lam_a"][0], cache["beta"][0]
 
 
 def _probabilities(params: dict, items) -> np.ndarray:
@@ -376,7 +281,7 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
         total_loss = 0.0
         for chunk_start in range(0, len(order), config.batch):
             chunk = order[chunk_start : chunk_start + config.batch]
-            loss, grads = hma_batch_loss_grads(params, [train_items[bi] for bi in chunk])
+            loss, _, grads = hma_batch_loss_grads(params, [train_items[bi] for bi in chunk])
             total_loss += loss
             for g in grads.values():
                 g /= len(chunk)

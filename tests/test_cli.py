@@ -274,6 +274,80 @@ def test_bad_event_time_exits_two(chain, tmp_path, capsys, t):
     assert "line 4" in err and "Traceback" not in err
 
 
+def _edited_data(chain, tmp_path, edit):
+    """A copy of the chain's dataset with ``edit(records)`` applied to the
+    parsed lines of events.jsonl."""
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    recs = [json.loads(line) for line in (data / "events.jsonl").read_text().splitlines()]
+    edit(recs)
+    (data / "events.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+    return data
+
+
+def _time_goes_back(recs):
+    i = next(i for i in range(1, len(recs)) if recs[i - 1]["t"] > 200.0)
+    recs[i]["t"] = recs[i - 1]["t"] - 173.0
+
+
+EVENT_DEFECTS = {
+    "team": lambda recs: recs[3].update(team=2),
+    "team-negative": lambda recs: recs[3].update(team=-1),
+    "coord": lambda recs: recs[3].update(sx=250.0),
+    "outcome": lambda recs: recs[3].update(outcome=7),
+    "time": _time_goes_back,
+}
+
+
+@pytest.mark.parametrize("defect", sorted(EVENT_DEFECTS))
+def test_invalid_event_exits_two(chain, tmp_path, capsys, defect):
+    data = _edited_data(chain, tmp_path, EVENT_DEFECTS[defect])
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(data),
+               "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "'m000'" in err and "%s issue" % defect.split("-")[0] in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def _edit_manifest(edit):
+    def apply(raw):
+        manifest = json.loads(raw)
+        edit(manifest)
+        return json.dumps(manifest).encode()
+    return apply
+
+
+# defect -> (file, edit of its bytes, text the error names)
+MALFORMED_FILES = {
+    "summary-json": ("summaries/m000.json", lambda raw: b"{broken", "m000.json"),
+    "truncated-manifest": ("dataset.json", lambda raw: raw[: len(raw) // 2], "dataset.json"),
+    "non-numeric-field": ("events.jsonl",
+                          lambda raw: raw.replace(b'"sx": ', b'"sx": "abc", "was": ', 1),
+                          "events.jsonl line 1"),
+    "not-utf8": ("events.jsonl", lambda raw: raw.replace(b'"ey": ', b'"ey\xff": ', 1),
+                 "events.jsonl line 1"),
+    "one-direction": ("dataset.json", _edit_manifest(
+        lambda m: m["matches"][0].update(attack_right_first=[True])), "dataset.json"),
+    "listed-twice": ("dataset.json", _edit_manifest(
+        lambda m: m["matches"].append(m["matches"][0])), "dataset.json"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_FILES))
+def test_malformed_dataset_file_exits_two(chain, tmp_path, capsys, defect):
+    rel, edit, named = MALFORMED_FILES[defect]
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    (data / rel).write_bytes(edit((data / rel).read_bytes()))
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(data),
+               "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert named in err and "Traceback" not in err
+
+
 PROPOSAL_DEFECTS = {
     "unknown-match": lambda m: {"nope": [{"start_index": 0, "end_index": 1, "type": "goal"}]},
     "non-integer": lambda m: {m: [{"start_index": 0, "end_index": 1.5, "type": "goal"}]},

@@ -10,7 +10,6 @@ def test_defaults_present():
     assert cfg["seed"] == 7
     assert cfg["gen.matches"] == 60
     assert cfg["stage3.sigma"] == 0.05
-    assert cfg["stage1.literal_lse"] is False
     assert cfg["eval.kfold"] == 10
 
 
@@ -20,10 +19,6 @@ def test_set_parses_strings_by_declared_type():
     assert cfg["stage1.hidden"] == 24
     cfg.set("stage3.sigma", "0.5")
     assert cfg["stage3.sigma"] == 0.5
-    for raw, want in [("true", True), ("1", True), ("yes", True),
-                      ("false", False), ("0", False), ("no", False)]:
-        cfg.set("stage1.literal_lse", raw)
-        assert cfg["stage1.literal_lse"] is want
 
 
 def test_bad_values_and_unknown_keys_rejected():
@@ -31,7 +26,7 @@ def test_bad_values_and_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         cfg.set("stage1.hidden", "many")
     with pytest.raises(ConfigError):
-        cfg.set("stage1.literal_lse", "maybe")
+        cfg.set("stage3.sigma", "maybe")
     with pytest.raises(ConfigError):
         cfg.set("stage1.hiden", 16)
     with pytest.raises(ConfigError):

@@ -1,8 +1,9 @@
 """Recurrence kernels, layers, optimizer, and checkpoint format.
 
 The LSTM is checked against a reference recurrence written here with
-separate per-gate weight matrices and elementwise loops, and its backward
-pass against central finite differences of the forward loss.
+separate per-gate weight matrices and elementwise loops, against the
+step-by-step kernels in ``reference.py``, and its backward pass against
+central finite differences of the forward loss.
 """
 import struct
 import warnings
@@ -18,16 +19,14 @@ from soccersum.neural import (
     dense_init,
     load_checkpoint,
     lstm_init,
-    maxpool_time,
-    maxpool_time_backward,
     save_checkpoint,
     sigmoid,
-    softmax,
-    softmax_backward,
     uniform_init,
 )
 from soccersum.neural import kernels
 from soccersum.neural.params import MAGIC
+
+import reference
 
 
 def reference_lstm(x, W, U, b):
@@ -68,12 +67,14 @@ def test_lstm_forward_matches_reference_recurrence():
     rng = np.random.default_rng(7)
     for _ in range(10):
         x, W, U, b = random_case(rng)
-        h, c, gates = kernels.lstm_forward(x, W, U, b)
         h_ref, c_ref = reference_lstm(x, W, U, b)
-        assert np.allclose(h, h_ref, atol=1e-12)
-        assert np.allclose(c, c_ref, atol=1e-12)
-        assert gates.shape == (x.shape[0], 4 * U.shape[1])
-        assert np.all(gates[:, : 2 * U.shape[1]] > 0)  # sigmoid gates
+        # the kernel, and the step-by-step oracle the batched tests use
+        for forward in (kernels.lstm_forward, reference.lstm_forward):
+            h, c, gates = forward(x, W, U, b)
+            assert np.allclose(h, h_ref, atol=1e-12)
+            assert np.allclose(c, c_ref, atol=1e-12)
+            assert gates.shape == (x.shape[0], 4 * U.shape[1])
+            assert np.all(gates[:, : 2 * U.shape[1]] > 0)  # sigmoid gates
 
 
 def test_lstm_zero_weights_give_zero_states():
@@ -142,11 +143,11 @@ def test_batched_lstm_matches_per_example_oracle(lengths):
     dx, dW, dU, db = kernels.lstm_backward_batch(x, h, c, gates, W, U, dh_ext)
     sums = [np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)]
     for i, (row, n) in enumerate(zip(rows, lengths)):
-        h1, c1, g1 = kernels.lstm_forward(row, W, U, b)
+        h1, c1, g1 = reference.lstm_forward(row, W, U, b)
         assert _rel(h[i, :n], h1) <= 1e-12
         assert _rel(c[i, :n], c1) <= 1e-12
         assert _rel(gates[i, :n], g1) <= 1e-12
-        dx1, dW1, dU1, db1 = kernels.lstm_backward(row, h1, c1, g1, W, U, dh_ext[i, :n])
+        dx1, dW1, dU1, db1 = reference.lstm_backward(row, h1, c1, g1, W, U, dh_ext[i, :n])
         assert _rel(dx[i, :n], dx1) <= 1e-10
         assert np.all(dx[i, n:] == 0.0)  # padded steps get exactly nothing
         for acc, g in zip(sums, (dW1, dU1, db1)):
@@ -195,10 +196,10 @@ def test_sigmoid_saturates_without_overflow():
 
 def test_maxpool_time_and_backward():
     h = np.array([[1.0, 5.0], [3.0, 2.0], [3.0, 4.0]])
-    pooled, idx = maxpool_time(h)
+    pooled, idx = reference.maxpool_time(h)
     assert np.array_equal(pooled, [3.0, 5.0])
     assert np.array_equal(idx, [1, 0])  # earliest step wins the tie in column 0
-    dh = maxpool_time_backward(np.array([10.0, 20.0]), idx, 3)
+    dh = reference.maxpool_time_backward(np.array([10.0, 20.0]), idx, 3)
     want = np.zeros((3, 2))
     want[1, 0] = 10.0
     want[0, 1] = 20.0
@@ -206,6 +207,7 @@ def test_maxpool_time_and_backward():
 
 
 def test_softmax_and_backward():
+    softmax, softmax_backward = reference.softmax, reference.softmax_backward
     x = np.array([1.0, 2.0, 3.0])
     s = softmax(x)
     assert s.sum() == pytest.approx(1.0, abs=1e-12)

@@ -18,9 +18,7 @@ from soccersum.stage1 import (
     label_events_by_vocabulary,
     labels_to_intervals,
     mil_batch_loss_grads,
-    mil_forward,
     mil_loss_grads,
-    proposal_fbeta,
     sample_training_bags,
     score_events,
     select_threshold,
@@ -28,11 +26,13 @@ from soccersum.stage1 import (
     window_starts,
 )
 
+import reference
+
 
 # ---------------------------------------------------------------------------
 # loop references for the vectorised functions
 
-def loop_fuse_event_scores(starts, window_len, window_scores, n_events, r, literal=False):
+def loop_fuse_event_scores(starts, window_len, window_scores, n_events, r):
     out = np.empty(n_events)
     covering = [[] for _ in range(n_events)]
     for w, s in enumerate(starts):
@@ -40,11 +40,8 @@ def loop_fuse_event_scores(starts, window_len, window_scores, n_events, r, liter
             covering[e].append(w)
     for e in range(n_events):
         o = window_scores[covering[e]]
-        if literal:
-            out[e] = np.log(np.mean(r * o)) / r
-        else:
-            m = np.max(r * o)
-            out[e] = (m + np.log(np.mean(np.exp(r * o - m)))) / r
+        m = np.max(r * o)
+        out[e] = (m + np.log(np.mean(np.exp(r * o - m)))) / r
     return out
 
 
@@ -132,6 +129,19 @@ def loop_sample_training_bags(matches, vocab, seed, neg_min_len=4):
         else:
             raise TrainingError("not enough negative material")
     return positives + negatives
+
+
+def proposal_fbeta(scored, threshold, beta=2.0, ratio=0.5):
+    """F-beta of proposal extraction at a threshold, micro-averaged over
+    (event scores, event labels, event types) rows."""
+    tp = fp = fn = 0
+    for scores, labels, types in scored:
+        a, b, c = overlap_match(extract_proposals(scores, threshold, types),
+                                labels_to_intervals(labels), ratio)
+        tp += a
+        fp += b
+        fn += c
+    return fbeta(*precision_recall(tp, fp, fn), beta)
 
 
 def random_scored_match(rng, n):
@@ -258,14 +268,6 @@ def test_fuse_event_scores_hand_case():
     assert out[4] == pytest.approx(b)
 
 
-def test_fuse_event_scores_literal_variant():
-    r = 8.0
-    out = fuse_event_scores([0], 1, np.array([0.5]), 1, r, literal=True)
-    assert out[0] == pytest.approx(np.log(r * 0.5) / r)
-    # the literal form is not bounded by the max
-    assert out[0] < 0.5
-
-
 def test_fusion_envelope_and_monotonicity():
     rng = np.random.default_rng(77)
     for _ in range(200):
@@ -325,10 +327,9 @@ def test_vectorised_fusion_matches_loop():
         wlen = min(window, n)
         o = rng.uniform(size=len(starts))
         for r in (1.0, 8.0, 100.0, 2000.0):  # 2000: a shared shift would underflow
-            for literal in (False, True):
-                want = loop_fuse_event_scores(starts, wlen, o, n, r, literal)
-                got = fuse_event_scores(starts, wlen, o, n, r, literal)
-                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            want = loop_fuse_event_scores(starts, wlen, o, n, r)
+            got = fuse_event_scores(starts, wlen, o, n, r)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_vectorised_proposals_and_threshold_match_loops():
@@ -350,10 +351,39 @@ def test_mil_forward_outputs_probability():
     rng = np.random.default_rng(1)
     params = init_mil_params(6, 4, rng)
     x = rng.normal(size=(9, 6))
-    p, _ = mil_forward(params, x)
-    assert 0.0 < p < 1.0
-    p2, _ = mil_forward(params, x)
+    _, p, _ = mil_loss_grads(params, x, 1.0)
+    assert isinstance(p, float) and 0.0 < p < 1.0
+    _, p2, _ = mil_loss_grads(params, x, 0.0)
     assert p == p2
+
+
+def test_mil_loss_grads_is_a_one_bag_batch():
+    """Criterion 1 differentiates mil_loss_grads: it must run the kernels
+    training runs, and return exactly what they return."""
+    rng = np.random.default_rng(2)
+    params = init_mil_params(5, 4, rng)
+    for n in (1, 6):
+        x = rng.normal(size=(n, 5))
+        loss, p, grads = mil_loss_grads(params, x, 1.0)
+        bloss, bp, bgrads = mil_batch_loss_grads(params, [x], [1.0])
+        assert loss == bloss and p == bp[0]
+        assert set(grads) == set(bgrads)
+        for k, g in grads.items():
+            np.testing.assert_array_equal(g, bgrads[k])
+
+
+def test_mil_loss_grads_matches_per_example_oracle():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 9):
+        params = init_mil_params(6, 5, rng)
+        x = rng.normal(size=(n, 6))
+        y = float(n % 2)
+        loss, p, grads = mil_loss_grads(params, x, y)
+        want_loss, want_p, want = reference.mil_loss_grads(params, x, y)
+        assert abs(loss - want_loss) <= 1e-12 and abs(p - want_p) <= 1e-12
+        assert set(grads) == set(want)
+        for k, g in grads.items():
+            assert np.max(np.abs(g - want[k])) <= 1e-12 * max(1.0, np.max(np.abs(want[k])))
 
 
 def test_batched_bag_gradients_match_summed_per_bag_gradients():
@@ -362,15 +392,18 @@ def test_batched_bag_gradients_match_summed_per_bag_gradients():
     for lengths in ([1], [4, 1, 13, 7, 7], [9] * 6):
         xs = [rng.normal(size=(n, 6)) for n in lengths]
         ys = [float(rng.integers(0, 2)) for _ in lengths]
-        loss, grads = mil_batch_loss_grads(params, xs, ys)
+        loss, p, grads = mil_batch_loss_grads(params, xs, ys)
         want_loss = 0.0
+        want_p = []
         want = {k: np.zeros_like(v) for k, v in params.items()}
         for x, y in zip(xs, ys):
-            l1, _, g1 = mil_loss_grads(params, x, y)
+            l1, p1, g1 = reference.mil_loss_grads(params, x, y)
             want_loss += l1
+            want_p.append(p1)
             for k, g in g1.items():
                 want[k] += g
         assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert np.max(np.abs(p - want_p)) <= 1e-12
         assert set(grads) == set(want)
         for k, g in grads.items():
             assert np.max(np.abs(g - want[k])) <= 1e-10 * np.max(np.abs(want[k]))
@@ -384,7 +417,8 @@ def test_batched_event_scores_match_per_window_loop():
         feats = rng.normal(size=(n, 5))
         starts = window_starts(n, cfg.window, cfg.stride)
         wlen = min(cfg.window, n)
-        wscores = np.array([mil_forward(params, feats[s : s + wlen])[0] for s in starts])
+        wscores = np.array([reference.mil_forward(params, feats[s : s + wlen])[0]
+                            for s in starts])
         want = loop_fuse_event_scores(starts, wlen, wscores, n, cfg.lse_r)
         assert np.allclose(score_events(params, feats, cfg), want, rtol=1e-12, atol=0.0)
 
@@ -431,13 +465,15 @@ def test_train_mil_requires_both_classes():
 
 def test_mil_model_checkpoint_round_trip():
     rng = np.random.default_rng(8)
-    cfg = MilConfig(hidden=4, window=12, stride=3, lse_r=5.0, literal_lse=True)
+    cfg = MilConfig(hidden=4, window=12, stride=3, lse_r=5.0)
     model = MilModel(params=init_mil_params(5, 4, rng), config=cfg, threshold=0.37)
     back = MilModel.from_checkpoint(model.to_checkpoint())
     assert back.threshold == pytest.approx(0.37)
     assert back.config.window == 12
     assert back.config.stride == 3
     assert back.config.lse_r == 5.0
-    assert back.config.literal_lse is True
     for k, v in model.params.items():
         assert np.array_equal(back.params[k], v)
+    # checkpoints written with the removed literal_lse option still load
+    old = dict(model.to_checkpoint(), **{"_meta.literal_lse": np.array([0.0])})
+    assert set(MilModel.from_checkpoint(old).params) == set(model.params)

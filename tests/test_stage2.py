@@ -10,7 +10,6 @@ from soccersum.stage2 import (
     attention_weights,
     hma_backward_batch,
     hma_batch_loss_grads,
-    hma_forward,
     hma_forward_batch,
     hma_loss_grads,
     init_hma_params,
@@ -19,6 +18,8 @@ from soccersum.stage2 import (
     score_proposals,
     train_hma,
 )
+
+import reference
 
 META_DIM, AUDIO_DIM = 4, 3
 
@@ -36,10 +37,12 @@ def random_pair(rng, length):
 
 def test_forward_rejects_bad_shapes():
     params = small_params()
-    with pytest.raises(ShapeError, match="disagree"):
-        hma_forward(params, np.zeros((3, META_DIM)), np.zeros((2, AUDIO_DIM)))
-    with pytest.raises(ShapeError, match="no events"):
-        hma_forward(params, np.zeros((0, META_DIM)), np.zeros((0, AUDIO_DIM)))
+    for bad, message in (((np.zeros((3, META_DIM)), np.zeros((2, AUDIO_DIM))), "disagree"),
+                         ((np.zeros((0, META_DIM)), np.zeros((0, AUDIO_DIM))), "no events")):
+        with pytest.raises(ShapeError, match=message):
+            attention_weights(params, *bad)
+        with pytest.raises(ShapeError, match=message):
+            hma_loss_grads(params, *bad, 1.0)
 
 
 def test_attention_weights_normalized_everywhere():
@@ -69,8 +72,8 @@ def test_event_order_matters():
     rng = np.random.default_rng(7)
     params = small_params(3)
     xm, xa = random_pair(rng, 6)
-    p_fwd, _ = hma_forward(params, xm, xa)
-    p_rev, _ = hma_forward(params, xm[::-1].copy(), xa[::-1].copy())
+    _, p_fwd, _ = hma_loss_grads(params, xm, xa, 1.0)
+    _, p_rev, _ = hma_loss_grads(params, xm[::-1].copy(), xa[::-1].copy(), 1.0)
     assert abs(p_fwd - p_rev) > 1e-9
 
 
@@ -78,10 +81,29 @@ def test_forward_deterministic():
     rng = np.random.default_rng(11)
     params = small_params(4)
     xm, xa = random_pair(rng, 5)
-    p1, _ = hma_forward(params, xm, xa)
-    p2, _ = hma_forward(params, xm, xa)
+    _, p1, _ = hma_loss_grads(params, xm, xa, 1.0)
+    _, p2, _ = hma_loss_grads(params, xm, xa, 0.0)
     assert p1 == p2
-    assert 0.0 < p1 < 1.0
+    assert isinstance(p1, float) and 0.0 < p1 < 1.0
+
+
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_gate_functions_match_per_example_oracle(length):
+    """Criteria 1 and 3 call hma_loss_grads and attention_weights, which
+    run the batched path training and scoring run."""
+    rng = np.random.default_rng(length)
+    params = small_params(length + 20)
+    xm, xa = random_pair(rng, length)
+    loss, p, grads = hma_loss_grads(params, xm, xa, 1.0)
+    want_loss, want_p, want = reference.hma_loss_grads(params, xm, xa, 1.0)
+    assert abs(loss - want_loss) <= 1e-12 and abs(p - want_p) <= 1e-12
+    assert set(grads) == set(want)
+    for k, g in grads.items():
+        assert np.max(np.abs(g - want[k])) <= 1e-12 * max(1.0, np.max(np.abs(want[k])))
+    _, cache = reference.hma_forward(params, xm, xa)
+    for got, key in zip(attention_weights(params, xm, xa), ("lam_m", "lam_a", "beta")):
+        assert got.shape == (length,)
+        assert np.max(np.abs(got - cache[key])) <= 1e-12
 
 
 def test_gradients_match_finite_differences_spot_check():
@@ -119,7 +141,7 @@ def test_batched_forward_matches_per_example_forward(lengths):
     params = small_params(9)
     items = random_items(rng, lengths)
     p, _ = hma_forward_batch(params, *pad_proposals(items))
-    want = np.array([hma_forward(params, xm, xa)[0] for xm, xa, _ in items])
+    want = np.array([reference.hma_forward(params, xm, xa)[0] for xm, xa, _ in items])
     assert np.max(np.abs(p - want)) <= 1e-12
 
 
@@ -128,15 +150,18 @@ def test_batched_gradients_match_summed_per_example_gradients(lengths):
     rng = np.random.default_rng(42)
     params = small_params(10)
     items = random_items(rng, lengths)
-    loss, grads = hma_batch_loss_grads(params, items)
+    loss, p, grads = hma_batch_loss_grads(params, items)
     want_loss = 0.0
+    want_p = []
     want = {k: np.zeros_like(v) for k, v in params.items()}
     for xm, xa, y in items:
-        l1, _, g1 = hma_loss_grads(params, xm, xa, float(y))
+        l1, p1, g1 = reference.hma_loss_grads(params, xm, xa, float(y))
         want_loss += l1
+        want_p.append(p1)
         for k, g in g1.items():
             want[k] += g
     assert loss == pytest.approx(want_loss, rel=1e-10)
+    assert np.max(np.abs(p - want_p)) <= 1e-12
     assert set(grads) == set(want)
     for k, g in grads.items():
         assert np.max(np.abs(g - want[k])) <= 1e-10 * np.max(np.abs(want[k]))
@@ -148,16 +173,16 @@ def test_batched_gradients_match_finite_differences():
     rng = np.random.default_rng(43)
     params = small_params(11, hm=4, hf=3)
     items = random_items(rng, [5, 1, 3])
-    _, grads = hma_batch_loss_grads(params, items)
+    _, _, grads = hma_batch_loss_grads(params, items)
     worst = 0.0
     for name, g in grads.items():
         flat = params[name].reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            lp, _ = hma_batch_loss_grads(params, items)
+            lp = hma_batch_loss_grads(params, items)[0]
             flat[i] = keep - step
-            lm, _ = hma_batch_loss_grads(params, items)
+            lm = hma_batch_loss_grads(params, items)[0]
             flat[i] = keep
             fd = (lp - lm) / (2 * step)
             got = g.reshape(-1)[i]
@@ -270,8 +295,8 @@ def test_train_hma_separates_loud_proposals():
     pairs = [(xm, xa) for xm, xa, _ in val_items]
     scores = score_proposals(model, pairs)
     for got, (xm, xa) in zip(scores, pairs):
-        manual, _ = hma_forward(model.params,
-                                xm, (xa - model.audio_mu) / model.audio_sd)
+        manual, _ = reference.hma_forward(model.params,
+                                          xm, (xa - model.audio_mu) / model.audio_sd)
         assert got == pytest.approx(manual, abs=1e-12)
     # every loud proposal should out-score every quiet one
     pos = [s for s, (_, _, y) in zip(scores, val_items) if y]
