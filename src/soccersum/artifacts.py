@@ -1,0 +1,250 @@
+"""Run artifacts: the files the stages hand each other.
+
+Each carries its provenance (short config hash and run seed) in one envelope
+per container kind: a first line ``# config_hash=<hash> seed=<seed>`` in CSV
+and text files, ``config_hash``/``seed`` fields in JSON objects, and
+``_prov.*`` records in checkpoints.  Readers raise ``DataFormatError`` naming
+the file for anything else; ``ensure_same_provenance`` refuses to mix runs.
+"""
+from __future__ import annotations
+
+import json
+import os
+import re
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .core import SUMMARY_ACTION_TYPES, DataFormatError, SoccersumError
+from .evaluation import format_csv
+from .features import QualifierCodebook
+from .io import Dataset, _read_json as _read_json_file
+from .neural import load_checkpoint, save_checkpoint
+
+_SCORES_COLUMNS = "match_id,event_index,score"
+
+
+@dataclass(frozen=True)
+class Provenance:
+    config_hash: str
+    seed: int
+
+
+def ensure_same_provenance(tagged: list[tuple[str, Provenance]]) -> Provenance:
+    """Accept a non-empty list of (path, provenance); all entries must agree."""
+    first_path, first = tagged[0]
+    for path, prov in tagged[1:]:
+        if prov != first:
+            raise SoccersumError(
+                "artifact provenance mismatch: %s has %s seed %d but %s has %s seed %d"
+                % (first_path, first.config_hash, first.seed, path,
+                   prov.config_hash, prov.seed)
+            )
+    return first
+
+
+def _write_csv(path: str, prov: Provenance, body: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("# config_hash=%s seed=%d\n" % (prov.config_hash, prov.seed))
+        fh.write(body)
+
+
+def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
+    """Provenance and data lines (line 3 on) of a CSV artifact whose column
+    line is ``columns``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+    head = re.fullmatch(r"# config_hash=(\S+) seed=(-?\d+)", lines[0]) if lines else None
+    if head is None:
+        raise DataFormatError("%s: first line is not a provenance header" % path)
+    if lines[1:2] != [columns]:
+        raise DataFormatError("%s: second line is not the column line %r" % (path, columns))
+    return Provenance(head.group(1), int(head.group(2))), lines[2:]
+
+
+def _write_json(path: str, prov: Provenance, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(dict(payload, config_hash=prov.config_hash, seed=prov.seed), fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_json(path: str, fields: tuple[str, ...]) -> tuple[Provenance, dict]:
+    """Provenance and payload of a JSON artifact that must hold ``fields``."""
+    payload = _read_json_file(path, path)
+    if not isinstance(payload, dict):
+        raise DataFormatError("%s: top level is not a JSON object" % path)
+    config_hash, seed = payload.get("config_hash"), payload.get("seed")
+    if not (isinstance(config_hash, str) and type(seed) is int):
+        raise DataFormatError("%s: malformed provenance (config_hash %r, seed %r)"
+                              % (path, config_hash, seed))
+    missing = [f for f in fields if f not in payload]
+    if missing:
+        raise DataFormatError("%s: missing field(s) %s" % (path, ", ".join(missing)))
+    return Provenance(config_hash, seed), payload
+
+
+def save_model_checkpoint(path: str, ckpt: dict, prov: Provenance) -> None:
+    out = dict(ckpt)
+    out["_prov.seed"] = np.array([float(prov.seed)])
+    out["_prov.hash"] = np.array([float(ord(c)) for c in prov.config_hash])
+    save_checkpoint(out, path)
+
+
+def load_model_checkpoint(path: str) -> tuple[dict, Provenance]:
+    ckpt = load_checkpoint(path)
+    seed, code = ckpt.pop("_prov.seed", None), ckpt.pop("_prov.hash", None)
+    if seed is None or code is None:
+        raise DataFormatError("%s: checkpoint missing provenance records" % path)
+    if (seed.shape != (1,) or not seed[0].is_integer()
+            or not np.all((code >= 0) & (code < 0x110000))):  # Unicode code points
+        raise DataFormatError("%s: malformed provenance records" % path)
+    return ckpt, Provenance("".join(chr(int(v)) for v in code.ravel()), int(seed[0]))
+
+
+def _write_series(path: str, prov: Provenance, columns: str,
+                  series: dict[str, np.ndarray]) -> None:
+    """One ``match_id,index,value`` row per element of each match's array."""
+    rows = [columns + "\n"]
+    for match_id in sorted(series):
+        rows += ["%s,%d,%.10f\n" % (match_id, i, v) for i, v in enumerate(series[match_id])]
+    _write_csv(path, prov, "".join(rows))
+
+
+def write_scores_csv(path: str, prov: Provenance, scores: dict[str, np.ndarray]) -> None:
+    _write_series(path, prov, _SCORES_COLUMNS, scores)
+
+
+def write_theta_csv(path: str, prov: Provenance, theta: dict[str, np.ndarray]) -> None:
+    _write_series(path, prov, "match_id,proposal_index,theta", theta)
+
+
+def read_scores_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
+    prov, lines = _read_csv(path, _SCORES_COLUMNS)
+    rows: dict[str, list[tuple[int, float]]] = {}
+    for lineno, line in enumerate(lines, start=3):
+        if not line:
+            continue
+        try:
+            match_id, idx, score = line.split(",")
+            pair = (int(idx), float(score))
+        except ValueError:
+            raise DataFormatError("%s:%d: bad scores row %r" % (path, lineno, line))
+        if pair[0] < 0 or not np.isfinite(pair[1]):
+            raise DataFormatError("%s:%d: negative index or non-finite score in %r"
+                                  % (path, lineno, line))
+        rows.setdefault(match_id, []).append(pair)
+    out = {}
+    for match_id, pairs in rows.items():
+        pairs.sort()
+        # the indices of a match must be 0..n-1, each once
+        for j, (k, _s) in enumerate(pairs):
+            if k != j:
+                raise DataFormatError("%s: match %s: %s event index %d" % (
+                    path, match_id, "duplicate" if k < j else "missing", min(j, k)))
+        out[match_id] = np.array([s for _, s in pairs])
+    return prov, out
+
+
+def write_features_csv(path: str, prov: Provenance, names, rows) -> None:
+    """Per-event feature vectors of one match, one row per event."""
+    lines = ["event_index," + ",".join(names) + "\n"]
+    lines += ["%d," % i + ",".join("%.6f" % v for v in row) + "\n"
+              for i, row in enumerate(rows)]
+    _write_csv(path, prov, "".join(lines))
+
+
+def write_proposals_json(path: str, prov: Provenance,
+                         proposals: dict[str, list[tuple[int, int, str]]]) -> None:
+    _write_json(path, prov, {"matches": {
+        match_id: [{"start_index": s, "end_index": e, "type": t} for s, e, t in items]
+        for match_id, items in sorted(proposals.items())
+    }})
+
+
+def read_proposals_json(path: str, dataset: Dataset
+                        ) -> tuple[Provenance, dict[str, list[tuple[int, int, str]]]]:
+    """Provenance and per-match proposals of a proposals file.  Every
+    proposal must be an event span of its match in ``dataset`` with integer
+    indices and a summary action type."""
+    prov, payload = _read_json(path, ("matches",))
+    matches = payload["matches"]
+    if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
+        raise DataFormatError("%s: \"matches\" must map match ids to lists" % path)
+    known = set(dataset.match_ids())
+    out = {}
+    for match_id, items in matches.items():
+        if match_id not in known:
+            raise DataFormatError("%s: unknown match id %r" % (path, match_id))
+        n = len(dataset.by_id(match_id).events)
+        out[match_id] = []
+        for d in items:
+            s, e, t = (d.get(k) for k in ("start_index", "end_index", "type")) \
+                if isinstance(d, dict) else (None, None, None)
+            if not (type(s) is int and type(e) is int and 0 <= s <= e < n
+                    and t in SUMMARY_ACTION_TYPES):
+                raise DataFormatError(
+                    "%s: match %s: proposal %r is not an event span within 0..%d "
+                    "with a summary action type" % (path, match_id, d, n - 1))
+            out[match_id].append((s, e, t))
+    return prov, out
+
+
+def write_candidates_json(path: str, prov: Provenance, match_id: str, budget: float,
+                          candidates, proposals: list[tuple[int, int, str]]) -> None:
+    _write_json(path, prov, {
+        "match_id": match_id,
+        "budget": round(budget, 6),
+        "candidates": [{
+            "sample_index": c.sample_index,
+            "ranking": [int(i) for i in c.ranking],
+            "chosen": [{"proposal_index": int(i), "start_index": proposals[i][0],
+                        "end_index": proposals[i][1], "type": proposals[i][2]}
+                       for i in c.chosen],
+            "total_duration": round(c.total_duration, 6),
+            "over_budget": c.over_budget,
+        } for c in candidates],
+    })
+
+
+def write_features_json(path: str, prov: Provenance, codebook: QualifierCodebook,
+                        vocab: set[tuple[str, ...]]) -> None:
+    _write_json(path, prov, {
+        "qualifier_codebook": codebook.to_dict(),
+        "action_vocabulary": sorted([list(seq) for seq in vocab]),
+    })
+
+
+def read_features_json(path: str):
+    """Provenance, qualifier codebook and action vocabulary of a stage-1
+    features file."""
+    prov, payload = _read_json(path, ("qualifier_codebook", "action_vocabulary"))
+    book, vocab = payload["qualifier_codebook"], payload["action_vocabulary"]
+    dims, codes = (book.get("dims"), book.get("codes")) if isinstance(book, dict) else (0, 0)
+    if not (type(dims) is int and isinstance(codes, list) and len(codes) < dims
+            and all(type(c) is int for c in codes)):
+        raise DataFormatError("%s: qualifier_codebook is not fewer than \"dims\" "
+                              "integer codes" % path)
+    if not (isinstance(vocab, list) and all(isinstance(seq, list) and seq and all(
+            isinstance(t, str) for t in seq) for seq in vocab)):
+        raise DataFormatError("%s: action_vocabulary is not a list of event-type "
+                              "sequences" % path)
+    return prov, QualifierCodebook.from_dict(book), {tuple(seq) for seq in vocab}
+
+
+def write_fold_result(path: str, prov: Provenance, result) -> None:
+    """``fold_result.json`` from a ``pipeline.FoldResult``."""
+    _write_json(path, prov, asdict(result))
+
+
+def write_results(out_dir: str, prov: Provenance, result) -> None:
+    """The report tables of a ``pipeline.ProtocolResult`` under ``out_dir/results``."""
+    res_dir = os.path.join(out_dir, "results")
+    os.makedirs(res_dir, exist_ok=True)
+    for name in ("stage1", "selection", "ranking"):
+        _write_csv(os.path.join(res_dir, "%s.csv" % name), prov,
+                   format_csv(*result.tables[name]))
+    _write_csv(os.path.join(res_dir, "results.txt"), prov, "\n" + result.text)

@@ -17,33 +17,36 @@ import argparse
 import os
 import sys
 
+from .artifacts import (
+    Provenance,
+    ensure_same_provenance,
+    load_model_checkpoint,
+    read_features_json,
+    read_proposals_json,
+    read_scores_csv,
+    save_model_checkpoint,
+    write_candidates_json,
+    write_features_csv,
+    write_features_json,
+    write_proposals_json,
+    write_scores_csv,
+    write_theta_csv,
+)
 from .config import load_config
 from .core import ConfigError, SoccersumError
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
-    Provenance,
     budget_inputs,
-    ensure_same_provenance,
     event_audio,
-    load_model_checkpoint,
     prepare_fold,
     proposal_events,
-    read_features_json,
-    read_proposals_json,
-    read_scores_csv,
     run_protocol,
     sample_candidates,
-    save_model_checkpoint,
     score_matches,
     stage2_items,
     train_proposal_model,
     typed_proposals,
-    write_candidates_json,
-    write_features_json,
-    write_proposals_json,
-    write_scores_csv,
-    write_theta_csv,
 )
 from .stage1 import MilModel
 from .stage1 import sample_training_bags, train_mil  # noqa: F401 (perfbench/tracing.py wraps them)
@@ -97,14 +100,6 @@ def _match_ids(args, dataset, default) -> list:
     return ids
 
 
-def _write_feature_csv(path, prov, names, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(prov.line() + "\n")
-        fh.write("event_index," + ",".join(names) + "\n")
-        for i, row in enumerate(rows):
-            fh.write("%d," % i + ",".join("%.6f" % v for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -129,10 +124,10 @@ def cmd_extract_features(args) -> int:
         every_event = {i: list(range(len(ctx.feats[i]))) for i in ids}
         audio = event_audio(dataset, args.data, every_event, cfg["jobs"])
     for match_id in ids:
-        _write_feature_csv(os.path.join(feat_dir, "%s_metadata.csv" % match_id), prov,
+        write_features_csv(os.path.join(feat_dir, "%s_metadata.csv" % match_id), prov,
                            ctx.encoder.feature_names(), ctx.feats[match_id])
         if args.audio:
-            _write_feature_csv(os.path.join(feat_dir, "%s_audio.csv" % match_id), prov,
+            write_features_csv(os.path.join(feat_dir, "%s_audio.csv" % match_id), prov,
                                AUDIO_FEATURE_NAMES, audio.get(match_id, {}).values())
     print("wrote features for %d matches to %s" % (len(ids), feat_dir))
     return 0
@@ -163,7 +158,7 @@ def cmd_score_events(args) -> int:
     encoder = MetadataEncoder(dataset.vocabulary, codebook)
     ids = _match_ids(args, dataset, dataset.match_ids())
     feats = {i: encoder.encode_match(dataset.by_id(i)) for i in ids}
-    scores = score_matches(model, feats, cfg["jobs"])
+    scores = score_matches(model, feats)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_scores_csv(args.out, _prov(cfg), scores)
     print("scored %d matches -> %s" % (len(ids), args.out))

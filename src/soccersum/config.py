@@ -18,6 +18,7 @@ import os
 from .core import ConfigError
 from .stage1 import MilConfig
 from .stage2 import HmaConfig
+from .stage3 import BUDGET_MODES
 from .synth import GenConfig
 
 ENV_PREFIX = "SOCCERSUM_"
@@ -88,6 +89,9 @@ class PipelineConfig:
             raise ConfigError("unknown configuration key %r" % key)
         if isinstance(value, str):
             value = _parse_value(key, value)
+        if key == "stage3.mode" and value not in BUDGET_MODES:
+            raise ConfigError("key 'stage3.mode': %r is not one of %s"
+                              % (value, ", ".join(BUDGET_MODES)))
         self.values[key] = value
 
     def __getitem__(self, key: str):
@@ -143,7 +147,6 @@ class PipelineConfig:
             patience=self["stage1.patience"],
             batch=self["stage1.batch"],
             lr=self["stage1.lr"],
-            neg_min_len=self["stage1.neg_min_len"],
             beta=self["stage1.beta"],
         )
 
@@ -155,7 +158,6 @@ class PipelineConfig:
             patience=self["stage2.patience"],
             batch=self["stage2.batch"],
             lr=self["stage2.lr"],
-            overlap_ratio=self["stage2.overlap_ratio"],
         )
 
 

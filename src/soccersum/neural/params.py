@@ -88,6 +88,10 @@ def load_checkpoint(path: str) -> dict:
         shape = [struct.unpack_from("<I", data, take(4))[0] for _ in range(ndim)]
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(data, dtype="<f8", count=n, offset=take(n * 8)).copy()
+        # training aborts on a non-finite gradient, so no valid checkpoint holds one
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError("checkpoint %r: array %r holds non-finite values"
+                                  % (path, name))
         params[name] = arr.reshape(shape)
     if off != len(data):
         raise DataFormatError("checkpoint has %d trailing bytes" % (len(data) - off))

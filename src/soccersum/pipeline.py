@@ -1,9 +1,6 @@
 """End-to-end orchestration: fold preparation, the three processing stages,
-evaluation tables, and run artifacts.
-
-Every artifact written here (CSV, JSON, checkpoint) embeds the short config
-hash plus the run seed; readers that combine several artifacts refuse
-mismatched provenance, so results can never silently mix runs.
+and evaluation tables.  The artifacts a run writes, and their provenance,
+are defined in ``artifacts``.
 
 Determinism: all randomness flows from the run seed through numbered
 substreams (1 match generation, 2 audio, 3/4 stage-1 init and shuffling,
@@ -14,27 +11,36 @@ per-match work in match order, so ``--jobs`` never changes any output byte.
 """
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import (
+    Provenance,
+    save_model_checkpoint,
+    write_candidates_json,
+    write_features_json,
+    write_fold_result,
+    write_proposals_json,
+    write_results,
+    write_scores_csv,
+    write_theta_csv,
+)
+# perfbench/workloads.py reads checkpoints and features as ``pipeline.X``
+from .artifacts import load_model_checkpoint, read_features_json  # noqa: F401
 from .config import PipelineConfig
 from .core import (
     Action,
     ConfigError,
     DataFormatError,
     PaddingConfig,
-    SUMMARY_ACTION_TYPES,
-    SoccersumError,
     action_duration,
     action_type,
 )
 from .evaluation import (
     Counts,
-    format_csv,
     format_table,
     kfold_split,
     match_summary_actions,
@@ -43,7 +49,6 @@ from .evaluation import (
 )
 from .features import MetadataEncoder, QualifierCodebook, extract_event_audio_features
 from .io import Dataset, load_dataset
-from .neural import load_checkpoint, save_checkpoint
 from .stage1 import (
     MilModel,
     build_action_vocabulary,
@@ -68,247 +73,16 @@ STAGE1_ROWS = ("template-matching", "learned-model")
 
 
 # ---------------------------------------------------------------------------
-# provenance
-
-@dataclass(frozen=True)
-class Provenance:
-    config_hash: str
-    seed: int
-
-    def line(self) -> str:
-        return "# config_hash=%s seed=%d" % (self.config_hash, self.seed)
-
-
-def parse_provenance_line(line: str, path: str) -> Provenance:
-    parts = line.strip().lstrip("#").split()
-    fields = dict(p.split("=", 1) for p in parts if "=" in p)
-    if "config_hash" not in fields or "seed" not in fields:
-        raise DataFormatError("%s: missing provenance header" % path)
-    return Provenance(fields["config_hash"], int(fields["seed"]))
-
-
-def ensure_same_provenance(tagged: list[tuple[str, Provenance]]) -> Provenance:
-    """Accept a list of (path, provenance); all entries must agree."""
-    if not tagged:
-        raise SoccersumError("no artifacts given")
-    first_path, first = tagged[0]
-    for path, prov in tagged[1:]:
-        if prov != first:
-            raise SoccersumError(
-                "artifact provenance mismatch: %s has %s seed %d but %s has %s seed %d"
-                % (first_path, first.config_hash, first.seed, path,
-                   prov.config_hash, prov.seed)
-            )
-    return first
-
-
-def _hash_to_array(h: str) -> np.ndarray:
-    return np.array([float(ord(c)) for c in h])
-
-
-def _array_to_hash(a: np.ndarray) -> str:
-    return "".join(chr(int(round(v))) for v in a)
-
-
-def save_model_checkpoint(path: str, ckpt: dict, prov: Provenance) -> None:
-    out = dict(ckpt)
-    out["_prov.seed"] = np.array([float(prov.seed)])
-    out["_prov.hash"] = _hash_to_array(prov.config_hash)
-    save_checkpoint(out, path)
-
-
-def load_model_checkpoint(path: str) -> tuple[dict, Provenance]:
-    ckpt = load_checkpoint(path)
-    try:
-        seed = int(ckpt.pop("_prov.seed")[0])
-        h = _array_to_hash(ckpt.pop("_prov.hash"))
-    except KeyError:
-        raise DataFormatError("%s: checkpoint missing provenance records" % path)
-    return ckpt, Provenance(h, seed)
-
-
-# ---------------------------------------------------------------------------
-# artifact files
-
-def write_scores_csv(path: str, prov: Provenance, scores: dict[str, np.ndarray]) -> None:
-    with open(path, "w") as fh:
-        fh.write(prov.line() + "\n")
-        fh.write("match_id,event_index,score\n")
-        for match_id in sorted(scores):
-            for i, s in enumerate(scores[match_id]):
-                fh.write("%s,%d,%.10f\n" % (match_id, i, s))
-
-
-def read_scores_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataFormatError("%s: empty scores file" % path)
-    prov = parse_provenance_line(lines[0], path)
-    rows: dict[str, list[tuple[int, float]]] = {}
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        try:
-            match_id, idx, score = line.split(",")
-            pair = (int(idx), float(score))
-        except ValueError:
-            raise DataFormatError("%s:%d: bad scores row %r" % (path, lineno, line))
-        if pair[0] < 0 or not np.isfinite(pair[1]):
-            raise DataFormatError("%s:%d: negative index or non-finite score in %r"
-                                  % (path, lineno, line))
-        rows.setdefault(match_id, []).append(pair)
-    out = {}
-    for match_id, pairs in rows.items():
-        pairs.sort()
-        # the indices of a match must be 0..n-1, each once
-        for j, (k, _s) in enumerate(pairs):
-            if k != j:
-                raise DataFormatError("%s: match %s: %s event index %d" % (
-                    path, match_id, "duplicate" if k < j else "missing", min(j, k)))
-        out[match_id] = np.array([s for _, s in pairs])
-    return prov, out
-
-
-def write_proposals_json(path: str, prov: Provenance,
-                         proposals: dict[str, list[tuple[int, int, str]]]) -> None:
-    payload = {
-        "config_hash": prov.config_hash,
-        "seed": prov.seed,
-        "matches": {
-            match_id: [
-                {"start_index": s, "end_index": e, "type": t}
-                for s, e, t in items
-            ]
-            for match_id, items in sorted(proposals.items())
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_proposals_json(path: str, dataset: Dataset
-                        ) -> tuple[Provenance, dict[str, list[tuple[int, int, str]]]]:
-    """Provenance and per-match proposals of a proposals file.  Every
-    proposal must be an event span of its match in ``dataset`` with integer
-    indices and a summary action type."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError("%s: not a JSON file (%s)" % (path, exc)) from None
-    if not isinstance(payload, dict) or "config_hash" not in payload or "seed" not in payload:
-        raise DataFormatError("%s: missing provenance fields" % path)
-    prov = Provenance(payload["config_hash"], int(payload["seed"]))
-    matches = payload.get("matches", {})
-    if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
-        raise DataFormatError("%s: \"matches\" must map match ids to lists" % path)
-    known = set(dataset.match_ids())
-    out = {}
-    for match_id, items in matches.items():
-        if match_id not in known:
-            raise DataFormatError("%s: unknown match id %r" % (path, match_id))
-        n = len(dataset.by_id(match_id).events)
-        out[match_id] = []
-        for d in items:
-            s, e, t = (d.get(k) for k in ("start_index", "end_index", "type")) \
-                if isinstance(d, dict) else (None, None, None)
-            if not (type(s) is int and type(e) is int and 0 <= s <= e < n
-                    and t in SUMMARY_ACTION_TYPES):
-                raise DataFormatError(
-                    "%s: match %s: proposal %r is not an event span within 0..%d "
-                    "with a summary action type" % (path, match_id, d, n - 1))
-            out[match_id].append((s, e, t))
-    return prov, out
-
-
-def write_theta_csv(path: str, prov: Provenance, theta: dict[str, np.ndarray]) -> None:
-    with open(path, "w") as fh:
-        fh.write(prov.line() + "\n")
-        fh.write("match_id,proposal_index,theta\n")
-        for match_id in sorted(theta):
-            for i, v in enumerate(theta[match_id]):
-                fh.write("%s,%d,%.10f\n" % (match_id, i, v))
-
-
-def write_candidates_json(path: str, prov: Provenance, match_id: str, budget: float,
-                          candidates, proposals: list[tuple[int, int, str]]) -> None:
-    payload = {
-        "config_hash": prov.config_hash,
-        "seed": prov.seed,
-        "match_id": match_id,
-        "budget": round(budget, 6),
-        "candidates": [
-            {
-                "sample_index": c.sample_index,
-                "ranking": [int(i) for i in c.ranking],
-                "chosen": [
-                    {
-                        "proposal_index": int(i),
-                        "start_index": proposals[i][0],
-                        "end_index": proposals[i][1],
-                        "type": proposals[i][2],
-                    }
-                    for i in c.chosen
-                ],
-                "total_duration": round(c.total_duration, 6),
-                "over_budget": c.over_budget,
-            }
-            for c in candidates
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_features_json(path: str, prov: Provenance, codebook: QualifierCodebook,
-                        vocab: set[tuple[str, ...]]) -> None:
-    payload = {
-        "config_hash": prov.config_hash,
-        "seed": prov.seed,
-        "qualifier_codebook": codebook.to_dict(),
-        "action_vocabulary": sorted([list(seq) for seq in vocab]),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_features_json(path: str):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "config_hash" not in payload or "seed" not in payload:
-        raise DataFormatError("%s: missing provenance fields" % path)
-    prov = Provenance(payload["config_hash"], int(payload["seed"]))
-    codebook = QualifierCodebook.from_dict(payload["qualifier_codebook"])
-    vocab = {tuple(seq) for seq in payload["action_vocabulary"]}
-    return prov, codebook, vocab
-
-
-# ---------------------------------------------------------------------------
 # worker tasks (top level so they pickle for the process pool)
 
 _WORKER_DATASETS: dict[str | None, Dataset] = {}
 
 
-def _cached_dataset(data_dir: str | None) -> Dataset:
-    ds = _WORKER_DATASETS.get(data_dir)
-    if ds is None:
-        ds = load_dataset(data_dir)
-        _WORKER_DATASETS[data_dir] = ds
-    return ds
-
-
-def _score_task(args):
-    match_id, params, mil_cfg, feats = args
-    return match_id, score_events(params, feats, mil_cfg)
-
-
 def _audio_task(args):
     data_dir, match_id, event_indices = args
-    ds = _cached_dataset(data_dir)
+    if data_dir not in _WORKER_DATASETS:
+        _WORKER_DATASETS[data_dir] = load_dataset(data_dir)
+    ds = _WORKER_DATASETS[data_dir]
     match = ds.by_id(match_id)
     samples, rate = resolve_audio(ds, match_id)
     rows = {}
@@ -406,10 +180,9 @@ def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldCont
     return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), seed)
 
 
-def score_matches(model: MilModel, feats: dict, jobs: int) -> dict[str, np.ndarray]:
-    """Per-event stage-1 scores for every match of ``feats``, one task each."""
-    tasks = [(i, model.params, model.config, f) for i, f in feats.items()]
-    return dict(_parallel_map(_score_task, tasks, jobs))
+def score_matches(model: MilModel, feats: dict) -> dict[str, np.ndarray]:
+    """Per-event stage-1 scores for every match of ``feats``."""
+    return {i: score_events(model.params, f, model.config) for i, f in feats.items()}
 
 
 def typed_proposals(dataset: Dataset, scores: dict,
@@ -496,23 +269,6 @@ class FoldResult:
     n_over_budget: int
     max_budget_ratio: float
 
-    def to_dict(self) -> dict:
-        def counts(d):
-            return {k: {"tp": c.tp, "fp": c.fp, "fn": c.fn} for k, c in d.items()}
-        return {
-            "fold": self.fold,
-            "stage1": counts(self.stage1),
-            "selection": counts(self.selection),
-            "ranking": counts(self.ranking),
-            "best_sample_index": self.best_sample_index,
-            "threshold": self.threshold,
-            "mil_val_f": self.mil_val_f,
-            "hma_val_f": self.hma_val_f,
-            "n_proposals": self.n_proposals,
-            "n_over_budget": self.n_over_budget,
-            "max_budget_ratio": self.max_budget_ratio,
-        }
-
 
 def _derived_seed(seed: int, domain: int, ordinal: int) -> int:
     return int(np.random.SeedSequence([seed, domain, ordinal]).generate_state(1)[0])
@@ -530,13 +286,13 @@ class ProposedFold:
     proposals: dict
 
 
-def propose_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: int,
-                 jobs: int = 1) -> ProposedFold:
+def propose_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
+                 seed: int) -> ProposedFold:
     """Stage 1 of one fold: prepare it, train the proposal model, then score
     and cut proposals in every match."""
     ctx = prepare_fold(dataset, config, fold_index, seed)
     mil = train_proposal_model(dataset, config, ctx, seed)
-    scores = score_matches(mil, ctx.feats, jobs)
+    scores = score_matches(mil, ctx.feats)
     return ProposedFold(fold_index, ctx, mil, scores,
                         typed_proposals(dataset, scores, mil.threshold))
 
@@ -545,7 +301,7 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
              out_dir: str | None = None, data_dir: str | None = None,
              jobs: int = 1) -> FoldResult:
     """Train all three stages on one fold and evaluate on its test shard."""
-    fold = propose_fold(dataset, config, fold_index, seed, jobs)
+    fold = propose_fold(dataset, config, fold_index, seed)
     events = proposal_events(fold.proposals, dataset.match_ids())
     audio = event_audio(dataset, data_dir, events, jobs)
     return finish_fold(dataset, config, seed, fold, audio, out_dir)
@@ -647,12 +403,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, fold: Propo
                 os.path.join(fold_dir, "candidates", "%s.json" % i), prov,
                 i, inputs[i][2], candidates[i], proposals[i],
             )
-        with open(os.path.join(fold_dir, "fold_result.json"), "w") as fh:
-            payload = result.to_dict()
-            payload["config_hash"] = prov.config_hash
-            payload["seed"] = prov.seed
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_fold_result(os.path.join(fold_dir, "fold_result.json"), prov, result)
     return result
 
 
@@ -702,19 +453,6 @@ def aggregate_results(fold_results: list, config: PipelineConfig) -> ProtocolRes
     return ProtocolResult(folds=fold_results, tables=tables, text=text)
 
 
-def write_results(out_dir: str, prov: Provenance, result: ProtocolResult) -> None:
-    res_dir = os.path.join(out_dir, "results")
-    os.makedirs(res_dir, exist_ok=True)
-    for name in ("stage1", "selection", "ranking"):
-        columns, rows = result.tables[name]
-        with open(os.path.join(res_dir, "%s.csv" % name), "w") as fh:
-            fh.write(prov.line() + "\n")
-            fh.write(format_csv(columns, rows))
-    with open(os.path.join(res_dir, "results.txt"), "w") as fh:
-        fh.write(prov.line() + "\n\n")
-        fh.write(result.text)
-
-
 def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
                  out_dir: str | None = None, data_dir: str | None = None,
                  jobs: int = 1, n_folds: int | None = None) -> ProtocolResult:
@@ -727,7 +465,7 @@ def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
     if n_folds is None:
         n_folds = config["eval.folds"]
     n_folds = max(1, min(n_folds, config["eval.kfold"]))
-    folds = [propose_fold(dataset, config, k, seed, jobs) for k in range(n_folds)]
+    folds = [propose_fold(dataset, config, k, seed) for k in range(n_folds)]
     # a descriptor row depends only on (match, event): compute the union of
     # every fold's events once, rendering each match's audio once
     ids = dataset.match_ids()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Match, ShapeError, TrainingError
+from .core import DataFormatError, Match, ShapeError, TrainingError
 from .evaluation import fbeta, overlap_match, precision_recall
 from .neural import (
     Adam,
@@ -41,7 +41,6 @@ class MilConfig:
     patience: int = 20
     batch: int = 32
     lr: float = 1e-3
-    neg_min_len: int = 4
     beta: float = 2.0  # F-beta used for threshold/epoch selection
 
 
@@ -348,13 +347,17 @@ class MilModel:
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "MilModel":
         params = {k: v for k, v in ckpt.items() if not k.startswith("_meta.")}
-        cfg = MilConfig(
-            hidden=int(ckpt["_meta.hidden"][0]),
-            window=int(ckpt["_meta.window"][0]),
-            stride=int(ckpt["_meta.stride"][0]),
-            lse_r=float(ckpt["_meta.lse_r"][0]),
-        )
-        return cls(params=params, config=cfg, threshold=float(ckpt["_meta.threshold"][0]))
+        try:
+            cfg = MilConfig(
+                hidden=int(ckpt["_meta.hidden"][0]),
+                window=int(ckpt["_meta.window"][0]),
+                stride=int(ckpt["_meta.stride"][0]),
+                lse_r=float(ckpt["_meta.lse_r"][0]),
+            )
+            return cls(params=params, config=cfg, threshold=float(ckpt["_meta.threshold"][0]))
+        except KeyError as exc:
+            raise DataFormatError("checkpoint has no record %s: not a stage-1 checkpoint"
+                                  % exc) from None
 
 
 def train_mil(bags: list[Bag], features: dict[str, np.ndarray],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ShapeError, TrainingError
+from .core import DataFormatError, ShapeError, TrainingError
 from .evaluation import covered_by_any, fbeta, precision_recall
 from .neural import (
     Adam,
@@ -42,7 +42,6 @@ class HmaConfig:
     patience: int = 20
     batch: int = 32
     lr: float = 1e-3
-    overlap_ratio: float = 0.5
 
 
 def init_hma_params(meta_dim: int, audio_dim: int, config: HmaConfig,
@@ -225,13 +224,17 @@ class HmaModel:
     def from_checkpoint(cls, ckpt: dict) -> "HmaModel":
         params = {k: v for k, v in ckpt.items()
                   if not k.startswith(("_meta.", "_norm."))}
-        cfg = HmaConfig(
-            hidden_modality=int(ckpt["_meta.hidden_modality"][0]),
-            hidden_fusion=int(ckpt["_meta.hidden_fusion"][0]),
-        )
-        return cls(params=params, config=cfg,
-                   audio_mu=ckpt["_norm.audio_mu"],
-                   audio_sd=ckpt["_norm.audio_sd"])
+        try:
+            cfg = HmaConfig(
+                hidden_modality=int(ckpt["_meta.hidden_modality"][0]),
+                hidden_fusion=int(ckpt["_meta.hidden_fusion"][0]),
+            )
+            return cls(params=params, config=cfg,
+                       audio_mu=ckpt["_norm.audio_mu"],
+                       audio_sd=ckpt["_norm.audio_sd"])
+        except KeyError as exc:
+            raise DataFormatError("checkpoint has no record %s: not a stage-2 checkpoint"
+                                  % exc) from None
 
 
 def _classification_f(params: dict, items, threshold: float = 0.5) -> float:

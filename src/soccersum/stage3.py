@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 THETA_FLOOR = 1e-9
+BUDGET_MODES = ("stop_first", "skip_continue")
 
 
 def clamp_theta(theta: np.ndarray) -> np.ndarray:
@@ -67,6 +68,8 @@ def assemble_summary(ranking, durations, starts, budget: float,
     over-budget).  ``skip_continue`` keeps walking and adds any proposal
     that still fits.  Chosen proposals are reordered chronologically.
     """
+    if mode not in BUDGET_MODES:
+        raise ValueError("unknown budget mode %r" % mode)
     chosen: list[int] = []
     total = 0.0
     over = False

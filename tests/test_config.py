@@ -33,6 +33,18 @@ def test_bad_values_and_unknown_keys_rejected():
         cfg["no.such.key"]
 
 
+def test_stage3_mode_must_be_a_budget_mode(tmp_path, monkeypatch):
+    p = tmp_path / "typo.cfg"
+    p.write_text("stage3.mode = stop-first\n")
+    with pytest.raises(ConfigError, match="typo.cfg:1: key 'stage3.mode': 'stop-first'"):
+        load_config(str(p), use_env=False)
+    monkeypatch.setenv("SOCCERSUM_STAGE3_MODE", "greedy")
+    with pytest.raises(ConfigError, match="'greedy' is not one of stop_first, skip_continue"):
+        load_config()
+    assert load_config(overrides={"stage3.mode": "skip_continue"},
+                       use_env=False)["stage3.mode"] == "skip_continue"
+
+
 def test_file_parsing_with_comments_and_include(tmp_path):
     base = tmp_path / "base.cfg"
     base.write_text("# shared settings\n\ngen.matches = 12\nstage1.epochs = 3\n")

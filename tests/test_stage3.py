@@ -147,6 +147,13 @@ def test_assembly_lone_oversized_pick_is_flagged():
     assert cand.total_duration == pytest.approx(120.0)
 
 
+def test_assembly_rejects_an_unknown_mode():
+    # "stop-first" once ran as skip_continue and chose [0, 2]
+    with pytest.raises(ValueError, match="unknown budget mode 'stop-first'"):
+        assemble_summary([0, 1, 2], [50.0, 60.0, 40.0], [0.0, 1.0, 2.0], 100.0,
+                         mode="stop-first")
+
+
 def test_assembly_empty_ranking():
     cand = assemble_summary([], [], [], budget=100.0)
     assert cand.chosen == []
