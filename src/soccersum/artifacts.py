@@ -55,6 +55,8 @@ def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
     except UnicodeDecodeError as exc:
         raise DataFormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None
     head = re.fullmatch(r"# config_hash=(\S+) seed=(-?\d+)", lines[0]) if lines else None

@@ -33,24 +33,23 @@ from .artifacts import (
     write_theta_csv,
 )
 from .config import load_config
-from .core import ConfigError, SoccersumError
+from .core import ConfigError, DataFormatError, SoccersumError
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
-    budget_inputs,
     event_audio,
     prepare_fold,
     proposal_events,
+    rank_and_sample,
     run_protocol,
-    sample_candidates,
     score_matches,
-    stage2_items,
     train_proposal_model,
+    train_proposal_scorer,
     typed_proposals,
 )
 from .stage1 import MilModel
 from .stage1 import sample_training_bags, train_mil  # noqa: F401 (perfbench/tracing.py wraps them)
-from .stage2 import HmaModel, score_proposals, train_hma
+from .stage2 import HmaModel
 from .synth import generate_dataset
 
 
@@ -156,6 +155,11 @@ def cmd_score_events(args) -> int:
     _require_current(cfg, [(args.model, prov_m), (args.features, prov_f)])
     model = MilModel.from_checkpoint(ckpt)
     encoder = MetadataEncoder(dataset.vocabulary, codebook)
+    W = model.params.get("lstm.W")
+    model_width = W.shape[1] if W is not None and W.ndim == 2 else None
+    if model_width != encoder.width:
+        raise DataFormatError("%s encodes %d features per event, but the model in %s takes %s"
+                              % (args.features, encoder.width, args.model, model_width))
     ids = _match_ids(args, dataset, dataset.match_ids())
     feats = {i: encoder.encode_match(dataset.by_id(i)) for i in ids}
     scores = score_matches(model, feats)
@@ -189,12 +193,7 @@ def cmd_train_hma(args) -> int:
     ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
     events = proposal_events(proposals, ctx.train_ids + ctx.val_ids)
     audio = event_audio(dataset, args.data, events, cfg["jobs"])
-    ratio = cfg["stage2.overlap_ratio"]
-    model = train_hma(
-        stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
-        stage2_items(proposals, ctx.feats, audio, ctx.val_ids, ctx.gt_intervals, ratio),
-        cfg.hma_config(), cfg["seed"],
-    )
+    model = train_proposal_scorer(cfg, ctx, proposals, audio, cfg["seed"])
     os.makedirs(args.out_dir, exist_ok=True)
     save_model_checkpoint(os.path.join(args.out_dir, "hma.ckpt"),
                           model.to_checkpoint(), _prov(cfg))
@@ -215,17 +214,12 @@ def cmd_summarize(args) -> int:
     os.makedirs(os.path.join(args.out_dir, "candidates"), exist_ok=True)
 
     audio = event_audio(dataset, args.data, proposal_events(proposals, ids), cfg["jobs"])
-    theta = {i: score_proposals(model, stage2_items(proposals, ctx.feats, audio, [i]))
-             for i in ids}
+    theta, inputs, candidates = rank_and_sample(dataset, cfg, cfg["seed"], ctx, model,
+                                                proposals, audio, ids)
     write_theta_csv(os.path.join(args.out_dir, "theta.csv"), prov, theta)
-
-    for match_id in ids:
-        spans = proposals.get(match_id, [])
-        inputs = budget_inputs(dataset, cfg, match_id, spans)
-        cands = sample_candidates(cfg, cfg["seed"], ctx.ordinals[match_id],
-                                  theta[match_id], inputs)
-        write_candidates_json(os.path.join(args.out_dir, "candidates", "%s.json" % match_id),
-                              prov, match_id, inputs[2], cands, spans)
+    for i in ids:
+        write_candidates_json(os.path.join(args.out_dir, "candidates", "%s.json" % i), prov,
+                              i, inputs[i][2], candidates[i], proposals.get(i, []))
     print("wrote rankings and %d candidate files to %s" % (len(ids), args.out_dir))
     return 0
 

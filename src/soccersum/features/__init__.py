@@ -1,7 +1,6 @@
 from .audio import (  # noqa: F401
     AUDIO_DIM,
     AUDIO_FEATURE_NAMES,
-    AudioWindowConfig,
     extract_event_audio_features,
     frame_signal,
     load_audio,

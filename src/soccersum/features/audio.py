@@ -8,7 +8,6 @@ frames.  Stereo input uses the first channel only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,22 +28,9 @@ AUDIO_DIM = len(AUDIO_FEATURE_NAMES)
 
 LOG_FLOOR = 1e-10
 
-
-@dataclass(frozen=True)
-class AudioWindowConfig:
-    window_seconds: float = 2.0
-    frame_seconds: float = 0.05
-    overlap: float = 0.5
-    n_filters: int = 26
-    n_mfcc: int = 13
-    energy_subframes: int = 10
-    rolloff_fraction: float = 0.9
-
-    def frame_len(self, fs: int) -> int:
-        return int(round(self.frame_seconds * fs))
-
-    def hop(self, fs: int) -> int:
-        return int(round(self.frame_seconds * fs * (1.0 - self.overlap)))
+WINDOW_SECONDS = 2.0
+FRAME_SECONDS = 0.05
+FRAME_OVERLAP = 0.5
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
@@ -175,12 +161,11 @@ def mfcc(mag: np.ndarray, fs: int, n_filters: int = 26, n_mfcc: int = 13) -> np.
     return loge @ dct_matrix(n_filters, n_mfcc).T
 
 
-def window_features(samples: np.ndarray, fs: int,
-                    cfg: AudioWindowConfig = AudioWindowConfig()) -> np.ndarray:
+def window_features(samples: np.ndarray, fs: int) -> np.ndarray:
     """Mean per-frame features over one analysis window; 21-vector."""
-    frame_len = cfg.frame_len(fs)
-    hop = cfg.hop(fs)
-    want = int(round(cfg.window_seconds * fs))
+    frame_len = int(round(FRAME_SECONDS * fs))
+    hop = int(round(FRAME_SECONDS * fs * (1.0 - FRAME_OVERLAP)))
+    want = int(round(WINDOW_SECONDS * fs))
     if len(samples) < want:
         samples = np.concatenate([samples, np.zeros(want - len(samples))])
     frames = frame_signal(samples[:want], frame_len, hop)
@@ -190,31 +175,30 @@ def window_features(samples: np.ndarray, fs: int,
     feats = np.column_stack([
         zero_crossing_rate(frames),
         short_term_energy(frames),
-        energy_entropy(frames, cfg.energy_subframes),
+        energy_entropy(frames),
         centroid,
         spread,
         spectral_entropy(mag),
         spectral_flux(mag),
-        spectral_rolloff(mag, freqs, cfg.rolloff_fraction),
-        mfcc(mag, fs, cfg.n_filters, cfg.n_mfcc),
+        spectral_rolloff(mag, freqs),
+        mfcc(mag, fs),
     ])
     return feats.mean(axis=0)
 
 
-def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float,
-                                 cfg: AudioWindowConfig = AudioWindowConfig()) -> np.ndarray:
+def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float) -> np.ndarray:
     """Features for the window [t, t+2s] after an event.
 
     Windows running past the track end are zero-padded; an event time at or
     beyond the end therefore yields the all-silence feature vector.
     """
     start = int(round(event_time * fs))
-    want = int(round(cfg.window_seconds * fs))
+    want = int(round(WINDOW_SECONDS * fs))
     if start >= len(track):
         seg = np.zeros(want)
     else:
         seg = np.asarray(track[max(start, 0) : start + want], dtype=float)
-    return window_features(seg, fs, cfg)
+    return window_features(seg, fs)
 
 
 def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:

@@ -117,11 +117,13 @@ def record_to_event(rec: dict, lineno: int = -1) -> tuple[str, Event]:
 
 def _read_json(path: str, name: str):
     """The parsed JSON file at ``path``; ``name`` labels it in errors."""
-    with open(path, "rb") as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise DataFormatError("%s: not valid JSON (%s)" % (name, exc)) from None
+    except OSError as exc:
+        raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise DataFormatError("%s: not valid JSON (%s)" % (name, exc)) from None
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> None:

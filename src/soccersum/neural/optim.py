@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter dicts."""
+"""Adam over named parameter dicts, and the training loop both stages share."""
 from __future__ import annotations
 
 import numpy as np
@@ -41,3 +41,44 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
+    """Minibatch Adam over ``items`` with validation-picked early stopping.
+
+    Each epoch visits the items in a fresh ``shuffle_rng`` order, in chunks
+    of ``config.batch``.  ``loss_grads(params, chunk)`` returns (summed
+    loss, outputs, summed gradients); the gradients are divided by the
+    chunk size before the Adam step.  After each epoch the history gains
+    the row {"epoch", "loss" (mean per item), **validate(params)}.  The
+    parameters of the first epoch with a strictly better ``val_f`` are
+    kept; training stops after ``config.patience`` epochs without one.
+
+    ``params`` is updated in place.  Returns (a copy of the best epoch's
+    parameters, or of the initial ones without a scored epoch; the
+    history; the best epoch, -1 without one).
+    """
+    opt = Adam(params, lr=config.lr)
+    best_params = {k: v.copy() for k, v in params.items()}
+    best_f, best_epoch, stale = -1.0, -1, 0
+    history = []
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(len(items))
+        total_loss = 0.0
+        for start in range(0, len(order), config.batch):
+            chunk = [items[i] for i in order[start : start + config.batch]]
+            loss, _, grads = loss_grads(params, chunk)
+            total_loss += loss
+            for g in grads.values():
+                g /= len(chunk)
+            opt.step(params, grads)
+        row = {"epoch": epoch, "loss": total_loss / len(items), **validate(params)}
+        history.append(row)
+        if row["val_f"] > best_f:
+            best_params = {k: v.copy() for k, v in params.items()}
+            best_f, best_epoch, stale = row["val_f"], epoch, 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return best_params, history, best_epoch

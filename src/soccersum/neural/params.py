@@ -59,8 +59,11 @@ def save_checkpoint(params: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
     if data[: len(MAGIC)] != MAGIC:
         raise DataFormatError("%r is not a checkpoint file (bad magic)" % path)
     off = len(MAGIC)

@@ -58,7 +58,7 @@ from .stage1 import (
     score_events,
     train_mil,
 )
-from .stage2 import label_proposal, score_proposals, train_hma
+from .stage2 import HmaModel, label_proposal, score_proposals, train_hma
 from .stage3 import (
     assemble_summary,
     baseline_ranking,
@@ -241,15 +241,36 @@ def budget_inputs(dataset: Dataset, config: PipelineConfig, match_id: str,
     return durations, starts, budget
 
 
-def sample_candidates(config: PipelineConfig, seed: int, ordinal: int, theta,
-                      inputs: tuple) -> list:
-    """Stage 3: the k budgeted candidates of one match; ``inputs`` comes
-    from budget_inputs and ``ordinal`` keys the sampling stream."""
-    return generate_candidates(
-        theta, *inputs, k=config["stage3.samples"], sigma=config["stage3.sigma"],
-        seed_key=(seed, 9, ordinal), tol=config["stage3.budget_tol"],
-        mode=config["stage3.mode"],
+def train_proposal_scorer(config: PipelineConfig, ctx: FoldContext, proposals: dict,
+                          audio: dict, seed: int) -> HmaModel:
+    """Stage 2: train the attention scorer on the labeled proposals of the
+    training matches; those of the validation matches pick the epoch."""
+    ratio = config["stage2.overlap_ratio"]
+    return train_hma(
+        stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
+        stage2_items(proposals, ctx.feats, audio, ctx.val_ids, ctx.gt_intervals, ratio),
+        config.hma_config(), seed,
     )
+
+
+def rank_and_sample(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldContext,
+                    hma: HmaModel, proposals: dict, audio: dict, ids) -> tuple[dict, dict, dict]:
+    """Stage 2 scoring and stage 3 for each match of ``ids``: the proposal
+    scores theta, the budget inputs (padded durations, start times,
+    budget), and the k budgeted candidates, each keyed by match id.  The
+    match's ordinal keys its sampling stream."""
+    theta = {i: score_proposals(hma, stage2_items(proposals, ctx.feats, audio, [i]))
+             for i in ids}
+    inputs = {i: budget_inputs(dataset, config, i, proposals.get(i, [])) for i in ids}
+    candidates = {
+        i: generate_candidates(
+            theta[i], *inputs[i], k=config["stage3.samples"], sigma=config["stage3.sigma"],
+            seed_key=(seed, 9, ctx.ordinals[i]), tol=config["stage3.budget_tol"],
+            mode=config["stage3.mode"],
+        )
+        for i in ids
+    }
+    return theta, inputs, candidates
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +337,9 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, fold: Propo
     val_ids, test_ids = ctx.val_ids, ctx.test_ids
     eval_ids = val_ids + test_ids
 
-    ratio = config["stage2.overlap_ratio"]
-    hma = train_hma(
-        stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
-        stage2_items(proposals, ctx.feats, audio, val_ids, ctx.gt_intervals, ratio),
-        config.hma_config(), seed,
-    )
-    theta = {i: score_proposals(hma, stage2_items(proposals, ctx.feats, audio, [i]))
-             for i in eval_ids}
-
-    inputs = {i: budget_inputs(dataset, config, i, proposals[i]) for i in eval_ids}
-    candidates = {i: sample_candidates(config, seed, ctx.ordinals[i], theta[i], inputs[i])
-                  for i in eval_ids}
+    hma = train_proposal_scorer(config, ctx, proposals, audio, seed)
+    theta, inputs, candidates = rank_and_sample(dataset, config, seed, ctx, hma, proposals,
+                                                audio, eval_ids)
 
     # evaluation: validation matches pick the sample index, test matches score
     matches = {m.match_id: m for m in dataset.matches}

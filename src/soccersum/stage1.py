@@ -17,10 +17,10 @@ import numpy as np
 from .core import DataFormatError, Match, ShapeError, TrainingError
 from .evaluation import fbeta, overlap_match, precision_recall
 from .neural import (
-    Adam,
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
+    fit,
     lstm_backward_batch,
     lstm_forward_batch,
     lstm_init,
@@ -104,25 +104,10 @@ def sample_training_bags(matches: dict[str, Match], vocab: set[tuple[str, ...]],
     max_pos_len = 0
     for match_id, match in matches.items():
         labels, spans = label_events_by_vocabulary(match, vocab)
-        seen = set()
         for s, e in spans:
-            if (s, e) in seen:
-                continue
-            seen.add((s, e))
             positives.append(Bag(match_id, s, e - s + 1, 1))
             max_pos_len = max(max_pos_len, e - s + 1)
-        # maximal unlabeled runs
-        i = 0
-        n = len(labels)
-        while i < n:
-            if not labels[i]:
-                j = i
-                while j < n and not labels[j]:
-                    j += 1
-                free_runs.append((match_id, i, j - i))
-                i = j
-            else:
-                i += 1
+        free_runs += [(match_id, s, e - s + 1) for s, e in _runs(~labels)]
     if not positives:
         raise TrainingError("no positive bags: vocabulary matched nothing")
     if max_pos_len < neg_min_len:
@@ -363,13 +348,12 @@ class MilModel:
 def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
               val_scored_inputs: list[tuple[str, np.ndarray, tuple[str, ...]]],
               config: MilConfig, seed: int) -> MilModel:
-    """Train the bag scorer with Adam, batch-averaged gradients.
+    """Train the bag scorer with ``neural.fit``.
 
     ``val_scored_inputs`` rows are (match_id, event labels, event types) for
-    validation matches; after each epoch the validation matches are scored,
-    a threshold is grid-picked, and the epoch with the best validation
-    F-beta (threshold included) is kept.  Training stops early after
-    ``config.patience`` non-improving validation evaluations.
+    validation matches; after each epoch the validation matches are scored
+    and a threshold is grid-picked, and the epoch with the best validation
+    F-beta (threshold included) is kept.
     """
     labels = {b.label for b in bags}
     if labels != {0, 1}:
@@ -377,45 +361,19 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
     input_dim = next(iter(features.values())).shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     params = init_mil_params(input_dim, config.hidden, rng)
-    opt = Adam(params, lr=config.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
 
-    best_f = -1.0
-    best_state = {k: v.copy() for k, v in params.items()}
-    best_threshold = 0.5
-    best_epoch = -1
-    stale = 0
-    history = []
+    def loss_grads(params, chunk):
+        xs = [features[b.match_id][b.start : b.start + b.length] for b in chunk]
+        return mil_batch_loss_grads(params, xs, [b.label for b in chunk])
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(bags))
-        total_loss = 0.0
-        for chunk_start in range(0, len(order), config.batch):
-            chunk = [bags[bi] for bi in order[chunk_start : chunk_start + config.batch]]
-            xs = [features[b.match_id][b.start : b.start + b.length] for b in chunk]
-            loss, _, grads = mil_batch_loss_grads(params, xs, [b.label for b in chunk])
-            total_loss += loss
-            for g in grads.values():
-                g /= len(chunk)
-            opt.step(params, grads)
-
-        scored = []
-        for match_id, ev_labels, types in val_scored_inputs:
-            s = score_events(params, features[match_id], config)
-            scored.append((s, ev_labels, types))
+    def validate(params):
+        scored = [(score_events(params, features[match_id], config), ev_labels, types)
+                  for match_id, ev_labels, types in val_scored_inputs]
         threshold, f = select_threshold(scored, config.beta)
-        history.append({"epoch": epoch, "loss": total_loss / len(bags),
-                        "val_f": f, "threshold": threshold})
-        if f > best_f:
-            best_f = f
-            best_state = {k: v.copy() for k, v in params.items()}
-            best_threshold = threshold
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        return {"val_f": f, "threshold": threshold}
 
-    return MilModel(params=best_state, config=config, threshold=best_threshold,
-                    history=history, best_epoch=best_epoch, best_val_f=best_f)
+    params, history, best_epoch = fit(params, bags, loss_grads, validate, config, shuffle_rng)
+    best = history[best_epoch] if best_epoch >= 0 else {"val_f": -1.0, "threshold": 0.5}
+    return MilModel(params=params, config=config, threshold=best["threshold"],
+                    history=history, best_epoch=best_epoch, best_val_f=best["val_f"])

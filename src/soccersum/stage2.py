@@ -19,10 +19,10 @@ import numpy as np
 from .core import DataFormatError, ShapeError, TrainingError
 from .evaluation import covered_by_any, fbeta, precision_recall
 from .neural import (
-    Adam,
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
+    fit,
     lstm_backward_batch,
     lstm_forward_batch,
     lstm_init,
@@ -248,12 +248,12 @@ def _classification_f(params: dict, items, threshold: float = 0.5) -> float:
 
 
 def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
-    """Train the proposal scorer.  Items are (xm, xa, label) triples with
-    raw audio features; a z-score normalization is fitted on the training
-    items here and travels with the model.
+    """Train the proposal scorer with ``neural.fit``.  Items are (xm, xa,
+    label) triples with raw audio features; a z-score normalization is
+    fitted on the training items here and travels with the model.
 
     Epoch selection: F1 of thresholded (0.5) classification on the
-    validation items; early stop after ``patience`` non-improving checks.
+    validation items.
     """
     labels = {int(y) for _, _, y in train_items}
     if labels != {0, 1}:
@@ -271,37 +271,16 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
     params = init_hma_params(meta_dim, audio_dim, config, rng)
-    opt = Adam(params, lr=config.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
 
-    best_f = -1.0
-    best_state = {k: v.copy() for k, v in params.items()}
-    best_epoch = -1
-    stale = 0
-    history = []
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_items))
-        total_loss = 0.0
-        for chunk_start in range(0, len(order), config.batch):
-            chunk = order[chunk_start : chunk_start + config.batch]
-            loss, _, grads = hma_batch_loss_grads(params, [train_items[bi] for bi in chunk])
-            total_loss += loss
-            for g in grads.values():
-                g /= len(chunk)
-            opt.step(params, grads)
-        f = _classification_f(params, val_items)
-        history.append({"epoch": epoch, "loss": total_loss / len(train_items), "val_f": f})
-        if f > best_f:
-            best_f = f
-            best_state = {k: v.copy() for k, v in params.items()}
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    return HmaModel(params=best_state, config=config, audio_mu=audio_mu, audio_sd=audio_sd,
-                    history=history, best_epoch=best_epoch, best_val_f=best_f)
+    def validate(params):
+        return {"val_f": _classification_f(params, val_items)}
+
+    params, history, best_epoch = fit(params, train_items, hma_batch_loss_grads, validate,
+                                      config, shuffle_rng)
+    return HmaModel(params=params, config=config, audio_mu=audio_mu, audio_sd=audio_sd,
+                    history=history, best_epoch=best_epoch,
+                    best_val_f=history[best_epoch]["val_f"] if best_epoch >= 0 else -1.0)
 
 
 def score_proposals(model: HmaModel, items) -> np.ndarray:

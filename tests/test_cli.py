@@ -587,3 +587,35 @@ def test_checkpoint_of_the_wrong_kind_exits_two(chain, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "not a stage-%s checkpoint" % ("1" if ckpt == "hma.ckpt" else "2") in err
+
+
+@pytest.mark.parametrize("flag,rel", [("--model", "mil.ckpt"),
+                                      ("--features", "stage1_features.json"),
+                                      ("--scores", "scores.csv"),
+                                      ("--proposals", "proposals.json")])
+def test_missing_input_file_exits_two(chain, tmp_path, capsys, flag, rel):
+    missing = tmp_path / "nowhere" / rel
+    command, *args = [a.format(path=missing, run=chain.run, out=tmp_path / "out")
+                      for a in CONSUMERS[rel]]
+    assert args[args.index(flag) + 1] == str(missing)
+    rc = main([command, "--config", str(chain.cfg), "--data", str(chain.data), *args])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err and str(missing) in err
+
+
+def test_features_that_disagree_with_the_model_exit_two(chain, tmp_path, capsys):
+    """One more qualifier dimension, provenance intact: the encoder is one
+    column wider than the checkpoint's input."""
+    raw = (chain.run / "stage1_features.json").read_text()
+    assert '"dims": 8' in raw
+    features = tmp_path / "stage1_features.json"
+    features.write_text(raw.replace('"dims": 8', '"dims": 9'))
+    model = chain.run / "mil.ckpt"
+    rc = main(["score-events", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--model", str(model), "--features", str(features),
+               "--out", str(tmp_path / "scores.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert str(features) in err and str(model) in err
+    assert not (tmp_path / "scores.csv").exists()

@@ -15,7 +15,6 @@ from scipy.io import wavfile
 from soccersum.core import DataFormatError
 from soccersum.features.audio import (
     AUDIO_DIM,
-    AudioWindowConfig,
     dct_matrix,
     energy_entropy,
     extract_event_audio_features,

@@ -7,6 +7,7 @@ central finite differences of the forward loss.
 """
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from soccersum.neural import (
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
+    fit,
     load_checkpoint,
     lstm_init,
     save_checkpoint,
@@ -264,6 +266,77 @@ def test_adam_rejects_bad_gradients():
     with pytest.raises(TrainingError, match="non-finite"):
         opt.step(params, {"a": np.array([1.0, np.nan])})
 
+
+
+def _scripted_fit(monkeypatch, val_fs, epochs=10):
+    """Run ``fit`` (patience 3, batch 2) on the items 1..5, whose summed loss
+    and gradient are the chunk sum, with validation F-scores taken from ``val_fs`` in order.
+    Records each epoch's chunks, the gradients Adam received and the
+    parameters each validation saw."""
+    rec = SimpleNamespace(chunks=[], steps=[], seen=[])
+    step = Adam.step
+
+    def recording_step(self, params, grads):
+        rec.steps.append({k: v.copy() for k, v in grads.items()})
+        step(self, params, grads)
+    monkeypatch.setattr(Adam, "step", recording_step)
+
+    def loss_grads(params, chunk):
+        rec.chunks.append(list(chunk))
+        return sum(chunk), None, {"w": np.full(2, sum(chunk))}
+
+    scripted = iter(val_fs)
+
+    def validate(params):
+        rec.seen.append({k: v.copy() for k, v in params.items()})
+        return {"val_f": next(scripted), "extra": len(rec.seen)}
+
+    params = {"w": np.array([0.5, -0.5])}
+    config = SimpleNamespace(epochs=epochs, patience=3, batch=2, lr=0.1)
+    best, history, best_epoch = fit(params, [1.0, 2.0, 3.0, 4.0, 5.0], loss_grads, validate, config,
+                                    np.random.default_rng(11))
+    return params, best, history, best_epoch, rec
+
+
+def test_fit_stops_after_patience_epochs_and_ties_do_not_improve(monkeypatch):
+    # epoch 1 is best; 2 (a tie), 3 and 4 (a tie) do not improve; 5 never runs
+    _, _, history, best_epoch, rec = _scripted_fit(monkeypatch, [0.5, 0.7, 0.7, 0.6, 0.7, 0.9])
+    assert best_epoch == 1
+    assert [row["epoch"] for row in history] == [0, 1, 2, 3, 4]
+    assert len(rec.seen) == 5
+
+
+def test_fit_returns_a_copy_of_the_best_epochs_parameters(monkeypatch):
+    live, best, _, best_epoch, rec = _scripted_fit(monkeypatch, [0.1, 0.3, 0.2, 0.2, 0.2])
+    assert best_epoch == 1
+    assert np.array_equal(best["w"], rec.seen[1]["w"])
+    assert not np.array_equal(best["w"], live["w"])
+    assert not np.shares_memory(best["w"], live["w"])
+
+
+def test_fit_averages_gradients_over_each_chunk(monkeypatch):
+    _, _, _, _, rec = _scripted_fit(monkeypatch, [0.1, 0.2], epochs=2)
+    order = np.random.default_rng(11)
+    expected = []
+    for _ in range(2):
+        items = [float(i + 1) for i in order.permutation(5)]
+        expected += [items[0:2], items[2:4], items[4:5]]  # the last chunk is short
+    assert rec.chunks == expected
+    assert [len(c) for c in rec.chunks] == [2, 2, 1] * 2
+    for chunk, grads in zip(rec.chunks, rec.steps):
+        assert np.allclose(grads["w"], np.mean(chunk))
+
+
+def test_fit_history_rows(monkeypatch):
+    _, _, history, _, _ = _scripted_fit(monkeypatch, [0.4, 0.2], epochs=2)
+    assert history == [{"epoch": 0, "loss": 3.0, "val_f": 0.4, "extra": 1},
+                       {"epoch": 1, "loss": 3.0, "val_f": 0.2, "extra": 2}]
+
+
+def test_fit_without_epochs_keeps_the_initial_parameters(monkeypatch):
+    live, best, history, best_epoch, rec = _scripted_fit(monkeypatch, [], epochs=0)
+    assert (history, best_epoch, rec.steps) == ([], -1, [])
+    assert np.array_equal(best["w"], [0.5, -0.5]) and best["w"] is not live["w"]
 
 def test_initializers():
     rng = np.random.default_rng(9)
