@@ -202,10 +202,12 @@ def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float) 
 
 
 def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
-    """Load mono samples as float64 in [-1, 1]; first channel of stereo.
+    """Load mono samples in [-1, 1]; first channel of stereo.
 
-    WAV files carry their own rate; raw ``.f32`` files (little-endian
-    float32) need ``rate`` declared by the caller.
+    WAV files carry their own rate and load whole as float64, because their
+    integer samples are scaled.  Raw ``.f32``/``.raw`` files (little-endian
+    float32) need ``rate`` declared by the caller and are mapped read-only,
+    so a window reads only its own pages.
     """
     if path.endswith(".wav"):
         from scipy.io import wavfile  # imported here: it alone costs ~0.4 s
@@ -225,5 +227,8 @@ def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
     if path.endswith(".f32") or path.endswith(".raw"):
         if rate is None:
             raise DataFormatError("raw audio %r needs a declared sample rate" % path)
-        return np.fromfile(path, dtype="<f4").astype(float), int(rate)
+        try:
+            return np.memmap(path, dtype="<f4", mode="r"), int(rate)
+        except (OSError, ValueError) as exc:  # missing, empty, or not whole float32s
+            raise DataFormatError("cannot read raw audio %r (%s)" % (path, exc)) from None
     raise DataFormatError("unsupported audio container: %r" % path)

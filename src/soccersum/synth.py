@@ -14,6 +14,7 @@ confined to the context zone, leaving the decisive core intact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,6 +379,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
 
     match.audio = {
         "synth": {
+            "stream": STREAM,
             "rate": cfg.audio_rate,
             "gain": cfg.audio_gain,
             "base_amp": cfg.audio_base_amp,
@@ -388,42 +390,111 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     return match, summary, planted
 
 
-RENDER_CHUNK = 1 << 16  # samples of base noise drawn per call
+STREAM = 2  # version of the sample stream a synth spec renders
+RENDER_CHUNK = 1 << 16  # samples of base noise per keyed draw
 
 
-def synth_audio_track(spec: dict, burst_times: list[float]) -> tuple[np.ndarray, int]:
-    """Render a crowd-noise track from a manifest spec.
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_spec(spec) -> None:
+    """Raise DataFormatError unless ``spec`` is a stream-2 synth audio spec."""
+    if not isinstance(spec, dict):
+        raise DataFormatError("synth audio spec is not an object")
+    if not (_is_int(spec.get("stream")) and spec["stream"] == STREAM):
+        raise DataFormatError(
+            "synth audio spec has stream %r, not %d: regenerate the dataset"
+            % (spec.get("stream"), STREAM))
+    seed = spec.get("seed")
+    if not (isinstance(seed, list) and len(seed) == 3
+            and all(_is_int(s) and s >= 0 for s in seed)):
+        raise DataFormatError("synth audio seed %r is not 3 non-negative integers" % (seed,))
+    rate = spec.get("rate")
+    if not (_is_int(rate) and rate > 0):
+        raise DataFormatError("synth audio rate %r is not a positive integer" % (rate,))
+    for key in ("duration", "base_amp", "gain"):
+        v = spec.get(key)
+        if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v >= 0):
+            raise DataFormatError("synth audio %s %r is not a finite number >= 0" % (key, v))
+
+
+class SynthTrack:
+    """A synthetic crowd-noise track that renders only what is sliced.
+
+    Base noise is cut into chunks of ``RENDER_CHUNK`` samples and burst k
+    (in time order) covers the 2 s after its start; each chunk and each
+    burst draws from its own ``SeedSequence`` keyed by the spec seed and its
+    index, so any slice can be drawn without the samples before it.  A
+    chunk or burst is drawn at most once per track and kept.  Bursts are
+    added in time order, so a slice is bit-identical to the same slice of
+    the full track ``track[:]``.
+    """
+
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, spec: dict, burst_times: list[float]):
+        fs = spec["rate"]
+        self._seed = list(spec["seed"])
+        self._n = int(round(float(spec["duration"]) * fs))
+        self._base_amp = float(spec["base_amp"])
+        self._burst_amp = self._base_amp * float(spec["gain"])
+        starts = [int(round(t * fs)) for t in sorted(burst_times)] if spec["gain"] > 0 else []
+        self._starts = np.array([a for a in starts if a < self._n], dtype=np.int64)
+        self._ends = np.minimum(self._starts + 2 * fs, self._n)
+        self.chunks: dict[int, np.ndarray] = {}
+        self.bursts: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _chunk(self, j: int) -> np.ndarray:
+        if j not in self.chunks:
+            rng = np.random.default_rng(np.random.SeedSequence(self._seed + [0, j]))
+            part = rng.standard_normal(min(RENDER_CHUNK, self._n - j * RENDER_CHUNK))
+            part *= self._base_amp
+            part += 0.0  # as loc + scale * z in Generator.normal: -0.0 becomes 0.0
+            self.chunks[j] = part.astype(np.float32)
+        return self.chunks[j]
+
+    def _burst(self, k: int) -> np.ndarray:
+        if k not in self.bursts:
+            rng = np.random.default_rng(np.random.SeedSequence(self._seed + [1, k]))
+            size = int(self._ends[k] - self._starts[k])
+            self.bursts[k] = rng.normal(0.0, self._burst_amp, size).astype(np.float32)
+        return self.bursts[k]
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError("a synthetic track takes basic slices with step 1, not %r" % (key,))
+        a, b, _ = key.indices(self._n)
+        out = np.empty(max(b - a, 0), dtype=np.float32)
+        if b <= a:
+            return out
+        for j in range(a // RENDER_CHUNK, -(-b // RENDER_CHUNK)):
+            lo, hi = max(a, j * RENDER_CHUNK), min(b, (j + 1) * RENDER_CHUNK)
+            out[lo - a : hi - a] = self._chunk(j)[lo - j * RENDER_CHUNK : hi - j * RENDER_CHUNK]
+        first = int(np.searchsorted(self._ends, a, side="right"))
+        last = int(np.searchsorted(self._starts, b, side="left"))
+        for k in range(first, last):
+            s = int(self._starts[k])
+            lo, hi = max(a, s), min(b, int(self._ends[k]))
+            out[lo - a : hi - a] += self._burst(k)[lo - s : hi - s]
+        return out
+
+
+def synth_audio_track(spec: dict, burst_times: list[float]) -> tuple[SynthTrack, int]:
+    """The crowd-noise track of a manifest spec, rendered on demand.
 
     Baseline Gaussian noise at ``base_amp``; every burst time adds noise of
-    ``base_amp * gain`` std over the following 2 seconds.
+    ``base_amp * gain`` std over the following 2 seconds.  Raises
+    ``DataFormatError`` for a spec that is not stream 2 or is malformed.
     """
+    _check_spec(spec)
     bad = [t for t in burst_times if not t >= 0.0]
     if bad:
         raise DataFormatError("audio burst time %r is negative or not a number" % bad[0])
-    fs = int(spec["rate"])
-    n = int(round(float(spec["duration"]) * fs))
-    rng = np.random.default_rng(np.random.SeedSequence(list(spec["seed"])))
-    # the stream and arithmetic of rng.normal(0, base_amp, n).astype(float32),
-    # drawn a chunk at a time instead of through a full-length float64 array
-    base_amp = float(spec["base_amp"])
-    track = np.empty(n, dtype=np.float32)
-    buf = np.empty(min(n, RENDER_CHUNK))
-    for a in range(0, n, RENDER_CHUNK):
-        part = buf[: min(RENDER_CHUNK, n - a)]
-        rng.standard_normal(out=part)
-        part *= base_amp
-        part += 0.0  # as loc + scale * z in Generator.normal: -0.0 becomes 0.0
-        track[a : a + len(part)] = part
-    gain = float(spec["gain"])
-    if gain > 0:
-        amp = spec["base_amp"] * gain
-        for t in sorted(burst_times):
-            a = int(round(t * fs))
-            b = min(a + 2 * fs, n)
-            if a >= n:
-                continue
-            track[a:b] += rng.normal(0.0, amp, size=b - a).astype(np.float32)
-    return track, fs
+    return SynthTrack(spec, burst_times), spec["rate"]
 
 
 def summary_event_times(match: Match, summary: Summary) -> list[float]:
@@ -434,8 +505,9 @@ def summary_event_times(match: Match, summary: Summary) -> list[float]:
     return times
 
 
-def resolve_audio(dataset: Dataset, match_id: str) -> tuple[np.ndarray, int]:
-    """Samples and rate for a match: load from file or re-render a synth spec."""
+def resolve_audio(dataset: Dataset, match_id: str) -> tuple[np.ndarray | SynthTrack, int]:
+    """Samples and rate for a match: a file's samples, or the on-demand
+    track of a synth spec.  Either is read through ``len`` and slices."""
     match = dataset.by_id(match_id)
     audio = match.audio
     if audio is None:
@@ -447,7 +519,10 @@ def resolve_audio(dataset: Dataset, match_id: str) -> tuple[np.ndarray, int]:
     if isinstance(audio, dict) and "synth" in audio:
         summary = dataset.summaries.get(match_id)
         bursts = summary_event_times(match, summary) if summary else []
-        return synth_audio_track(audio["synth"], bursts)
+        try:
+            return synth_audio_track(audio["synth"], bursts)
+        except DataFormatError as exc:
+            raise DataFormatError("match %r: %s" % (match_id, exc)) from None
     raise SoccersumError("unrecognized audio reference %r" % (audio,))
 
 

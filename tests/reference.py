@@ -7,6 +7,9 @@ LSTM recurrence and its backward pass, the stage-1 bag scorer
 (``mil_forward``/``mil_loss_grads``) and the stage-2 attention scorer
 (``hma_forward``/``hma_backward``/``hma_loss_grads``).  Parameter
 dictionaries are those of ``init_mil_params``/``init_hma_params``.
+
+``synth_track`` draws stream 2 of a synthetic audio spec in full, the
+reference that on-demand track slices are tested against.
 """
 import numpy as np
 
@@ -256,3 +259,28 @@ def hma_loss_grads(params: dict, xm: np.ndarray, xa: np.ndarray, y: float):
     loss = bce_loss(p, y)
     grads = hma_backward(params, cache, bce_sigmoid_grad(p, y))
     return loss, p, grads
+
+
+# ---------------------------------------------------------------------------
+# synthetic audio, stream 2
+
+def synth_track(spec, burst_times, chunk):
+    """The whole track of a synth spec: keyed base-noise chunks of ``chunk``
+    samples concatenated, then each keyed burst added in time order."""
+    fs = spec["rate"]
+    n = int(round(spec["duration"] * fs))
+    parts = [np.zeros(0, dtype=np.float32)]
+    for j, a in enumerate(range(0, n, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence(spec["seed"] + [0, j]))
+        z = rng.standard_normal(min(chunk, n - a))
+        parts.append((z * spec["base_amp"] + 0.0).astype(np.float32))
+    track = np.concatenate(parts)
+    if spec["gain"] > 0:
+        for k, t in enumerate(sorted(burst_times)):
+            a = int(round(t * fs))
+            b = min(a + 2 * fs, n)
+            if a < n:
+                rng = np.random.default_rng(np.random.SeedSequence(spec["seed"] + [1, k]))
+                track[a:b] += rng.normal(0.0, spec["base_amp"] * spec["gain"],
+                                         b - a).astype(np.float32)
+    return track, fs

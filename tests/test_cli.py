@@ -352,6 +352,27 @@ def test_malformed_dataset_file_exits_two(chain, tmp_path, capsys, defect):
     assert named in err and "Traceback" not in err
 
 
+SPEC_EDITS = {
+    "seed-element-dropped": lambda spec: spec.update(seed=spec["seed"][1:]),
+    "no-stream": lambda spec: spec.pop("stream"),
+    "stream-1": lambda spec: spec.update(stream=1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SPEC_EDITS))
+def test_malformed_audio_spec_exits_two(chain, tmp_path, capsys, edit):
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    manifest = json.loads((data / "dataset.json").read_text())
+    SPEC_EDITS[edit](manifest["matches"][0]["audio"]["synth"])
+    (data / "dataset.json").write_text(json.dumps(manifest, indent=1))
+    rc = main(["extract-features", "--config", str(chain.cfg), "--data", str(data), "--audio",
+               "--matches", "m000", "--out-dir", str(tmp_path / "feats")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "'m000'" in err and "Traceback" not in err
+
+
 PROPOSAL_DEFECTS = {
     "unknown-match": lambda m: {"nope": [{"start_index": 0, "end_index": 1, "type": "goal"}]},
     "non-integer": lambda m: {m: [{"start_index": 0, "end_index": 1.5, "type": "goal"}]},

@@ -309,3 +309,24 @@ def test_load_audio_formats(tmp_path):
         load_audio(str(tmp_path / "x.f32"))
     with pytest.raises(DataFormatError, match="container"):
         load_audio(str(tmp_path / "x.mp3"))
+
+
+def test_raw_audio_is_mapped_and_gives_the_eager_descriptors(tmp_path):
+    path = str(tmp_path / "match.raw")
+    np.random.default_rng(4).normal(0.0, 0.1, size=7 * FS + 123).astype("<f4").tofile(path)
+    samples, fs = load_audio(path, rate=FS)
+    assert isinstance(samples, np.memmap) and not samples.flags.writeable
+    eager = np.fromfile(path, dtype="<f4").astype(float)
+    for t in (0.0, 2.5, 6.9, 7.5):
+        got = extract_event_audio_features(samples, fs, t)
+        assert got.tobytes() == extract_event_audio_features(eager, fs, t).tobytes()
+
+
+@pytest.mark.parametrize("content", [None, b"", b"\x00" * 10],
+                         ids=["missing", "empty", "partial-sample"])
+def test_unreadable_raw_audio_is_a_data_error(tmp_path, content):
+    path = tmp_path / "x.f32"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataFormatError, match="cannot read raw audio"):
+        load_audio(str(path), rate=FS)

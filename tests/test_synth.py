@@ -10,6 +10,8 @@ from soccersum.core import (
     SoccersumError,
     validate_match,
 )
+from soccersum.features import extract_event_audio_features
+from soccersum.pipeline import event_audio
 from soccersum.stage1 import build_action_vocabulary, label_events_by_vocabulary
 from soccersum.synth import (
     RENDER_CHUNK,
@@ -21,6 +23,8 @@ from soccersum.synth import (
     summary_event_times,
     synth_audio_track,
 )
+
+import reference
 
 SMALL = GenConfig(matches=3, events_mean=400)
 
@@ -123,16 +127,26 @@ def test_unfillable_budget_raises():
 # ---------------------------------------------------------------------------
 # audio
 
+C = RENDER_CHUNK
+
+
+def small_spec(n, seed=(7, 2, 0)):
+    """A stream-2 spec of exactly n samples at 8 kHz."""
+    return {"stream": 2, "rate": 8000, "gain": 3.0, "base_amp": 0.05, "seed": list(seed),
+            "duration": n / 8000}
+
+
 def test_audio_bursts_are_louder(default_match):
     m, s, _ = default_match
     bursts = summary_event_times(m, s)
     track, fs = synth_audio_track(m.audio["synth"], bursts)
+    samples = track[:]
     mask = np.zeros(len(track), dtype=bool)
     for t in bursts:
         i0 = int(round(t * fs))
         mask[i0 : i0 + 2 * fs] = True
-    loud = float(np.sqrt(np.mean(track[mask] ** 2)))
-    quiet = float(np.sqrt(np.mean(track[~mask] ** 2)))
+    loud = float(np.sqrt(np.mean(samples[mask] ** 2)))
+    quiet = float(np.sqrt(np.mean(samples[~mask] ** 2)))
     assert loud / quiet > 2.0
 
 
@@ -142,48 +156,138 @@ def test_audio_render_deterministic(default_match):
     t1, f1 = synth_audio_track(m.audio["synth"], bursts)
     t2, f2 = synth_audio_track(m.audio["synth"], bursts)
     assert f1 == f2
-    assert np.array_equal(t1, t2)
-    assert t1.dtype == np.float32
+    assert t1[:].tobytes() == t2[:].tobytes()
+    assert t1.dtype == np.float32 and t1[:].dtype == np.float32
 
 
-def one_shot_audio_track(spec, burst_times):
-    """The render as one full-length draw, before it was chunked."""
-    fs = int(spec["rate"])
-    n = int(round(float(spec["duration"]) * fs))
-    rng = np.random.default_rng(np.random.SeedSequence(list(spec["seed"])))
-    track = rng.normal(0.0, spec["base_amp"], size=n).astype(np.float32)
-    amp = spec["base_amp"] * spec["gain"]
-    for t in sorted(burst_times):
-        a = int(round(t * fs))
-        b = min(a + 2 * fs, n)
-        if a < n:
-            track[a:b] += rng.normal(0.0, amp, size=b - a).astype(np.float32)
-    return track, fs
-
-
-@pytest.mark.parametrize("n", [0, 1000, RENDER_CHUNK, RENDER_CHUNK + 1, 3 * RENDER_CHUNK + 7])
-def test_chunked_render_equals_one_shot_draw(n):
-    spec = {"rate": 8000, "gain": 3.0, "base_amp": 0.05, "seed": [7, 2, n],
-            "duration": n / 8000}
+@pytest.mark.parametrize("n", [0, 1000, C, C + 1, 3 * C + 7])
+def test_full_track_equals_reference_render(n):
+    spec = small_spec(n, seed=(7, 2, n))
     bursts = [0.0, 0.1, max(n / 8000 - 0.5, 0.0), n / 8000 + 1.0]
     track, fs = synth_audio_track(spec, bursts)
-    want, _ = one_shot_audio_track(spec, bursts)
-    assert fs == 8000 and track.dtype == np.float32 and len(track) == n
-    assert track.tobytes() == want.tobytes()
+    want, _ = reference.synth_track(spec, bursts, C)
+    assert fs == 8000 and len(track) == n
+    full = track[:]
+    assert full.dtype == np.float32 and full.tobytes() == want.tobytes()
+
+
+def test_full_track_equals_reference_render_on_a_full_match(default_match):
+    m, s, _ = default_match
+    bursts = summary_event_times(m, s)
+    track, _ = synth_audio_track(m.audio["synth"], bursts)
+    assert track[:].tobytes() == reference.synth_track(m.audio["synth"], bursts, C)[0].tobytes()
+
+
+N_WIN = 3 * C + 7
+# bursts at 1.0 s and 1.5 s overlap; the last one is cut by the track end
+WIN_BURSTS = [1.0, 1.5, 20.0, N_WIN / 8000 - 0.5]
+WINDOWS = (
+    [(j * C + d, j * C + d + 16000) for j in (1, 2, 3) for d in (-1, 0, 1)]
+    + [(8000, 28000),  # across the overlapping bursts
+       (N_WIN - 8000, N_WIN), (N_WIN - 100, N_WIN + 15900),  # the track end
+       (N_WIN + 5, N_WIN + 16005), (-10, None), (None, 5), (0, None), (500, 400)]
+)
+
+
+@pytest.mark.parametrize("a,b", WINDOWS)
+def test_window_equals_the_reference_slice(a, b):
+    spec = small_spec(N_WIN)
+    want, _ = reference.synth_track(spec, WIN_BURSTS, C)
+    track, _ = synth_audio_track(spec, WIN_BURSTS)
+    window = track[a:b]
+    assert window.dtype == np.float32
+    assert window.tobytes() == want[a:b].tobytes()
+    # once more, now from the cached chunks and bursts
+    assert track[a:b].tobytes() == want[a:b].tobytes()
+
+
+@pytest.mark.parametrize("key", [5, slice(0, 10, 2), slice(None, None, -1), [1, 2],
+                                 np.arange(3), Ellipsis])
+def test_track_takes_only_unit_step_slices(key):
+    track, _ = synth_audio_track(small_spec(1000), [])
+    with pytest.raises(TypeError):
+        track[key]
+
+
+def test_chunk_and_burst_levels():
+    """Base noise at base_amp; where one burst sounds, base and burst noise
+    add to base_amp * sqrt(1 + gain^2)."""
+    spec = small_spec(4 * C)
+    bursts = [0.5, 10.0, 12.0, 20.5, 29.0]
+    track, fs = synth_audio_track(spec, [])
+    for j in range(4):
+        assert np.std(track[j * C : (j + 1) * C]) == pytest.approx(0.05, rel=0.05)
+    track, fs = synth_audio_track(spec, bursts)
+    cover = np.zeros(len(track), dtype=int)
+    for t in bursts:
+        cover[int(round(t * fs)) : int(round(t * fs)) + 2 * fs] += 1
+    samples = track[:]
+    want = 0.05 * np.sqrt(1.0 + 3.0 ** 2)
+    for t in bursts:
+        a = int(round(t * fs))
+        region = samples[a : a + 2 * fs][cover[a : a + 2 * fs] == 1]
+        assert len(region) >= fs
+        assert np.std(region) == pytest.approx(want, rel=0.05)
+
+
+def test_a_window_renders_only_its_chunks(default_match):
+    m, s, _ = default_match
+    track, fs = synth_audio_track(m.audio["synth"], summary_event_times(m, s))
+    assert len(track) > 100 * C
+    mid = len(track) // 2
+    track[mid : mid + 2 * fs]
+    assert len(track.chunks) <= 2
+    assert len(track.bursts) <= 2
+
+
+def test_event_audio_equals_descriptors_of_the_full_track():
+    ds = generate_dataset(GenConfig(matches=1, events_mean=150), 5)
+    match = ds.matches[0]
+    events = list(range(0, len(match.events), 3))
+    rows = event_audio(ds, None, {match.match_id: events}, jobs=1)[match.match_id]
+    full, fs = resolve_audio(ds, match.match_id)
+    full = full[:]
+    for k in events:
+        want = extract_event_audio_features(full, fs, match.events[k].t)
+        assert rows[k].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t", [-0.5, -3.0, float("nan")])
 def test_render_rejects_a_negative_burst_time(t):
-    spec = {"rate": 8000, "gain": 3.0, "base_amp": 0.05, "seed": [7, 2, 0], "duration": 10.0}
     with pytest.raises(DataFormatError, match="burst time"):
-        synth_audio_track(spec, [1.0, t])
+        synth_audio_track(small_spec(80000), [1.0, t])
 
 
-def test_chunked_render_equals_one_shot_draw_on_a_full_match(default_match):
-    m, s, _ = default_match
-    bursts = summary_event_times(m, s)
-    track, _ = synth_audio_track(m.audio["synth"], bursts)
-    assert track.tobytes() == one_shot_audio_track(m.audio["synth"], bursts)[0].tobytes()
+SPEC_DEFECTS = {
+    "no-stream": ("stream", None),
+    "stream-1": ("stream", 1),
+    "stream-text": ("stream", "2"),
+    "seed-short": ("seed", [2, 0]),
+    "seed-long": ("seed", [7, 2, 0, 1]),
+    "seed-negative": ("seed", [7, -2, 0]),
+    "seed-float": ("seed", [7, 2.0, 0]),
+    "seed-not-list": ("seed", 7),
+    "rate-zero": ("rate", 0),
+    "rate-float": ("rate", 8000.0),
+    "rate-bool": ("rate", True),
+    "duration-nan": ("duration", float("nan")),
+    "duration-text": ("duration", "10"),
+    "base-amp-negative": ("base_amp", -0.05),
+    "gain-inf": ("gain", float("inf")),
+    "gain-missing": ("gain", None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SPEC_DEFECTS))
+def test_render_rejects_a_malformed_spec(defect):
+    key, value = SPEC_DEFECTS[defect]
+    spec = small_spec(80000)
+    if value is None:
+        del spec[key]
+    else:
+        spec[key] = value
+    with pytest.raises(DataFormatError, match=key):
+        synth_audio_track(spec, [1.0])
 
 
 def test_resolve_audio_paths():
@@ -193,6 +297,9 @@ def test_resolve_audio_paths():
     assert rate == SMALL.audio_rate
     spec = ds.matches[0].audio["synth"]
     assert len(track) == int(round(spec["duration"] * rate))
+    del spec["stream"]
+    with pytest.raises(DataFormatError, match="'m000'.*stream"):
+        resolve_audio(ds, mid)
     ds.matches[0].audio = None
     with pytest.raises(SoccersumError, match="no audio"):
         resolve_audio(ds, mid)
