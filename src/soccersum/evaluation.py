@@ -42,21 +42,31 @@ def overlap_match(pred_intervals, gt_intervals, ratio: float = 0.5) -> tuple[int
     prediction's events fall inside it.  Predictions are walked left to
     right, each consuming the first still-free qualifying ground truth.
     Returns (tp, fp, fn).
+
+    Both lists must be in ascending start order.  Then a ground truth that
+    ends before a prediction starts can match no later prediction either,
+    so one pointer skips those for good, and the scan for each prediction
+    stops at the first ground truth starting after it ends.
     """
-    consumed = [False] * len(gt_intervals)
-    tp = 0
-    for pred in pred_intervals:
-        need = ratio * (pred[1] - pred[0] + 1)
-        for j, gt in enumerate(gt_intervals):
-            if consumed[j]:
-                continue
-            if interval_overlap(pred, gt) >= need:
+    n_pred, n_gt = len(pred_intervals), len(gt_intervals)
+    if ratio <= 0:  # every ground truth qualifies, overlapping or not
+        tp = min(n_pred, n_gt)
+        return tp, n_pred - tp, n_gt - tp
+    consumed = [False] * n_gt
+    tp = lo = 0
+    for s, e in pred_intervals:
+        need = ratio * (e - s + 1)
+        while lo < n_gt and gt_intervals[lo][1] < s:
+            lo += 1
+        for j in range(lo, n_gt):
+            gs, ge = gt_intervals[j]
+            if gs > e:
+                break
+            if not consumed[j] and min(e, ge) - max(s, gs) + 1 >= need:
                 consumed[j] = True
                 tp += 1
                 break
-    fp = len(pred_intervals) - tp
-    fn = len(gt_intervals) - tp
-    return tp, fp, fn
+    return tp, n_pred - tp, n_gt - tp
 
 
 def match_summary_actions(predicted: list[Action], ground_truth: list[Action],

@@ -8,6 +8,7 @@ frames.  Stereo input uses the first channel only.
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
@@ -212,7 +213,10 @@ def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
     if path.endswith(".wav"):
         from scipy.io import wavfile  # imported here: it alone costs ~0.4 s
 
-        fs, data = wavfile.read(path)
+        try:
+            fs, data = wavfile.read(path)
+        except (OSError, ValueError, struct.error) as exc:  # missing, unreadable or malformed
+            raise DataFormatError("cannot read WAV audio %r (%s)" % (path, exc)) from None
         if data.ndim > 1:
             data = data[:, 0]
         if data.dtype == np.int16:

@@ -52,7 +52,9 @@ def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
     chunk size before the Adam step.  After each epoch the history gains
     the row {"epoch", "loss" (mean per item), **validate(params)}.  The
     parameters of the first epoch with a strictly better ``val_f`` are
-    kept; training stops after ``config.patience`` epochs without one.
+    kept; training stops after ``config.patience`` epochs without one, or
+    as soon as the best ``val_f`` reaches 1.0: ``val_f`` is an F-score,
+    which cannot exceed 1, so no later epoch could be strictly better.
 
     ``params`` is updated in place.  Returns (a copy of the best epoch's
     parameters, or of the initial ones without a scored epoch; the
@@ -77,6 +79,8 @@ def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
         if row["val_f"] > best_f:
             best_params = {k: v.copy() for k, v in params.items()}
             best_f, best_epoch, stale = row["val_f"], epoch, 0
+            if best_f >= 1.0:
+                break
         else:
             stale += 1
             if stale >= config.patience:

@@ -148,8 +148,10 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
         encoder=encoder,
         feats={i: encoder.encode_match(matches[i]) for i in ids},
         types={i: matches[i].type_sequence() for i in ids},
+        # in start order, as overlap_match requires; a summary file may
+        # list its actions in any order
         gt_intervals={
-            i: [(a.start_index, a.end_index) for a in dataset.summaries[i].actions]
+            i: sorted((a.start_index, a.end_index) for a in dataset.summaries[i].actions)
             for i in ids
         },
         ordinals={match_id: i for i, match_id in enumerate(ids)},

@@ -276,33 +276,64 @@ def labels_to_intervals(labels: np.ndarray) -> list[tuple[int, int]]:
     return _runs(np.asarray(labels, dtype=bool))
 
 
-def _threshold_inputs(scored):
-    """Per match: (scores, goal-shot mask, labeled intervals), none of which
-    depends on the threshold."""
-    return [(np.asarray(scores), _goal_mask(types), labels_to_intervals(labels))
-            for scores, labels, types in scored]
+# the thresholds select_threshold tries, ascending: 0.01, 0.02, ..., 0.99
+_THRESHOLDS = np.arange(1, 100) / 100.0
 
 
-def _fbeta_at(inputs, threshold: float, beta: float, ratio: float) -> float:
-    tp = fp = fn = 0
-    for scores, goal, gts in inputs:
-        a, b, c = overlap_match(_runs(scores >= threshold, goal), gts, ratio)
-        tp += a
-        fp += b
-        fn += c
-    p, r = precision_recall(tp, fp, fn)
-    return fbeta(p, r, beta)
+def _spread(lo: np.ndarray, hi: np.ndarray):
+    """(k, i) for every position i and every k in [lo[i], hi[i]), sorted by
+    k and then by i."""
+    count = hi - lo
+    i = np.repeat(np.arange(len(hi)), count)
+    k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count - lo, count)
+    order = np.argsort(k, kind="stable")
+    return k[order], i[order]
+
+
+def _grid_runs(scores: np.ndarray, goal: np.ndarray):
+    """``_runs(scores >= t, goal)`` at every grid threshold t, in one pass
+    over finite ``scores``.
+
+    Returns (rows, starts, ends): run j lies at ``_THRESHOLDS[rows[j]]``,
+    sorted by ``rows`` and then by start.
+    """
+    # event i reaches the grid thresholds below index level[i]; events i
+    # and i + 1 share a run at those below link[i]
+    level = np.searchsorted(_THRESHOLDS, scores, side="right")
+    link = np.where(goal[:-1], 0, np.minimum(level[:-1], level[1:]))
+    rows, starts = _spread(np.concatenate(([0], link)), level)
+    _, ends = _spread(np.concatenate((link, [0])), level)
+    return rows, starts, ends
 
 
 def select_threshold(scored, beta: float = 2.0, ratio: float = 0.5) -> tuple[float, float]:
     """Grid-search the score threshold (0.01..0.99, step 0.01) maximizing
-    proposal F-beta; ties go to the lowest threshold.  Returns
-    (threshold, fbeta)."""
-    inputs = _threshold_inputs(scored)
+    proposal F-beta, micro-averaged over the (event scores, event labels,
+    event types) rows of ``scored``; ties go to the lowest threshold.
+    Returns (threshold, fbeta)."""
+    n_grid = len(_THRESHOLDS)
+    tp = [0] * n_grid
+    n_runs = np.zeros(n_grid, dtype=np.int64)
+    n_gts = 0
+    for scores, labels, types in scored:
+        labels = np.asarray(labels, dtype=bool)
+        gts = labels_to_intervals(labels)
+        n_gts += len(gts)
+        rows, starts, ends = _grid_runs(np.asarray(scores), _goal_mask(types))
+        n_runs += np.bincount(rows, minlength=n_grid)
+        # a run that has less than ``ratio`` of its events labeled matches
+        # no ground truth, so only the others go through overlap_match
+        labeled = np.concatenate(([0], np.cumsum(labels)))
+        keep = labeled[ends + 1] - labeled[starts] >= ratio * (ends - starts + 1)
+        bounds = np.searchsorted(rows[keep], np.arange(n_grid + 1)).tolist()
+        starts, ends = starts[keep].tolist(), ends[keep].tolist()
+        for k in range(n_grid):
+            a, b = bounds[k], bounds[k + 1]
+            if a < b:
+                tp[k] += overlap_match(list(zip(starts[a:b], ends[a:b])), gts, ratio)[0]
     best_t, best_f = 0.01, -1.0
-    for step in range(1, 100):
-        t = step / 100.0
-        f = _fbeta_at(inputs, t, beta, ratio)
+    for t, tp_k, runs_k in zip(_THRESHOLDS.tolist(), tp, n_runs.tolist()):
+        f = fbeta(*precision_recall(tp_k, runs_k - tp_k, n_gts - tp_k), beta)
         if f > best_f:
             best_t, best_f = t, f
     return best_t, best_f

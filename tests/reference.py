@@ -8,11 +8,16 @@ LSTM recurrence and its backward pass, the stage-1 bag scorer
 (``hma_forward``/``hma_backward``/``hma_loss_grads``).  Parameter
 dictionaries are those of ``init_mil_params``/``init_hma_params``.
 
+``overlap_match`` and ``select_threshold`` are the stage-1 threshold search
+as plain loops: every prediction scans every ground truth, and every
+threshold re-extracts its runs event by event.
+
 ``synth_track`` draws stream 2 of a synthetic audio spec in full, the
 reference that on-demand track slices are tested against.
 """
 import numpy as np
 
+from soccersum.evaluation import fbeta, interval_overlap, precision_recall
 from soccersum.neural import bce_loss, bce_sigmoid_grad, sigmoid
 
 
@@ -156,6 +161,80 @@ def mil_loss_grads(params: dict, x: np.ndarray, y: float):
     grads["lstm.U"] = dU
     grads["lstm.b"] = db
     return loss, p, grads
+
+
+# ---------------------------------------------------------------------------
+# stage 1: proposals and the threshold search
+
+def overlap_match(pred_intervals, gt_intervals, ratio=0.5):
+    """(tp, fp, fn): each prediction, left to right, consumes the first
+    still-free ground truth it covers by at least ``ratio``."""
+    consumed = [False] * len(gt_intervals)
+    tp = 0
+    for pred in pred_intervals:
+        need = ratio * (pred[1] - pred[0] + 1)
+        for j, gt in enumerate(gt_intervals):
+            if consumed[j]:
+                continue
+            if interval_overlap(pred, gt) >= need:
+                consumed[j] = True
+                tp += 1
+                break
+    fp = len(pred_intervals) - tp
+    fn = len(gt_intervals) - tp
+    return tp, fp, fn
+
+
+def extract_proposals(scores, threshold, types):
+    """Runs of events scoring >= threshold; a goal-shot closes its run."""
+    proposals = []
+    start = None
+    for i, s in enumerate(scores):
+        if s >= threshold:
+            if start is None:
+                start = i
+            if types[i] == "goal-shot":
+                proposals.append((start, i))
+                start = None
+        elif start is not None:
+            proposals.append((start, i - 1))
+            start = None
+    if start is not None:
+        proposals.append((start, len(scores) - 1))
+    return proposals
+
+
+def labels_to_intervals(labels):
+    spans = []
+    start = None
+    for i, flag in enumerate(labels):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            spans.append((start, i - 1))
+            start = None
+    if start is not None:
+        spans.append((start, len(labels) - 1))
+    return spans
+
+
+def select_threshold(scored, beta=2.0, ratio=0.5):
+    """(threshold, F-beta) of the grid search over 0.01..0.99, lowest
+    threshold on ties."""
+    best_t, best_f = 0.01, -1.0
+    for step in range(1, 100):
+        t = step / 100.0
+        tp = fp = fn = 0
+        for scores, labels, types in scored:
+            a, b, c = overlap_match(extract_proposals(scores, t, types),
+                                    labels_to_intervals(labels), ratio)
+            tp += a
+            fp += b
+            fn += c
+        f = fbeta(*precision_recall(tp, fp, fn), beta)
+        if f > best_f:
+            best_t, best_f = t, f
+    return best_t, best_f
 
 
 # ---------------------------------------------------------------------------

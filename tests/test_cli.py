@@ -373,6 +373,23 @@ def test_malformed_audio_spec_exits_two(chain, tmp_path, capsys, edit):
     assert "'m000'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [None, b"RIFF\x00\x00"], ids=["missing", "riff-header-only"])
+def test_unreadable_wav_audio_exits_two(chain, tmp_path, capsys, content):
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    wav = tmp_path / "nope.wav"
+    if content is not None:
+        wav.write_bytes(content)
+    manifest = json.loads((data / "dataset.json").read_text())
+    manifest["matches"][0]["audio"] = str(wav)
+    (data / "dataset.json").write_text(json.dumps(manifest, indent=1))
+    rc = main(["extract-features", "--config", str(chain.cfg), "--data", str(data), "--audio",
+               "--matches", "m000", "--out-dir", str(tmp_path / "feats")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert str(wav) in err and "Traceback" not in err
+
+
 PROPOSAL_DEFECTS = {
     "unknown-match": lambda m: {"nope": [{"start_index": 0, "end_index": 1, "type": "goal"}]},
     "non-integer": lambda m: {m: [{"start_index": 0, "end_index": 1.5, "type": "goal"}]},

@@ -19,6 +19,8 @@ from soccersum.evaluation import (
     soccer_baseline,
 )
 
+import reference
+
 
 def spaced_match(n=20, dt=10.0):
     events = [Event(index=i, t=dt * i, type="pass", team=0, player=1,
@@ -84,6 +86,48 @@ def test_overlap_match_first_free_consumption():
     assert overlap_match([(0, 5)], []) == (0, 1, 0)
     # coverage below the ratio is a miss on both sides
     assert overlap_match([(0, 9)], [(8, 20)]) == (0, 1, 1)
+    cases = [
+        # two predictions inside one ground truth
+        ([(1, 2), (4, 5)], [(0, 6)], 0.5, (1, 1, 0)),
+        # the second prediction straddles a consumed and a free ground truth
+        ([(0, 1), (2, 5)], [(0, 3), (4, 9)], 0.5, (2, 0, 0)),
+        # straddling predictions in a chain, each taking its first free one
+        ([(3, 6), (7, 10)], [(0, 4), (5, 8), (9, 12)], 0.5, (2, 0, 1)),
+        # below 1/3 a prediction can qualify for ground truths on both sides
+        # of one it does not
+        ([(0, 9)], [(0, 2), (4, 4), (7, 9)], 0.3, (1, 0, 2)),
+        # with no coverage required, any free ground truth qualifies
+        ([(0, 9), (10, 10)], [(5, 6)], 0.0, (1, 1, 0)),
+    ]
+    for preds, gts, ratio, want in cases:
+        assert overlap_match(preds, gts, ratio) == want
+        assert reference.overlap_match(preds, gts, ratio) == want
+
+
+def random_intervals(rng, n, mean_len, keep):
+    """Sorted, disjoint intervals over n events: consecutive pieces of
+    random length, each kept with probability ``keep``."""
+    out, start = [], 0
+    while start < n:
+        end = min(n, start + int(rng.integers(1, 2 * mean_len)))
+        if rng.uniform() < keep:
+            out.append((start, end - 1))
+        start = end
+    return out
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.7])
+def test_overlap_match_equals_the_loop_on_random_intervals(ratio):
+    rng = np.random.default_rng(int(ratio * 10))
+    for _ in range(400):
+        n = int(rng.integers(1, 80))
+        gts = random_intervals(rng, n, int(rng.integers(1, 12)), rng.uniform(0.2, 0.9))
+        preds = random_intervals(rng, n, int(rng.integers(1, 12)), rng.uniform(0.2, 0.9))
+        assert overlap_match(preds, gts, ratio) == reference.overlap_match(preds, gts, ratio)
+        # predictions in start order may overlap, as template-matching spans do
+        starts = np.sort(rng.integers(0, n, size=int(rng.integers(0, 12))))
+        spans = sorted((int(s), int(min(n - 1, s + rng.integers(0, 6)))) for s in starts)
+        assert overlap_match(spans, gts, ratio) == reference.overlap_match(spans, gts, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,8 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
-@pytest.mark.parametrize("lengths", [[1], [7], [5, 1, 9, 3], [1, 1, 2], [13] * 4 + [4]])
-def test_batched_lstm_matches_per_example_oracle(lengths):
-    rng = np.random.default_rng(len(lengths) * 100 + sum(lengths))
-    D, H = 5, 4
+def _check_batch_against_oracle(lengths, D, H, seed):
+    rng = np.random.default_rng(seed)
     x, rows, W, U, b = ragged_batch(rng, lengths, D, H)
     h, c, gates = kernels.lstm_forward_batch(x, W, U, b)
     dh_ext = rng.normal(size=h.shape)
@@ -156,6 +154,64 @@ def test_batched_lstm_matches_per_example_oracle(lengths):
             acc += g
     for got, want in zip((dW, dU, db), sums):
         assert _rel(got, want) <= 1e-10
+
+
+@pytest.mark.parametrize("lengths", [[1], [7], [5, 1, 9, 3], [1, 1, 2], [13] * 4 + [4]])
+def test_batched_lstm_matches_per_example_oracle(lengths):
+    _check_batch_against_oracle(lengths, 5, 4, len(lengths) * 100 + sum(lengths))
+
+
+# (D, H) of the kernel shapes the benchmark reports: metadata and audio
+# widths of both networks
+BENCH_SHAPES = {"D35_H16": (35, 16), "D35_H32": (35, 32), "D21_H32": (21, 32),
+                "D32_H16": (32, 16)}
+
+
+@pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+def test_batched_lstm_matches_oracle_at_bench_shapes(shape):
+    D, H = BENCH_SHAPES[shape]
+    _check_batch_against_oracle([10, 3, 1, 10, 7, 12, 5, 10], D, H, D * 100 + H)
+
+
+@pytest.mark.parametrize("weight_scale", [1.0, 12.0])  # 12: gates saturate
+def test_gates_are_the_activations_of_the_pre_activations(weight_scale):
+    """The kernel evaluates sigmoid(z) as 0.5 * tanh(0.5 z) + 0.5; its gates
+    agree with ``sigmoid`` and ``np.tanh`` of the pre-activations to 1e-15."""
+    rng = np.random.default_rng(17)
+    H = 16
+    x, _, W, U, b = ragged_batch(rng, [9, 4, 1], 35, H)
+    W *= weight_scale
+    h, _, gates = kernels.lstm_forward_batch(x, W, U, b)
+    h_prev = np.concatenate((np.zeros_like(h[:, :1]), h[:, :-1]), axis=1)
+    # the input product over time-major rows, as the kernel forms it, so
+    # that z carries the kernel's rounding
+    B, T, D = x.shape
+    x_in = (np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, D) @ W.T)
+    z = (x_in.reshape(T, B, 4 * H).transpose(1, 0, 2) + b) + h_prev @ U.T
+    want = sigmoid(z)
+    want[..., 2 * H : 3 * H] = np.tanh(z[..., 2 * H : 3 * H])
+    assert np.max(np.abs(gates - want)) <= 1e-15
+
+
+def test_padded_steps_give_exactly_zero_gradients():
+    """Padded steps add exact zeros: the gradients do not depend on the
+    padding values at all."""
+    rng = np.random.default_rng(19)
+    lengths = [6, 2, 4]
+    x, _, W, U, b = ragged_batch(rng, lengths, 5, 4)
+    dh_ext = rng.normal(size=(3, 6, 4))
+    other = x.copy()
+    for i, n in enumerate(lengths):
+        dh_ext[i, n:] = 0.0
+        other[i, n:] = rng.normal(scale=10.0, size=other[i, n:].shape)
+    grads = kernels.lstm_backward_batch(x, *kernels.lstm_forward_batch(x, W, U, b), W, U,
+                                        dh_ext)
+    grads_other = kernels.lstm_backward_batch(other, *kernels.lstm_forward_batch(other, W, U, b),
+                                              W, U, dh_ext)
+    for i, n in enumerate(lengths):
+        assert np.all(grads[0][i, n:] == 0.0)
+    for got, want in zip(grads_other, grads):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_batched_lstm_backward_matches_finite_differences():
@@ -304,6 +360,17 @@ def test_fit_stops_after_patience_epochs_and_ties_do_not_improve(monkeypatch):
     assert best_epoch == 1
     assert [row["epoch"] for row in history] == [0, 1, 2, 3, 4]
     assert len(rec.seen) == 5
+
+
+def test_fit_stops_once_val_f_reaches_one(monkeypatch):
+    # epoch 2 scores 1.0, which no F-score can beat: epochs 3 and 4 never run
+    live, best, history, best_epoch, rec = _scripted_fit(monkeypatch, [0.5, 0.7, 1.0, 0.9, 1.0])
+    assert best_epoch == 2
+    assert [row["epoch"] for row in history] == [0, 1, 2]
+    assert len(rec.seen) == 3 and len(rec.steps) == 3 * 3
+    # the kept parameters are those epoch 2 validated, as without the stop
+    assert np.array_equal(best["w"], rec.seen[2]["w"])
+    assert np.array_equal(live["w"], rec.seen[2]["w"])
 
 
 def test_fit_returns_a_copy_of_the_best_epochs_parameters(monkeypatch):

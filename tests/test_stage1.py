@@ -3,6 +3,8 @@ window fusion, proposal extraction, threshold pick, and bag training."""
 import numpy as np
 import pytest
 
+from soccersum import pipeline
+from soccersum.config import load_config
 from soccersum.core import Action, Event, Match, ShapeError, Summary, TrainingError
 from soccersum.evaluation import fbeta, overlap_match, precision_recall
 from soccersum.synth import GenConfig, generate_dataset
@@ -43,55 +45,6 @@ def loop_fuse_event_scores(starts, window_len, window_scores, n_events, r):
         m = np.max(r * o)
         out[e] = (m + np.log(np.mean(np.exp(r * o - m)))) / r
     return out
-
-
-def loop_extract_proposals(scores, threshold, types):
-    proposals = []
-    start = None
-    for i, s in enumerate(scores):
-        if s >= threshold:
-            if start is None:
-                start = i
-            if types[i] == "goal-shot":
-                proposals.append((start, i))
-                start = None
-        elif start is not None:
-            proposals.append((start, i - 1))
-            start = None
-    if start is not None:
-        proposals.append((start, len(scores) - 1))
-    return proposals
-
-
-def loop_labels_to_intervals(labels):
-    spans = []
-    start = None
-    for i, flag in enumerate(labels):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            spans.append((start, i - 1))
-            start = None
-    if start is not None:
-        spans.append((start, len(labels) - 1))
-    return spans
-
-
-def loop_select_threshold(scored, beta=2.0, ratio=0.5):
-    best_t, best_f = 0.01, -1.0
-    for step in range(1, 100):
-        t = step / 100.0
-        tp = fp = fn = 0
-        for scores, labels, types in scored:
-            a, b, c = overlap_match(loop_extract_proposals(scores, t, types),
-                                    loop_labels_to_intervals(labels), ratio)
-            tp += a
-            fp += b
-            fn += c
-        f = fbeta(*precision_recall(tp, fp, fn), beta)
-        if f > best_f:
-            best_t, best_f = t, f
-    return best_t, best_f
 
 
 def loop_sample_training_bags(matches, vocab, seed, neg_min_len=4):
@@ -337,11 +290,43 @@ def test_vectorised_proposals_and_threshold_match_loops():
     for _ in range(30):
         scores, labels, types = random_scored_match(rng, int(rng.integers(1, 120)))
         for t in (0.0, 0.3, 0.5, 0.62, 1.0):
-            assert extract_proposals(scores, t, types) == loop_extract_proposals(scores, t, types)
-        assert labels_to_intervals(labels) == loop_labels_to_intervals(labels)
+            want = reference.extract_proposals(scores, t, types)
+            assert extract_proposals(scores, t, types) == want
+        assert labels_to_intervals(labels) == reference.labels_to_intervals(labels)
     scored = [random_scored_match(rng, int(rng.integers(40, 200))) for _ in range(6)]
-    assert select_threshold(scored) == loop_select_threshold(scored)
-    assert select_threshold(scored, beta=1.0, ratio=0.3) == loop_select_threshold(scored, 1.0, 0.3)
+    assert select_threshold(scored) == reference.select_threshold(scored)
+    assert (select_threshold(scored, beta=1.0, ratio=0.3)
+            == reference.select_threshold(scored, 1.0, 0.3))
+
+
+def test_one_pass_threshold_search_equals_the_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        scored = [random_scored_match(rng, int(rng.integers(1, 150)))
+                  for _ in range(int(rng.integers(1, 5)))]
+        for beta, ratio in ((2.0, 0.5), (1.0, 0.3), (2.0, 0.7)):
+            assert (select_threshold(scored, beta, ratio)
+                    == reference.select_threshold(scored, beta, ratio))
+    n = 60
+    _, labels, types = random_scored_match(rng, n)
+    for scores in (np.full(n, 0.005),                  # below every threshold
+                   np.full(n, 0.995),                  # above every threshold
+                   rng.integers(0, 101, size=n) / 100.0,  # on the grid points
+                   np.where(rng.uniform(size=n) < 0.5, 0.001, 0.999)):
+        scored = [(scores, labels, types)]
+        assert select_threshold(scored) == reference.select_threshold(scored)
+
+
+def test_fold_ground_truths_are_in_start_order():
+    """overlap_match walks ground truths in start order; a summary file may
+    list its actions in any order."""
+    cfg = load_config(None, {"gen.matches": 10, "gen.events_mean": 100, "eval.kfold": 5},
+                      use_env=False)
+    ds = generate_dataset(cfg.gen_config(), 3)
+    match_id = ds.matches[0].match_id
+    ds.summaries[match_id].actions.reverse()
+    gt = pipeline.prepare_fold(ds, cfg, 0, 3).gt_intervals[match_id]
+    assert len(gt) > 1 and gt == sorted(gt)
 
 
 # ---------------------------------------------------------------------------
