@@ -17,6 +17,12 @@ import argparse
 import os
 import sys
 
+# One BLAS thread per process unless the caller chose a count: the matrix
+# products here are too small to gain wall time from more threads, and
+# ``--jobs`` workers each take a core.  This must run before numpy loads
+# (the package ``__init__`` imports no numpy).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .artifacts import (
     Provenance,
     ensure_same_provenance,

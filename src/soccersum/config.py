@@ -89,6 +89,8 @@ class PipelineConfig:
             raise ConfigError("unknown configuration key %r" % key)
         if isinstance(value, str):
             value = _parse_value(key, value)
+        if key == "jobs" and value < 1:
+            raise ConfigError("key 'jobs': %r is not a worker count of at least 1" % value)
         if key == "stage3.mode" and value not in BUDGET_MODES:
             raise ConfigError("key 'stage3.mode': %r is not one of %s"
                               % (value, ", ".join(BUDGET_MODES)))

@@ -6,11 +6,18 @@ Determinism: all randomness flows from the run seed through numbered
 substreams (1 match generation, 2 audio, 3/4 stage-1 init and shuffling,
 5 bag sampling, 6/7 stage-2 init and shuffling, 8 the random selector
 baseline, 9 candidate sampling, 10 the random ranking baseline), each
-further keyed by match ordinal where applicable.  Worker processes redo
-per-match work in match order, so ``--jobs`` never changes any output byte.
+further keyed by match ordinal where applicable.
+
+Parallelism: ``run_protocol`` runs a fold's stage 1 as one task, each
+match's audio descriptors as one task, and a fold's stages 2 and 3,
+evaluation and writes as one task.  At ``jobs > 1`` the tasks run in one
+pool of forked worker processes per run (``WorkerPool``); at ``jobs = 1``
+the same task functions run inline.  A task computes exactly what it would
+inline, so ``--jobs`` never changes any output byte.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -78,11 +85,15 @@ STAGE1_ROWS = ("template-matching", "learned-model")
 _WORKER_DATASETS: dict[str | None, Dataset] = {}
 
 
-def _audio_task(args):
-    data_dir, match_id, event_indices = args
+def _worker_dataset(data_dir: str | None) -> Dataset:
     if data_dir not in _WORKER_DATASETS:
         _WORKER_DATASETS[data_dir] = load_dataset(data_dir)
-    ds = _WORKER_DATASETS[data_dir]
+    return _WORKER_DATASETS[data_dir]
+
+
+def _audio_task(args):
+    data_dir, match_id, event_indices = args
+    ds = _worker_dataset(data_dir)
     match = ds.by_id(match_id)
     samples, rate = resolve_audio(ds, match_id)
     rows = {}
@@ -91,11 +102,48 @@ def _audio_task(args):
     return match_id, rows
 
 
-def _parallel_map(fn, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+def _propose_task(args):
+    data_dir, config, seed, fold_index = args
+    ds = _worker_dataset(data_dir)
+    return propose_fold(ds, config, prepare_fold(ds, config, fold_index, seed), fold_index, seed)
+
+
+def _finish_task(args):
+    data_dir, config, seed, fold, audio, out_dir = args
+    ds = _worker_dataset(data_dir)
+    ctx = prepare_fold(ds, config, fold.index, seed)
+    return finish_fold(ds, config, seed, ctx, fold, audio, out_dir)
+
+
+class WorkerPool:
+    """``min(jobs, max_tasks)`` worker processes forked from this one, shared
+    by every task map of a run; with one worker, maps run inline.  Workers
+    see the ``_WORKER_DATASETS`` of the moment they fork, so cache the
+    dataset before the first map.  ``int(pool)`` is the worker count."""
+
+    def __init__(self, jobs: int, max_tasks: int):
+        self.workers = max(1, min(jobs, max_tasks))
+        self.executor = None
+
+    def __enter__(self):
+        if self.workers > 1:
+            self.executor = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=multiprocessing.get_context("fork"))
+        return self
+
+    def __exit__(self, *exc):
+        if self.executor is not None:
+            self.executor.shutdown(cancel_futures=True)
+            self.executor = None
+
+    def __int__(self):
+        return self.workers
+
+
+def _parallel_map(fn, tasks: list, pool: WorkerPool) -> list:
+    if pool.executor is None or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+    return list(pool.executor.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +253,17 @@ def proposal_events(proposals: dict, ids) -> dict[str, list[int]]:
 
 
 def event_audio(dataset: Dataset, data_dir: str | None, events: dict,
-                jobs: int) -> dict[str, dict[int, np.ndarray]]:
+                jobs: int | WorkerPool) -> dict[str, dict[int, np.ndarray]]:
     """Audio descriptor rows of the listed events, one task per match with
-    any.  The dataset enters the per-process cache, so inline tasks and
-    forked workers use it as is; other workers load ``data_dir``."""
+    any, run in the open pool ``jobs`` or in a pool of at most ``jobs``
+    workers.  The dataset enters the per-process cache, so inline tasks and
+    workers forked after this call use it as is."""
     _WORKER_DATASETS[data_dir] = dataset
     tasks = [(data_dir, i, idx) for i, idx in events.items() if idx]
-    return dict(_parallel_map(_audio_task, tasks, jobs))
+    if isinstance(jobs, WorkerPool):
+        return dict(_parallel_map(_audio_task, tasks, jobs))
+    with WorkerPool(jobs, len(tasks)) as pool:
+        return dict(_parallel_map(_audio_task, tasks, pool))
 
 
 def stage2_items(proposals: dict, feats: dict, audio: dict, ids,
@@ -299,24 +351,24 @@ def _derived_seed(seed: int, domain: int, ordinal: int) -> int:
 
 @dataclass
 class ProposedFold:
-    """One fold after stage 1: its context, the proposal model, and the
-    per-event scores and typed proposals of every match."""
+    """One fold after stage 1: the proposal model, and the per-event scores
+    and typed proposals of every match.  It leaves out the fold's context,
+    which ``prepare_fold`` rebuilds, so it is small to send between
+    processes."""
 
     index: int
-    ctx: FoldContext
     mil: MilModel
     scores: dict
     proposals: dict
 
 
-def propose_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
-                 seed: int) -> ProposedFold:
-    """Stage 1 of one fold: prepare it, train the proposal model, then score
+def propose_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
+                 fold_index: int, seed: int) -> ProposedFold:
+    """Stage 1 of one prepared fold: train the proposal model, then score
     and cut proposals in every match."""
-    ctx = prepare_fold(dataset, config, fold_index, seed)
     mil = train_proposal_model(dataset, config, ctx, seed)
     scores = score_matches(mil, ctx.feats)
-    return ProposedFold(fold_index, ctx, mil, scores,
+    return ProposedFold(fold_index, mil, scores,
                         typed_proposals(dataset, scores, mil.threshold))
 
 
@@ -324,18 +376,19 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
              out_dir: str | None = None, data_dir: str | None = None,
              jobs: int = 1) -> FoldResult:
     """Train all three stages on one fold and evaluate on its test shard."""
-    fold = propose_fold(dataset, config, fold_index, seed)
+    ctx = prepare_fold(dataset, config, fold_index, seed)
+    fold = propose_fold(dataset, config, ctx, fold_index, seed)
     events = proposal_events(fold.proposals, dataset.match_ids())
     audio = event_audio(dataset, data_dir, events, jobs)
-    return finish_fold(dataset, config, seed, fold, audio, out_dir)
+    return finish_fold(dataset, config, seed, ctx, fold, audio, out_dir)
 
 
-def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, fold: ProposedFold,
-                audio: dict, out_dir: str | None = None) -> FoldResult:
+def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldContext,
+                fold: ProposedFold, audio: dict, out_dir: str | None = None) -> FoldResult:
     """Stages 2 and 3 of a proposed fold, evaluation on its test shard, and
     its artifacts under ``out_dir``.  ``audio`` holds the descriptor rows
     of at least every event inside the fold's proposals."""
-    ctx, mil, scores, proposals = fold.ctx, fold.mil, fold.scores, fold.proposals
+    mil, scores, proposals = fold.mil, fold.scores, fold.proposals
     val_ids, test_ids = ctx.val_ids, ctx.test_ids
     eval_ids = val_ids + test_ids
 
@@ -473,20 +526,30 @@ def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
     """Train and evaluate over the first ``n_folds`` cross-validation folds
     (default from config), then aggregate counts into the report tables.
 
-    Runs stage 1 of every fold, then one audio pass over the events that
-    any fold's proposals need, then stages 2 and 3 and the writes of each
-    fold; each fold's outputs equal those of ``run_fold``."""
+    Three phases, each a map over tasks in one ``WorkerPool`` of at most
+    ``jobs`` workers: stage 1 of each fold; the audio of each match, over
+    the events that any fold's proposals need; then stages 2 and 3,
+    evaluation and the writes of each fold.  A fold task builds its
+    context with ``prepare_fold`` and returns no feature arrays, so no
+    fold's context crosses a pipe or stays in this process.  Each fold's
+    outputs equal those of ``run_fold``."""
     if n_folds is None:
         n_folds = config["eval.folds"]
     n_folds = max(1, min(n_folds, config["eval.kfold"]))
-    folds = [propose_fold(dataset, config, k, seed) for k in range(n_folds)]
-    # a descriptor row depends only on (match, event): compute the union of
-    # every fold's events once, rendering each match's audio once
     ids = dataset.match_ids()
-    needed = [proposal_events(f.proposals, ids) for f in folds]
-    events = {i: sorted(set().union(*(e[i] for e in needed))) for i in ids}
-    audio = event_audio(dataset, data_dir, events, jobs)
-    fold_results = [finish_fold(dataset, config, seed, f, audio, out_dir) for f in folds]
+    _WORKER_DATASETS[data_dir] = dataset  # before the workers fork
+    with WorkerPool(jobs, max(n_folds, len(ids))) as pool:
+        folds = _parallel_map(_propose_task, [(data_dir, config, seed, k)
+                                              for k in range(n_folds)], pool)
+        # a descriptor row depends only on (match, event): compute the union
+        # of every fold's events once, rendering each match's audio once
+        needed = [proposal_events(f.proposals, ids) for f in folds]
+        events = {i: sorted(set().union(*(e[i] for e in needed))) for i in ids}
+        audio = event_audio(dataset, data_dir, events, pool)
+        fold_results = _parallel_map(_finish_task, [
+            (data_dir, config, seed, f, {i: {k: audio[i][k] for k in e[i]} for i in ids},
+             out_dir)
+            for f, e in zip(folds, needed)], pool)
     result = aggregate_results(fold_results, config)
     if out_dir is not None:
         write_results(out_dir, Provenance(config.config_hash(), seed), result)

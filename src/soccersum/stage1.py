@@ -21,9 +21,9 @@ from .neural import (
     bce_sigmoid_grad,
     dense_init,
     fit,
-    lstm_backward_batch,
     lstm_forward_batch,
     lstm_init,
+    lstm_param_grads_batch,
     sigmoid,
 )
 # Unused here: perfbench's tracer (perfbench/tracing.py) wraps these
@@ -181,8 +181,7 @@ def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys):
     dh_ext = np.zeros_like(h)
     np.put_along_axis(dh_ext, kstar[:, None, :], (dlogit[:, None] * params["out.w"])[:, None, :],
                       axis=1)
-    _, dW, dU, db = lstm_backward_batch(batch, h, c, gates, params["lstm.W"], params["lstm.U"],
-                                        dh_ext)
+    dW, dU, db = lstm_param_grads_batch(batch, h, c, gates, params["lstm.U"], dh_ext)
     grads = {
         "out.w": dlogit @ z,
         "out.b": np.array([dlogit.sum()]),

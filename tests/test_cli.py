@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,29 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_pins_blas_threads_unless_set(preset):
+    """``import soccersum`` loads no numpy, so the pin in ``soccersum.cli``
+    comes before numpy starts its BLAS; a count the caller set wins."""
+    code = ("import os, sys, soccersum; print('numpy' in sys.modules); "
+            "import soccersum.cli; print(os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", preset or "1"]
+
+
+def test_jobs_below_one_exits_one(chain, tmp_path, capsys):
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--out-dir", str(tmp_path / "run"), "--jobs", "-3"])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +515,92 @@ def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
         for rel in files:
             assert ((tmp_path / "protocol" / fold / rel).read_bytes()
                     == (tmp_path / "single" / fold / rel).read_bytes()), (fold, rel)
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    maps inline, or refuses them, so no process starts."""
+
+    sizes: list = []
+    refuse = False
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, tasks):
+        if self.refuse:
+            raise RuntimeError("map refused")
+        return [fn(t) for t in tasks]
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_pool_never_exceeds_its_task_count(chain, monkeypatch):
+    from soccersum import pipeline
+    from soccersum.config import load_config
+    from soccersum.io import load_dataset
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    dataset = load_dataset(str(chain.data))
+    ids = dataset.match_ids()
+    rows = pipeline.event_audio(dataset, str(chain.data),
+                                {i: [0, 1] for i in ids[:3]}, jobs=64)
+    assert sorted(rows) == ids[:3]
+    pipeline.event_audio(dataset, str(chain.data), {ids[0]: [0]}, jobs=64)  # inline
+    assert _RecordingExecutor.sizes == [3]
+
+    # a run's pool serves its fold tasks and its per-match audio tasks
+    monkeypatch.setattr(_RecordingExecutor, "refuse", True)
+    cfg = load_config(str(chain.cfg), {}, use_env=False)
+    with pytest.raises(RuntimeError, match="map refused"):
+        pipeline.run_protocol(dataset, cfg, 7, data_dir=str(chain.data), jobs=64, n_folds=2)
+    assert _RecordingExecutor.sizes == [3, len(ids)]
+
+
+@pytest.fixture(scope="module")
+def three_fold_runs(tmp_path_factory):
+    """``e2e`` over three folds at --jobs 1 and --jobs 2, as a user runs it."""
+    root = tmp_path_factory.mktemp("three_folds")
+    cfg = root / "three.cfg"
+    cfg.write_text(TINY.replace("eval.folds = 1", "eval.folds = 3"))
+    runs = {}
+    for jobs in ("1", "2"):
+        out = root / ("jobs" + jobs)
+        proc = subprocess.run([sys.executable, "-m", "soccersum", "e2e", "--config", str(cfg),
+                               "--jobs", jobs, "--out-dir", str(out)],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        runs[jobs] = out
+    return SimpleNamespace(cfg=cfg, runs=runs)
+
+
+def _tree(root):
+    return {os.path.relpath(os.path.join(d, f), root): Path(d, f).read_bytes()
+            for d, _dirs, names in os.walk(root) for f in names}
+
+
+def test_fold_tasks_write_the_same_tree_at_any_jobs(three_fold_runs):
+    one, two = (_tree(three_fold_runs.runs[j]) for j in ("1", "2"))
+    assert sorted(one) == sorted(two)
+    assert {rel.split(os.sep)[0] for rel in one} >= {"data", "results", "fold_000",
+                                                       "fold_001", "fold_002"}
+    assert [rel for rel in one if one[rel] != two[rel]] == []
+
+
+def test_fold_task_data_error_exits_two_at_any_jobs(three_fold_runs, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(three_fold_runs.runs["1"] / "data", data)
+    (data / "summaries" / "m004.json").unlink()
+    errs = []
+    for jobs in ("1", "2"):
+        rc = main(["evaluate", "--config", str(three_fold_runs.cfg), "--data", str(data),
+                   "--out-dir", str(tmp_path / ("jobs" + jobs)), "--jobs", jobs])
+        assert rc == 2
+        errs.append(capsys.readouterr().err)
+    assert "m004" in errs[0] and "Traceback" not in errs[0]
+    assert errs[1] == errs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,14 @@ def test_apply_env_uses_given_mapping():
     assert cfg["seed"] == 99
 
 
+@pytest.mark.parametrize("value", [0, -3, "0", "-3"], ids=["0", "-3", "'0'", "'-3'"])
+def test_jobs_below_one_is_rejected(value):
+    with pytest.raises(ConfigError, match="jobs"):
+        PipelineConfig().set("jobs", value)
+    with pytest.raises(ConfigError, match="jobs"):
+        PipelineConfig().apply_env({"SOCCERSUM_JOBS": str(value)})
+
+
 def test_config_hash_identifies_the_experiment():
     a = PipelineConfig()
     b = PipelineConfig()
