@@ -43,6 +43,12 @@ _EVENT_FIELDS = (
 )
 
 
+# fields a JSON integer must carry, and fields any JSON number may carry;
+# ``type`` tests leave out ``bool`` (``true`` is not the integer 1 here)
+_INT_FIELDS = ("index", "team", "player", "outcome", "qualifier")
+_NUMBER_FIELDS = ("t", "sx", "sy", "ex", "ey")
+
+
 def _r6(x: float) -> float:
     return round(float(x), 6)
 
@@ -95,21 +101,29 @@ def record_to_event(rec: dict, lineno: int = -1) -> tuple[str, Event]:
         raise DataFormatError(
             "events.jsonl line %d: missing fields %s" % (lineno, ", ".join(missing))
         )
+    for f in _INT_FIELDS:
+        if type(rec[f]) is not int:
+            raise DataFormatError("events.jsonl line %d: %s %r is not a JSON integer"
+                                  % (lineno, f, rec[f]))
+    for f in _NUMBER_FIELDS:
+        if type(rec[f]) not in (int, float):
+            raise DataFormatError("events.jsonl line %d: %s %r is not a JSON number"
+                                  % (lineno, f, rec[f]))
     try:
         ev = Event(
-            index=int(rec["index"]),
+            index=rec["index"],
             t=float(rec["t"]),
             type=str(rec["type"]),
-            team=int(rec["team"]),
-            player=int(rec["player"]),
+            team=rec["team"],
+            player=rec["player"],
             sx=float(rec["sx"]),
             sy=float(rec["sy"]),
             ex=float(rec["ex"]),
             ey=float(rec["ey"]),
-            outcome=int(rec["outcome"]),
-            qualifier=int(rec["qualifier"]),
+            outcome=rec["outcome"],
+            qualifier=rec["qualifier"],
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer too large for a float field
         raise DataFormatError("events.jsonl line %d: malformed field (%s)"
                               % (lineno, exc)) from None
     return str(rec["match_id"]), ev
@@ -256,8 +270,12 @@ def load_dataset(path: str) -> Dataset:
             n = len(by_id[match_id].events)
             actions = []
             for r in recs:
+                for f in ("start_index", "end_index"):
+                    if isinstance(r, dict) and f in r and type(r[f]) is not int:
+                        raise DataFormatError("summary %r: action %r: %s %r is not a JSON "
+                                              "integer" % (name, r, f, r[f]))
                 try:
-                    a = Action(int(r["start_index"]), int(r["end_index"]), str(r["type"]))
+                    a = Action(r["start_index"], r["end_index"], str(r["type"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DataFormatError("summary %r: malformed action %r (%s)"
                                           % (name, r, exc)) from None

@@ -70,17 +70,27 @@ def build_action_vocabulary(matches: dict[str, Match], summaries: dict) -> set[t
 
 
 def find_vocabulary_spans(types: tuple[str, ...], vocab: set[tuple[str, ...]]) -> list[tuple[int, int]]:
-    """All exact occurrences of vocabulary sequences, as inclusive spans."""
-    by_len: dict[int, set] = {}
+    """All exact occurrences of (non-empty) vocabulary sequences, as sorted
+    inclusive spans.  Walks a prefix trie of the vocabulary from each
+    position, so each position costs the length of its longest partial hit."""
+    trie: dict = {}
     for seq in vocab:
-        by_len.setdefault(len(seq), set()).add(seq)
+        node = trie
+        for t in seq:
+            node = node.setdefault(t, {})
+        node[None] = True  # a sequence ends here; event types are strings
     spans = []
     n = len(types)
-    for m, seqs in by_len.items():
-        for i in range(n - m + 1):
-            if types[i : i + m] in seqs:
-                spans.append((i, i + m - 1))
-    spans.sort()
+    for i in range(n):
+        node = trie.get(types[i])
+        j = i
+        while node is not None:
+            if None in node:
+                spans.append((i, j))
+            j += 1
+            if j == n:
+                break
+            node = node.get(types[j])
     return spans
 
 

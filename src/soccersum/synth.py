@@ -15,6 +15,7 @@ confined to the context zone, leaving the decisive core intact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,42 @@ _NOISE_TYPES = ("pass", "tackle", "interception", "clearance")
 _BG_SHOT_P = 0.004  # routine long-range attempts outside planted actions
 
 
+# Scalar spellings of the Generator calls the per-event loop makes, cheaper
+# than numpy's per-call overhead and exact: each takes the same draws in the
+# same order and returns the same value.  ``_weighted`` mirrors
+# ``Generator.choice(a, p=p)`` (CDF = cumsum(p) / its last entry, then a
+# right-side search of one ``random()``) and ``_uniform`` mirrors
+# ``Generator.uniform(low, high)`` (low + (high - low) * random()).
+# tests/test_synth.py checks both against numpy, so a numpy upgrade that
+# changes either breaks a test instead of the data.
+def _cdf(p) -> list[float]:
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _weighted(rng: np.random.Generator, a: tuple, cdf: list[float]):
+    return a[bisect_right(cdf, rng.random())]
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    return low + (high - low) * rng.random()
+
+
+def _clip100(v: float) -> float:
+    """``float(np.clip(v, 0.0, 100.0))`` for a Python float."""
+    return min(max(v, 0.0), 100.0)
+
+
+_AFTER_SHOT_TYPES = ("save", "out", "clearance")
+_AFTER_SHOT_CDF = _cdf((0.3, 0.35, 0.35))
+_BG_CDF = _cdf(_BG_WEIGHTS)
+_QUAL_CODES = tuple(range(12))
+_QUAL_P = 1.0 / (np.arange(12) + 1.0)
+_QUAL_P /= _QUAL_P.sum()
+_QUAL_CDF = _cdf(_QUAL_P)
+
+
 @dataclass
 class Planted:
     family: str
@@ -138,10 +175,10 @@ class Planted:
 
 def _background_type(rng: np.random.Generator, prev: str) -> str:
     if prev == "shot":
-        return str(rng.choice(("save", "out", "clearance"), p=(0.3, 0.35, 0.35)))
-    if rng.uniform() < _BG_SHOT_P:
+        return _weighted(rng, _AFTER_SHOT_TYPES, _AFTER_SHOT_CDF)
+    if rng.random() < _BG_SHOT_P:
         return "shot"
-    return str(rng.choice(_BG_TYPES, p=_BG_WEIGHTS))
+    return _weighted(rng, _BG_TYPES, _BG_CDF)
 
 
 _MIN_CONTEXT = 6
@@ -158,11 +195,11 @@ def _instance_sequence(family: str, rng: np.random.Generator,
     ctx = list(contexts[int(rng.integers(len(contexts)))])
     noised = False
     safe = len(ctx) - _MIN_CONTEXT
-    if safe >= 2 and rng.uniform() < cfg.noise_swap:
+    if safe >= 2 and rng.random() < cfg.noise_swap:
         pos = int(rng.integers(safe - 1))
         ctx[pos], ctx[pos + 1] = ctx[pos + 1], ctx[pos]
         noised = True
-    if safe >= 0 and rng.uniform() < cfg.noise_insert:
+    if safe >= 0 and rng.random() < cfg.noise_insert:
         pos = int(rng.integers(safe + 1))
         ctx.insert(pos, str(rng.choice(_NOISE_TYPES)))
         noised = True
@@ -262,28 +299,22 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
         if i == 0:
             t = 0.0
         elif half_open_start is not None and i == half_open_start:
-            t += rng.uniform(600.0, 1000.0)
+            t += _uniform(rng, 600.0, 1000.0)
         elif i in quick:
-            t += rng.uniform(0.8, 2.5)
+            t += _uniform(rng, 0.8, 2.5)
         elif i in ctx_pos:
-            t += rng.uniform(1.1, 2.3)
+            t += _uniform(rng, 1.1, 2.3)
         else:
             t += min(max(rng.exponential(3.5), 0.4), 15.0)
         times[i] = round(t, 6)
 
     # teams, locations, outcomes, qualifiers
-    qual_codes = np.arange(12)
-    qual_p = 1.0 / (qual_codes + 1.0)
-    qual_p /= qual_p.sum()
     inst_team = {pid: int(rng.integers(2)) for pid in range(len(planted))}
 
     events: list[Event] = []
     walk_x, walk_y = 50.0, 50.0
     drift = (0.0, 0.0, 0.0, 0.0, 1)  # anchor x/y, target x/y, context length
     n_period_ends = 0
-
-    def _clip_field(v):
-        return float(np.clip(v, 0.0, 100.0))
 
     for i, (etype, pid) in enumerate(stream):
         p = planted[pid] if pid >= 0 else None
@@ -297,44 +328,44 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
         if p is not None and i == p.start and p.core_start > p.start:
             # build-up begins: carry the ball from wherever play was toward
             # the edge of the attacking box
-            tx = _clip_field(gx + toward * rng.uniform(12.0, 24.0))
-            drift = (walk_x, walk_y, tx, rng.uniform(32.0, 68.0),
+            tx = _clip100(gx + toward * _uniform(rng, 12.0, 24.0))
+            drift = (walk_x, walk_y, tx, _uniform(rng, 32.0, 68.0),
                      p.core_start - p.start)
         if p is not None and i < p.core_start:
             ax, ay, tx, ty, clen = drift
             f0 = (i - p.start + 1.0) / (clen + 1.0)
             f1 = (i - p.start + 2.0) / (clen + 1.0)
-            sx = _clip_field(ax + f0 * (tx - ax) + rng.normal(0.0, 2.0))
-            sy = _clip_field(ay + f0 * (ty - ay) + rng.normal(0.0, 2.0))
-            ex = _clip_field(ax + f1 * (tx - ax) + rng.normal(0.0, 2.0))
-            ey = _clip_field(ay + f1 * (ty - ay) + rng.normal(0.0, 2.0))
+            sx = _clip100(ax + f0 * (tx - ax) + rng.normal(0.0, 2.0))
+            sy = _clip100(ay + f0 * (ty - ay) + rng.normal(0.0, 2.0))
+            ex = _clip100(ax + f1 * (tx - ax) + rng.normal(0.0, 2.0))
+            ey = _clip100(ay + f1 * (ty - ay) + rng.normal(0.0, 2.0))
         elif p is not None and p.family in ("goal", "save", "shot", "corner"):
-            sx = _clip_field(gx + toward * rng.uniform(2.0, 30.0))
-            sy = float(rng.uniform(25.0, 75.0))
-            ex = _clip_field(gx + toward * rng.uniform(0.5, 25.0))
-            ey = float(rng.uniform(30.0, 70.0))
+            sx = _clip100(gx + toward * _uniform(rng, 2.0, 30.0))
+            sy = _uniform(rng, 25.0, 75.0)
+            ex = _clip100(gx + toward * _uniform(rng, 0.5, 25.0))
+            ey = _uniform(rng, 30.0, 70.0)
         elif p is not None and p.family in ("foul", "free-kick"):
-            sx = _clip_field(gx + toward * rng.uniform(8.0, 40.0))
-            sy = float(rng.uniform(20.0, 80.0))
-            ex = _clip_field(gx + toward * rng.uniform(5.0, 35.0))
-            ey = float(rng.uniform(20.0, 80.0))
+            sx = _clip100(gx + toward * _uniform(rng, 8.0, 40.0))
+            sy = _uniform(rng, 20.0, 80.0)
+            ex = _clip100(gx + toward * _uniform(rng, 5.0, 35.0))
+            ey = _uniform(rng, 20.0, 80.0)
         else:
-            walk_x = float(np.clip(walk_x + rng.normal(0.0, 8.0), 0.0, 100.0))
-            walk_y = float(np.clip(walk_y + rng.normal(0.0, 8.0), 0.0, 100.0))
+            walk_x = _clip100(walk_x + rng.normal(0.0, 8.0))
+            walk_y = _clip100(walk_y + rng.normal(0.0, 8.0))
             sx, sy = walk_x, walk_y
-            ex = float(np.clip(walk_x + rng.normal(0.0, 6.0), 0.0, 100.0))
-            ey = float(np.clip(walk_y + rng.normal(0.0, 6.0), 0.0, 100.0))
+            ex = _clip100(walk_x + rng.normal(0.0, 6.0))
+            ey = _clip100(walk_y + rng.normal(0.0, 6.0))
         if etype == "goal-shot":
             outcome = 1
         elif etype in ("out", "foul", "card"):
             outcome = 0
         else:
-            outcome = int(rng.uniform() < 0.8)
+            outcome = int(rng.random() < 0.8)
         events.append(Event(
             index=i, t=float(times[i]), type=etype, team=team,
             player=int(rng.integers(1, 23)),
             sx=round(sx, 6), sy=round(sy, 6), ex=round(ex, 6), ey=round(ey, 6),
-            outcome=outcome, qualifier=int(rng.choice(qual_codes, p=qual_p)),
+            outcome=outcome, qualifier=_weighted(rng, _QUAL_CODES, _QUAL_CDF),
         ))
         if etype == "end-period":
             n_period_ends += 1
@@ -344,7 +375,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
 
     # ground-truth summary: match open/close and every goal are mandatory,
     # then shuffled others fill the sampled duration budget
-    budget = float(rng.uniform(cfg.budget_min, cfg.budget_max))
+    budget = float(_uniform(rng, cfg.budget_min, cfg.budget_max))
     padding = cfg.padding()
     open_close = [0, len(planted) - 1]
     mandatory = set(open_close)

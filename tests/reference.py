@@ -8,9 +8,10 @@ LSTM recurrence and its backward pass, the stage-1 bag scorer
 (``hma_forward``/``hma_backward``/``hma_loss_grads``).  Parameter
 dictionaries are those of ``init_mil_params``/``init_hma_params``.
 
-``overlap_match`` and ``select_threshold`` are the stage-1 threshold search
-as plain loops: every prediction scans every ground truth, and every
-threshold re-extracts its runs event by event.
+``find_vocabulary_spans`` compares every position with every vocabulary
+sequence length.  ``overlap_match`` and ``select_threshold`` are the
+stage-1 threshold search as plain loops: every prediction scans every
+ground truth, and every threshold re-extracts its runs event by event.
 
 ``synth_track`` draws stream 2 of a synthetic audio spec in full, the
 reference that on-demand track slices are tested against.
@@ -164,7 +165,23 @@ def mil_loss_grads(params: dict, x: np.ndarray, y: float):
 
 
 # ---------------------------------------------------------------------------
-# stage 1: proposals and the threshold search
+# stage 1: vocabulary spans, proposals and the threshold search
+
+def find_vocabulary_spans(types, vocab):
+    """All exact occurrences of vocabulary sequences, as sorted inclusive
+    spans: every position is compared with every sequence length."""
+    by_len = {}
+    for seq in vocab:
+        by_len.setdefault(len(seq), set()).add(seq)
+    spans = []
+    n = len(types)
+    for m, seqs in by_len.items():
+        for i in range(n - m + 1):
+            if tuple(types[i : i + m]) in seqs:
+                spans.append((i, i + m - 1))
+    spans.sort()
+    return spans
+
 
 def overlap_match(pred_intervals, gt_intervals, ratio=0.5):
     """(tp, fp, fn): each prediction, left to right, consumes the first

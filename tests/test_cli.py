@@ -354,6 +354,9 @@ MALFORMED_FILES = {
     "non-numeric-field": ("events.jsonl",
                           lambda raw: raw.replace(b'"sx": ', b'"sx": "abc", "was": ', 1),
                           "events.jsonl line 1"),
+    "non-integer-field": ("events.jsonl",
+                          lambda raw: raw.replace(b'"team": ', b'"team": 0.9, "was": ', 1),
+                          "events.jsonl line 1: team 0.9 is not a JSON integer"),
     "not-utf8": ("events.jsonl", lambda raw: raw.replace(b'"ey": ', b'"ey\xff": ', 1),
                  "events.jsonl line 1"),
     "one-direction": ("dataset.json", _edit_manifest(

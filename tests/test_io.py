@@ -95,10 +95,12 @@ def _write_minimal(tmp_path, event_lines, manifest=None, summary=None):
     return str(d)
 
 
-def _line(i, etype="pass", match_id="m0", drop=None, t=None):
+def _line(i, etype="pass", match_id="m0", drop=None, t=None, **fields):
+    """One events.jsonl line; ``fields`` override the record's values."""
     rec = {"match_id": match_id, "index": i, "t": float(i) if t is None else t, "type": etype,
            "team": 0, "player": 1, "sx": 1.0, "sy": 2.0, "ex": 3.0, "ey": 4.0,
            "outcome": 1, "qualifier": 0}
+    rec.update(fields)
     if drop:
         del rec[drop]
     return json.dumps(rec)
@@ -159,6 +161,48 @@ def test_summary_must_be_an_array(tmp_path):
 def test_bad_event_time_names_its_line(tmp_path, t):
     path = _write_minimal(tmp_path, [_line(0), _line(1, t=t)])
     with pytest.raises(DataFormatError, match="line 2: event time"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["index", "team", "player", "outcome", "qualifier"])
+@pytest.mark.parametrize("value", [0.9, 1.0, True, False, "7", None, [1]])
+def test_integer_field_must_be_a_json_integer(tmp_path, field, value):
+    path = _write_minimal(tmp_path, [_line(0), _line(1, **{field: value})])
+    with pytest.raises(DataFormatError,
+                       match="line 2: %s .* is not a JSON integer" % field):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["t", "sx", "sy", "ex", "ey"])
+@pytest.mark.parametrize("value", [True, "7", "1.5", None, {"x": 1}])
+def test_number_field_must_be_a_json_number(tmp_path, field, value):
+    rec = json.loads(_line(1))
+    rec[field] = value
+    path = _write_minimal(tmp_path, [_line(0), json.dumps(rec)])
+    with pytest.raises(DataFormatError, match="line 2: %s .* is not a JSON number" % field):
+        load_dataset(path)
+
+
+def test_number_fields_take_json_integers(tmp_path):
+    path = _write_minimal(tmp_path, [_line(0, t=0, sx=1, sy=2, ex=3, ey=4)])
+    ev = load_dataset(path).by_id("m0").events[0]
+    assert (ev.t, ev.sx, ev.sy, ev.ex, ev.ey) == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert all(type(v) is float for v in (ev.t, ev.sx, ev.sy, ev.ex, ev.ey))
+
+
+def test_number_field_too_large_for_a_float(tmp_path):
+    path = _write_minimal(tmp_path, [_line(0), _line(1, sx=10 ** 400)])
+    with pytest.raises(DataFormatError, match="line 2: malformed field"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["start_index", "end_index"])
+@pytest.mark.parametrize("value", [0.0, 1.4, True, "1"])
+def test_summary_index_must_be_a_json_integer(tmp_path, field, value):
+    action = {"start_index": 0, "end_index": 1, "type": "goal"}
+    action[field] = value
+    path = _write_minimal(tmp_path, [_line(0), _line(1)], summary=("m0.json", [action]))
+    with pytest.raises(DataFormatError, match="m0.json.*%s .* is not a JSON integer" % field):
         load_dataset(path)
 
 

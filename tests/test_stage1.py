@@ -133,6 +133,39 @@ def test_find_vocabulary_spans_all_lengths_and_overlaps():
     vocab = {("a", "b"), ("b", "a", "b"), ("c",)}
     spans = find_vocabulary_spans(types, vocab)
     assert spans == [(0, 1), (1, 3), (2, 3), (4, 4), (5, 6)]
+    assert spans == reference.find_vocabulary_spans(types, vocab)
+
+
+def test_find_vocabulary_spans_matches_the_loop_reference():
+    rng = np.random.default_rng(11)
+    alphabet = ("a", "b", "c", "d")
+    # a sequence that is a prefix of another, hits that overlap themselves,
+    # and a vocabulary with no hit at all
+    fixed = [
+        ("aab", {("a",), ("a", "a"), ("a", "a", "b")}),
+        ("aaaa", {("a", "a"), ("a", "a", "a")}),
+        ("abcabc", {("d", "d"), ("c", "a", "d")}),
+        ("", {("a",)}),
+    ]
+    for text, vocab in fixed:
+        types = tuple(text)
+        assert find_vocabulary_spans(types, vocab) == reference.find_vocabulary_spans(types,
+                                                                                      vocab)
+    assert find_vocabulary_spans(tuple("abcabc"), {("d", "d")}) == []
+    hits = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 3))  # small alphabets so hits are common
+        types = tuple(alphabet[j] for j in rng.integers(k + 1, size=int(rng.integers(0, 60))))
+        vocab = set()
+        for _ in range(int(rng.integers(1, 8))):
+            seq = tuple(alphabet[j] for j in rng.integers(k + 1, size=int(rng.integers(1, 6))))
+            vocab.add(seq)
+            if rng.random() < 0.3:  # and one of its prefixes
+                vocab.add(seq[: int(rng.integers(1, len(seq) + 1))])
+        want = reference.find_vocabulary_spans(types, vocab)
+        assert find_vocabulary_spans(types, vocab) == want
+        hits += len(want)
+    assert hits > 1000
 
 
 def test_label_events_union_of_spans():

@@ -1,7 +1,18 @@
 """Synthetic match generator: determinism, structural guarantees the
-pipeline relies on, crowd-noise audio, and dataset assembly."""
+pipeline relies on, the scalar spellings of numpy draws it uses, crowd-noise
+audio, and dataset assembly."""
+import copy
+import hashlib
+import inspect
+import math
+import os
+import re
+
 import numpy as np
 import pytest
+
+from soccersum import synth
+from soccersum.cli import main
 
 from soccersum.core import (
     DEFAULT_EVENT_TYPES,
@@ -324,3 +335,116 @@ def test_generate_dataset_contents():
     again = generate_dataset(SMALL, 5)
     assert [m.events for m in again.matches] == [m.events for m in ds.matches]
     assert again.summaries == ds.summaries
+
+
+# ---------------------------------------------------------------------------
+# scalar spellings of Generator calls: same draws, same values as numpy
+
+def _twins(seed):
+    rng = np.random.default_rng(seed)
+    return rng, copy.deepcopy(rng)
+
+
+_QUAL_P = 1.0 / (np.arange(12) + 1.0)
+_QUAL_P /= _QUAL_P.sum()
+
+# the weighted draws generate_match made with Generator.choice(a, p=p)
+WEIGHTED = {
+    "after-shot": (("save", "out", "clearance"), (0.3, 0.35, 0.35),
+                   synth._AFTER_SHOT_TYPES, synth._AFTER_SHOT_CDF),
+    "background": (synth._BG_TYPES, synth._BG_WEIGHTS, synth._BG_TYPES, synth._BG_CDF),
+    "qualifier": (np.arange(12), _QUAL_P, synth._QUAL_CODES, synth._QUAL_CDF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED))
+def test_weighted_equals_generator_choice(name):
+    np_a, p, a, cdf = WEIGHTED[name]
+    rng, twin = _twins(101)
+    n = 100_000
+    got = [synth._weighted(rng, a, cdf) for _ in range(n)]
+    want = [twin.choice(np_a, p=p).item() for _ in range(n)]
+    assert got == want
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert set(got) == set(a)  # every outcome drawn
+
+
+def _literal_uniform_pairs():
+    src = inspect.getsource(synth)
+    return sorted({(float(lo), float(hi)) for lo, hi in
+                   re.findall(r"_uniform\(rng, ([0-9.]+), ([0-9.]+)\)", src)})
+
+
+def test_uniform_equals_generator_uniform():
+    pairs = _literal_uniform_pairs()
+    assert len(pairs) == 12
+    cfg = GenConfig()
+    pairs.append((cfg.budget_min, cfg.budget_max))
+    rng, twin = _twins(202)
+    lows = rng.uniform(-1e3, 1e3, 20)
+    twin.uniform(-1e3, 1e3, 20)
+    pairs += [(float(lo), float(lo) + w) for lo, w in zip(lows, 10.0 ** np.arange(-6, 14))]
+    for low, high in pairs:
+        got = [synth._uniform(rng, low, high) for _ in range(20_000)]
+        want = [twin.uniform(low, high) for _ in range(20_000)]
+        assert got == want, (low, high)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_unit_uniform_equals_random():
+    rng, twin = _twins(303)
+    got = [rng.random() for _ in range(100_000)]
+    want = [twin.uniform() for _ in range(100_000)]
+    assert got == want
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_clip_equals_numpy_clip():
+    edges = [-0.0, 0.0, 100.0, math.nextafter(0.0, -1.0), math.nextafter(-0.0, -1.0),
+             math.nextafter(100.0, 200.0), math.nextafter(100.0, 0.0), -5.0, 105.0,
+             math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(404)
+    values = edges + rng.uniform(-50.0, 150.0, 10_000).tolist()
+    for v in values:
+        got = synth._clip100(v)
+        assert type(got) is float
+        assert _same_float(got, float(np.clip(v, 0.0, 100.0))), v
+    # the edges as numpy 2.4 gives them: a zero keeps its sign, NaN passes
+    assert math.copysign(1.0, synth._clip100(-0.0)) == -1.0
+    assert math.isnan(synth._clip100(math.nan))
+
+
+def _tree_sha256(root):
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            h.update(rel.encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+# gen-data trees at 6 matches x 400 events, as the generator wrote them
+# with Generator.choice, uniform and np.clip called per event
+GEN_DATA_SHA256 = {
+    7: "a474f05624884c26daea317bfbc78a6a047830a39011c24db4628b7adab143b8",
+    20261017: "18bdf32e3180312dbaf34a78ac2bb4729a97d573d2e336b25ec043074e2fb59d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_DATA_SHA256))
+def test_gen_data_tree_is_pinned(tmp_path, capsys, seed):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("gen.matches = 6\ngen.events_mean = 400\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--seed", str(seed),
+                 "--out-dir", str(out)]) == 0
+    assert _tree_sha256(str(out)) == GEN_DATA_SHA256[seed]
