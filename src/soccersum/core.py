@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Default event-type vocabulary.  Datasets may carry their own vocabulary;
 # everything downstream treats the vocabulary as opaque ordered names.
@@ -87,13 +88,18 @@ class ConfigError(SoccersumError):
     """A configuration file or key is invalid."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One annotated match event.
 
     Coordinates live on a 100x100 pitch with (0, 0) the bottom-left corner.
     ``team`` is 0 or 1, ``outcome`` is 1 for a successful event, ``qualifier``
     is a small opaque annotation code.
+
+    A named tuple (building one costs a quarter of a frozen dataclass):
+    immutable and hashable, and also a plain tuple of its fields in this
+    order, so it equals that tuple, sorts field by field and unpacks.  An
+    attribute read costs about three times an item read; loops over many
+    events read columns (``event_columns``).
     """
 
     index: int
@@ -107,6 +113,12 @@ class Event:
     ey: float
     outcome: int
     qualifier: int
+
+
+def event_columns(events: list[Event], *names: str) -> list[tuple]:
+    """The ``Event`` fields ``names`` of every event, one tuple per name."""
+    columns = list(zip(*events)) or [()] * len(Event._fields)
+    return [columns[Event._fields.index(name)] for name in names]
 
 
 @dataclass
@@ -225,51 +237,56 @@ def validate_match(match: Match, vocabulary: tuple[str, ...] | list[str]) -> lis
         issues.append(ValidationIssue("empty", "match %r has no events" % match.match_id))
         return issues
     prev_t = None
-    for pos, ev in enumerate(match.events):
-        if ev.index != pos:
+    columns = event_columns(match.events, "index", "t", "type", "team",
+                            "sx", "sy", "ex", "ey", "outcome")
+    for pos, (index, t, etype, team, sx, sy, ex, ey, outcome) in enumerate(zip(*columns)):
+        if index != pos:
             issues.append(
                 ValidationIssue(
-                    "index", "event at position %d has index %d" % (pos, ev.index), pos
+                    "index", "event at position %d has index %d" % (pos, index), pos
                 )
             )
-        if not 0.0 <= ev.t < math.inf:
+        if not 0.0 <= t < math.inf:
             issues.append(
                 ValidationIssue(
-                    "time", "timestamp %r negative or not finite at index %d" % (ev.t, pos), pos
+                    "time", "timestamp %r negative or not finite at index %d" % (t, pos), pos
                 )
             )
-        elif prev_t is not None and ev.t < prev_t:
+        elif prev_t is not None and t < prev_t:
             issues.append(
                 ValidationIssue(
                     "time",
-                    "timestamp decreases at index %d (%.6f < %.6f)" % (pos, ev.t, prev_t),
+                    "timestamp decreases at index %d (%.6f < %.6f)" % (pos, t, prev_t),
                     pos,
                 )
             )
-        prev_t = ev.t
-        if ev.type not in vocab:
+        prev_t = t
+        if etype not in vocab:
             issues.append(
                 ValidationIssue(
-                    "type", "unknown event type %r at index %d" % (ev.type, pos), pos
+                    "type", "unknown event type %r at index %d" % (etype, pos), pos
                 )
             )
-        for name, val in (("sx", ev.sx), ("sy", ev.sy), ("ex", ev.ex), ("ey", ev.ey)):
-            if not (0.0 <= val <= 100.0):
-                issues.append(
-                    ValidationIssue(
-                        "coord",
-                        "%s=%.6f outside [0, 100] at index %d" % (name, val, pos),
-                        pos,
+        # one test for the common case, all four in range
+        if not (0.0 <= sx <= 100.0 and 0.0 <= sy <= 100.0
+                and 0.0 <= ex <= 100.0 and 0.0 <= ey <= 100.0):
+            for name, val in (("sx", sx), ("sy", sy), ("ex", ex), ("ey", ey)):
+                if not (0.0 <= val <= 100.0):
+                    issues.append(
+                        ValidationIssue(
+                            "coord",
+                            "%s=%.6f outside [0, 100] at index %d" % (name, val, pos),
+                            pos,
+                        )
                     )
-                )
-        if ev.team not in (0, 1):
+        if team not in (0, 1):
             issues.append(
-                ValidationIssue("team", "team %r not in {0, 1} at index %d" % (ev.team, pos), pos)
+                ValidationIssue("team", "team %r not in {0, 1} at index %d" % (team, pos), pos)
             )
-        if ev.outcome not in (0, 1):
+        if outcome not in (0, 1):
             issues.append(
                 ValidationIssue(
-                    "outcome", "outcome %r not in {0, 1} at index %d" % (ev.outcome, pos), pos
+                    "outcome", "outcome %r not in {0, 1} at index %d" % (outcome, pos), pos
                 )
             )
     return issues

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Event, Match, VocabularyError
+from ..core import Event, Match, VocabularyError, event_columns
 
 
 @dataclass(frozen=True)
@@ -121,31 +121,31 @@ class MetadataEncoder:
     def encode_match(self, match: Match) -> np.ndarray:
         """The rows of ``encode`` for every event, built column by column."""
         events = match.events
-        for ev in events:
-            if ev.type not in self._type_index:
-                raise VocabularyError("event type %r not in vocabulary" % ev.type)
         n = len(events)
+        t, types, teams, sx, sy, ex, ey, outcomes, qualifiers = event_columns(
+            events, "t", "type", "team", "sx", "sy", "ex", "ey", "outcome", "qualifier")
+        for etype in types:
+            if etype not in self._type_index:
+                raise VocabularyError("event type %r not in vocabulary" % etype)
         rows = np.arange(n)
         out = np.zeros((n, self.width))
-        sx, sy, ex, ey = np.array([(e.sx, e.sy, e.ex, e.ey) for e in events],
-                                  dtype=float).reshape(n, 4).T
+        sx, sy, ex, ey = np.array((sx, sy, ex, ey), dtype=float).reshape(4, n)
         out[:, 0] = sx / self.field.width
         out[:, 1] = sy / self.field.height
         out[:, 2] = ex / self.field.width
         out[:, 3] = ey / self.field.height
-        out[1:, 4] = np.log1p(np.diff(np.array([e.t for e in events], dtype=float)))
+        out[1:, 4] = np.log1p(np.diff(np.array(t, dtype=float)))
         # Match.attacks_right: the direction flips after every completed period
-        is_end = np.array([e.type == "end-period" for e in events], dtype=bool)
+        is_end = np.array([etype == "end-period" for etype in types], dtype=bool)
         periods = np.cumsum(is_end) - is_end
-        right_first = np.array([match.attack_right_first[e.team] for e in events], dtype=bool)
+        right_first = np.array([match.attack_right_first[team] for team in teams], dtype=bool)
         right = right_first == (periods % 2 == 0)
         # FieldConfig.goal_center
         gx = np.where(right, self.field.width, 0.0)
         gy = self.field.height / 2.0
         out[:, 5], out[:, 7] = geometry_to_goal(sx, sy, gx, gy)
         out[:, 6], out[:, 8] = geometry_to_goal(ex, ey, gx, gy)
-        out[:, 9] = [float(e.outcome) for e in events]
-        out[rows, [10 + self._type_index[e.type] for e in events]] = 1.0
-        out[rows, [10 + len(self.vocabulary) + self.codebook.encode(e.qualifier)
-                   for e in events]] = 1.0
+        out[:, 9] = [float(outcome) for outcome in outcomes]
+        out[rows, [10 + self._type_index[etype] for etype in types]] = 1.0
+        out[rows, [10 + len(self.vocabulary) + self.codebook.encode(q) for q in qualifiers]] = 1.0
         return out

@@ -8,13 +8,19 @@ Layout of a dataset directory::
 
 Event lines carry {match_id, index, t, type, team, player, sx, sy, ex, ey,
 outcome, qualifier}.  Numeric fields are written rounded to 6 decimals so a
-read/write cycle is byte-stable for data already at that precision.
+read/write cycle is byte-stable for data already at that precision.  A line
+whose fields have the types written here becomes an ``Event`` with no
+per-field check or conversion; any other line goes through
+``record_to_event``, whose errors name the line and field.
 """
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
+import operator
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .core import (
@@ -27,26 +33,22 @@ from .core import (
     validate_match,
 )
 
-_EVENT_FIELDS = (
-    "match_id",
-    "index",
-    "t",
-    "type",
-    "team",
-    "player",
-    "sx",
-    "sy",
-    "ex",
-    "ey",
-    "outcome",
-    "qualifier",
-)
-
-
+_EVENT_FIELDS = ("match_id", *Event._fields)
+# the type ``Event`` declares for each of its fields
+_EVENT_TYPES = typing.get_type_hints(Event)
 # fields a JSON integer must carry, and fields any JSON number may carry;
 # ``type`` tests leave out ``bool`` (``true`` is not the integer 1 here)
-_INT_FIELDS = ("index", "team", "player", "outcome", "qualifier")
-_NUMBER_FIELDS = ("t", "sx", "sy", "ex", "ey")
+_INT_FIELDS = tuple(f for f in Event._fields if _EVENT_TYPES[f] is int)
+_NUMBER_FIELDS = tuple(f for f in Event._fields if _EVENT_TYPES[f] is float)
+# a record whose ``_EVENT_FIELDS`` have exactly these types (as
+# ``save_dataset`` writes them) passes every check of ``record_to_event``
+# with nothing to convert
+_PLAIN_TYPES = [str, *(_EVENT_TYPES[f] for f in Event._fields)]
+_get_fields = operator.itemgetter(*_EVENT_FIELDS)
+# ``JSONDecoder.raw_decode`` without its wrapper: (value, end) of the JSON
+# value at an index, ``StopIteration`` when none starts there
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+_ENCODER = json.JSONEncoder(sort_keys=True)  # as json.dumps(..., sort_keys=True)
 
 
 def _r6(x: float) -> float:
@@ -94,6 +96,8 @@ def event_to_record(ev: Event, match_id: str) -> dict:
 
 
 def record_to_event(rec: dict, lineno: int = -1) -> tuple[str, Event]:
+    """The match id and event of a parsed events.jsonl line; raises
+    ``DataFormatError`` naming line ``lineno`` and the field at fault."""
     if not isinstance(rec, dict):
         raise DataFormatError("events.jsonl line %d: not a JSON object" % lineno)
     missing = [f for f in _EVENT_FIELDS if f not in rec]
@@ -162,19 +166,71 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
 
     with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
         for m in dataset.matches:
-            for ev in m.events:
-                fh.write(json.dumps(event_to_record(ev, m.match_id), sort_keys=True))
-                fh.write("\n")
+            fh.write("".join([_ENCODER.encode(event_to_record(ev, m.match_id)) + "\n"
+                              for ev in m.events]))
 
+    written = set()
     for match_id, summary in dataset.summaries.items():
         recs = [
             {"start_index": a.start_index, "end_index": a.end_index, "type": a.type}
             for a in summary.actions
         ]
-        path = os.path.join(out_dir, "summaries", "%s.json" % match_id)
-        with open(path, "w") as fh:
+        name = "%s.json" % match_id
+        with open(os.path.join(out_dir, "summaries", name), "w") as fh:
             json.dump(recs, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        written.add(name)
+    # a summary left by an earlier save into this directory would be read
+    # as this dataset's
+    for name in os.listdir(os.path.join(out_dir, "summaries")):
+        if name.endswith(".json") and name not in written:
+            os.remove(os.path.join(out_dir, "summaries", name))
+
+
+def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
+    """The events of an events.jsonl file by match id, in file order.
+    Raises ``DataFormatError`` (``VocabularyError`` for a type outside
+    ``vocab_set``) naming the first line at fault."""
+    events_by_match: dict[str, list[Event]] = {}
+    match_id, events = None, []
+    # bytes that are not UTF-8 read as U+FFFD, which no field accepts
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):  # not one JSON value: json.loads names the fault
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc))
+            try:
+                fields = _get_fields(rec)
+            except (KeyError, TypeError):  # not an object, or a field missing
+                fields = ()
+            if [*map(type, fields)] == _PLAIN_TYPES:
+                # nothing to check or convert: ``Event``'s fields follow
+                # ``match_id``, so build it as ``Event._make`` does
+                mid, ev = fields[0], tuple.__new__(Event, fields[1:])
+            else:
+                mid, ev = record_to_event(rec, lineno)
+            if not 0.0 <= ev.t < math.inf:
+                raise DataFormatError(
+                    "events.jsonl line %d: event time %r is negative or not finite"
+                    % (lineno, ev.t)
+                )
+            if ev.type not in vocab_set:
+                raise VocabularyError(
+                    "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
+                )
+            if mid != match_id:
+                match_id, events = mid, events_by_match.setdefault(mid, [])
+            events.append(ev)
+    return events_by_match
 
 
 def load_dataset(path: str) -> Dataset:
@@ -199,28 +255,7 @@ def load_dataset(path: str) -> Dataset:
     events_path = os.path.join(path, "events.jsonl")
     if not os.path.exists(events_path):
         raise DataFormatError("no events.jsonl under %r" % path)
-    events_by_match: dict[str, list[Event]] = {}
-    # bytes that are not UTF-8 read as U+FFFD, which no field accepts
-    with open(events_path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc))
-            match_id, ev = record_to_event(rec, lineno)
-            if not 0.0 <= ev.t < math.inf:
-                raise DataFormatError(
-                    "events.jsonl line %d: event time %r is negative or not finite"
-                    % (lineno, ev.t)
-                )
-            if ev.type not in vocab_set:
-                raise VocabularyError(
-                    "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
-                )
-            events_by_match.setdefault(match_id, []).append(ev)
+    events_by_match = _read_events(events_path, vocab_set)
 
     matches: list[Match] = []
     for match_id, attack_right_first, audio in entries:

@@ -450,6 +450,17 @@ def _check_spec(spec) -> None:
             raise DataFormatError("synth audio %s %r is not a finite number >= 0" % (key, v))
 
 
+class _NoiseChunk:
+    """A base-noise chunk's generator and samples, the first ``filled`` drawn."""
+
+    __slots__ = ("rng", "samples", "filled")
+
+    def __init__(self, key: list, n: int):
+        self.rng = np.random.default_rng(np.random.SeedSequence(key))
+        self.samples = np.empty(n, dtype=np.float32)
+        self.filled = 0
+
+
 class SynthTrack:
     """A synthetic crowd-noise track that renders only what is sliced.
 
@@ -457,7 +468,8 @@ class SynthTrack:
     (in time order) covers the 2 s after its start; each chunk and each
     burst draws from its own ``SeedSequence`` keyed by the spec seed and its
     index, so any slice can be drawn without the samples before it.  A
-    chunk or burst is drawn at most once per track and kept.  Bursts are
+    chunk is drawn only up to the furthest sample read from it so far, a
+    burst at most once, and both are kept.  Bursts are
     added in time order, so a slice is bit-identical to the same slice of
     the full track ``track[:]``.
     """
@@ -473,20 +485,27 @@ class SynthTrack:
         starts = [int(round(t * fs)) for t in sorted(burst_times)] if spec["gain"] > 0 else []
         self._starts = np.array([a for a in starts if a < self._n], dtype=np.int64)
         self._ends = np.minimum(self._starts + 2 * fs, self._n)
-        self.chunks: dict[int, np.ndarray] = {}
+        self.chunks: dict[int, _NoiseChunk] = {}
         self.bursts: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self._n
 
-    def _chunk(self, j: int) -> np.ndarray:
-        if j not in self.chunks:
-            rng = np.random.default_rng(np.random.SeedSequence(self._seed + [0, j]))
-            part = rng.standard_normal(min(RENDER_CHUNK, self._n - j * RENDER_CHUNK))
+    def _chunk(self, j: int, end: int) -> np.ndarray:
+        """Chunk ``j``'s samples, drawn at least up to ``end``."""
+        chunk = self.chunks.get(j)
+        if chunk is None:
+            chunk = self.chunks[j] = _NoiseChunk(
+                self._seed + [0, j], min(RENDER_CHUNK, self._n - j * RENDER_CHUNK))
+        if end > chunk.filled:
+            # the stream continues where the last draw stopped, so drawing a
+            # chunk in parts gives the samples of one draw
+            part = chunk.rng.standard_normal(end - chunk.filled)
             part *= self._base_amp
             part += 0.0  # as loc + scale * z in Generator.normal: -0.0 becomes 0.0
-            self.chunks[j] = part.astype(np.float32)
-        return self.chunks[j]
+            chunk.samples[chunk.filled : end] = part
+            chunk.filled = end
+        return chunk.samples
 
     def _burst(self, k: int) -> np.ndarray:
         if k not in self.bursts:
@@ -503,8 +522,9 @@ class SynthTrack:
         if b <= a:
             return out
         for j in range(a // RENDER_CHUNK, -(-b // RENDER_CHUNK)):
-            lo, hi = max(a, j * RENDER_CHUNK), min(b, (j + 1) * RENDER_CHUNK)
-            out[lo - a : hi - a] = self._chunk(j)[lo - j * RENDER_CHUNK : hi - j * RENDER_CHUNK]
+            base = j * RENDER_CHUNK
+            lo, hi = max(a, base), min(b, base + RENDER_CHUNK)
+            out[lo - a : hi - a] = self._chunk(j, hi - base)[lo - base : hi - base]
         first = int(np.searchsorted(self._ends, a, side="right"))
         last = int(np.searchsorted(self._starts, b, side="left"))
         for k in range(first, last):

@@ -15,9 +15,16 @@ ground truth, and every threshold re-extracts its runs event by event.
 
 ``synth_track`` draws stream 2 of a synthetic audio spec in full, the
 reference that on-demand track slices are tested against.
+
+``load_events`` reads events.jsonl with ``json.loads`` and every field
+check on every line, the reference for the loader's fast path.
 """
+import json
+import math
+
 import numpy as np
 
+from soccersum.core import DataFormatError, Event, VocabularyError
 from soccersum.evaluation import fbeta, interval_overlap, precision_recall
 from soccersum.neural import bce_loss, bce_sigmoid_grad, sigmoid
 
@@ -380,3 +387,64 @@ def synth_track(spec, burst_times, chunk):
                 track[a:b] += rng.normal(0.0, spec["base_amp"] * spec["gain"],
                                          b - a).astype(np.float32)
     return track, fs
+
+
+# ---------------------------------------------------------------------------
+# events.jsonl
+
+_EVENT_FIELDS = ("match_id", "index", "t", "type", "team", "player", "sx", "sy", "ex", "ey",
+                 "outcome", "qualifier")
+
+
+def record_to_event(rec, lineno):
+    """The match id and event of one parsed line, every field checked."""
+    if not isinstance(rec, dict):
+        raise DataFormatError("events.jsonl line %d: not a JSON object" % lineno)
+    missing = [f for f in _EVENT_FIELDS if f not in rec]
+    if missing:
+        raise DataFormatError(
+            "events.jsonl line %d: missing fields %s" % (lineno, ", ".join(missing))
+        )
+    for f in ("index", "team", "player", "outcome", "qualifier"):
+        if type(rec[f]) is not int:
+            raise DataFormatError("events.jsonl line %d: %s %r is not a JSON integer"
+                                  % (lineno, f, rec[f]))
+    for f in ("t", "sx", "sy", "ex", "ey"):
+        if type(rec[f]) not in (int, float):
+            raise DataFormatError("events.jsonl line %d: %s %r is not a JSON number"
+                                  % (lineno, f, rec[f]))
+    try:
+        ev = Event(index=rec["index"], t=float(rec["t"]), type=str(rec["type"]),
+                   team=rec["team"], player=rec["player"], sx=float(rec["sx"]),
+                   sy=float(rec["sy"]), ex=float(rec["ex"]), ey=float(rec["ey"]),
+                   outcome=rec["outcome"], qualifier=rec["qualifier"])
+    except OverflowError as exc:
+        raise DataFormatError("events.jsonl line %d: malformed field (%s)"
+                              % (lineno, exc)) from None
+    return str(rec["match_id"]), ev
+
+
+def load_events(path, vocab_set):
+    """The events of an events.jsonl file by match id, in file order."""
+    events_by_match = {}
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc))
+            match_id, ev = record_to_event(rec, lineno)
+            if not 0.0 <= ev.t < math.inf:
+                raise DataFormatError(
+                    "events.jsonl line %d: event time %r is negative or not finite"
+                    % (lineno, ev.t)
+                )
+            if ev.type not in vocab_set:
+                raise VocabularyError(
+                    "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
+                )
+            events_by_match.setdefault(match_id, []).append(ev)
+    return events_by_match

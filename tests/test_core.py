@@ -1,4 +1,6 @@
 """Domain model checks: actions, categories, durations, match validation."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from soccersum.core import (
     Summary,
     action_duration,
     action_type,
+    event_columns,
     validate_match,
 )
 
@@ -22,6 +25,30 @@ def ev(i, t, etype, team=0, sx=50.0, sy=50.0, ex=50.0, ey=50.0, outcome=1, qual=
 def make_match(types, dt=2.0, **kw):
     events = [ev(i, i * dt, t, **kw) for i, t in enumerate(types)]
     return Match(match_id="t0", events=events)
+
+
+def test_event_is_an_immutable_value():
+    e = ev(3, 1.5, "shot", team=1, sx=-0.0)
+    with pytest.raises(AttributeError):
+        e.t = 2.0
+    same = Event(index=3, t=1.5, type="shot", team=1, player=7, sx=-0.0, sy=50.0, ex=50.0,
+                 ey=50.0, outcome=1, qualifier=0)
+    assert e == same and hash(e) == hash(same) and len({e, same}) == 1
+    assert e != ev(3, 1.5, "shot", team=0, sx=-0.0)
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is Event and back == e and back.type == "shot"
+    # a named tuple: equal to the plain tuple of its fields, ordered and
+    # unpacked field by field in declaration order
+    assert e == (3, 1.5, "shot", 1, 7, -0.0, 50.0, 50.0, 50.0, 1, 0) and len(e) == 11
+    assert ev(2, 9.0, "shot") < e and tuple(e._asdict()) == Event._fields
+    index, t, *_ = e
+    assert (index, t) == (3, 1.5)
+
+
+def test_event_columns_follow_the_named_fields():
+    events = [ev(0, 0.5, "pass", team=1), ev(1, 2.0, "shot")]
+    assert event_columns(events, "type", "t", "team") == [("pass", "shot"), (0.5, 2.0), (1, 0)]
+    assert event_columns([], "t", "qualifier") == [(), ()]
 
 
 def test_action_rejects_reversed_span():

@@ -1,11 +1,16 @@
 """Dataset serialization: round trips, byte stability, schema errors."""
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+import reference
+from soccersum import io
 from soccersum.core import Action, DataFormatError, Event, Match, Summary, VocabularyError
 from soccersum.io import Dataset, load_dataset, save_dataset
+from soccersum.synth import GenConfig, generate_dataset
 
 VOCAB = ("pass", "shot", "goal-shot")
 
@@ -223,3 +228,110 @@ def test_by_id_names_an_unknown_match():
     assert ds.by_id("m001").match_id == "m001"
     with pytest.raises(DataFormatError, match="'m404'"):
         ds.by_id("m404")
+
+
+def test_save_load_save_is_byte_identical_on_awkward_values(tmp_path):
+    vocab = ("pass", "tir-\u00e0-gauche", "\u5c04\u95e8")
+    m = Match(match_id="m\u00e9", events=[
+        _event(0, -0.0, "pass", sx=-0.0, ey=1e-7),
+        _event(1, 2, "tir-\u00e0-gauche", sx=50, sy=0, ex=100, ey=1e-6),
+        _event(2, 3.5, "\u5c04\u95e8", sy=5e-7, ex=99.9999995),
+    ])
+    save_dataset(Dataset(vocabulary=vocab, matches=[m]), str(tmp_path / "a"))
+    back = load_dataset(str(tmp_path / "a"))
+    assert back.vocabulary == vocab and back.by_id("m\u00e9").events[2].type == "\u5c04\u95e8"
+    save_dataset(back, str(tmp_path / "b"))
+    for name in ("dataset.json", "events.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_save_removes_summaries_of_an_earlier_dataset(tmp_path):
+    out = str(tmp_path / "d")
+    save_dataset(_dataset(), out)
+    (tmp_path / "d" / "summaries" / "notes.txt").write_text("kept")
+    m = Match(match_id="m001", events=[_event(0, 0.0, "pass")])
+    save_dataset(Dataset(vocabulary=VOCAB, matches=[m],
+                         summaries={"m001": Summary("m001", [Action(0, 0, "other")])}), out)
+    back = load_dataset(out)
+    assert back.match_ids() == ["m001"] and list(back.summaries) == ["m001"]
+    assert sorted(os.listdir(out + "/summaries")) == ["m001.json", "notes.txt"]
+    # a match with no summary of its own does not inherit the file on disk
+    save_dataset(Dataset(vocabulary=VOCAB, matches=[m]), out)
+    assert load_dataset(out).summaries == {}
+
+
+def _outcome(fn):
+    """``fn()``'s value, or its exception's class and message."""
+    try:
+        return "value", repr(fn())
+    except Exception as exc:  # the loader and the reference must fail alike
+        return type(exc).__name__, str(exc)
+
+
+_HUGE = 10 ** 400
+
+
+def _mutant(line: bytes, rng) -> bytes:
+    """``line`` with one defect, or one unusual value that still loads."""
+    rec = json.loads(line)
+    field = io._EVENT_FIELDS[int(rng.integers(len(io._EVENT_FIELDS)))]
+    kind = int(rng.integers(16))
+    if kind == 0:
+        del rec[field]
+    elif kind == 1:
+        rec[field] = bool(rng.integers(2))
+    elif kind == 2:
+        rec[field] = str(rec[field])
+    elif kind == 3:
+        rec[field] = float(rng.integers(3)) + (0.5 if rng.integers(2) else 0.0)
+    elif kind == 4:
+        rec[field] = _HUGE if rng.integers(2) else -_HUGE
+    elif kind == 5:
+        rec[field] = int(rng.integers(-2, 120))
+    elif kind == 6:
+        rec[field] = [None, {}, [1], "\u00e9"][int(rng.integers(4))]
+    elif kind == 7:
+        rec["t"] = [math.nan, math.inf, -1.0, -0.0][int(rng.integers(4))]
+    elif kind == 8:
+        rec["type"] = "no-such-type"
+    elif kind == 9:
+        rec["extra"] = 1
+    elif kind == 10:  # not an object
+        return [b"[1, 2]", b"3", b'"pass"', b"null", json.dumps(list(rec.values())).encode()][
+            int(rng.integers(5))]
+    elif kind == 11:  # extra data
+        return line + [b" {}", b" " + line, b"1", b" ,"][int(rng.integers(4))]
+    elif kind == 12:  # invalid JSON
+        cut = int(rng.integers(1, len(line)))
+        return [line[:cut], line.replace(b":", b"=", 1), line[:-1] + b",}",
+                b"\xef\xbb\xbf" + line, b"[" * 3000][int(rng.integers(5))]
+    elif kind == 13:  # blank or whitespace around the object
+        return [b"", b"  \t ", b" " + line + b"\t", b"\x0c" + line][int(rng.integers(4))]
+    elif kind == 14:  # bytes that are not UTF-8, in a value or a key
+        return line.replace(b'"type": "', b'"type": "\xff', 1) if rng.integers(2) \
+            else line.replace(b'"team"', b'"te\xc3am"', 1)
+    else:
+        rec["match_id"] = [7, "m\u00e9", "m001"][int(rng.integers(3))]
+    return json.dumps(rec, sort_keys=True, allow_nan=True).encode()
+
+
+def test_fast_loader_fails_and_reads_as_the_reference(tmp_path):
+    """Mutated events.jsonl lines: the loader raises the reference's
+    exception class and message, or reads the same events."""
+    ds = generate_dataset(GenConfig(matches=2, events_mean=25), 3)
+    save_dataset(ds, str(tmp_path / "d"))
+    lines = (tmp_path / "d" / "events.jsonl").read_bytes().split(b"\n")[:-1]
+    vocab_set = set(ds.vocabulary)
+    path = str(tmp_path / "events.jsonl")
+    rng = np.random.default_rng(20261019)
+    kinds = set()
+    for _ in range(400):
+        mutated = list(lines)
+        for i in rng.choice(len(lines), size=int(rng.integers(1, 4)), replace=False):
+            mutated[i] = _mutant(lines[i], rng)
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(mutated) + b"\n")
+        want = _outcome(lambda: reference.load_events(path, vocab_set))
+        assert _outcome(lambda: io._read_events(path, vocab_set)) == want
+        kinds.add(want[0])
+    assert {"value", "DataFormatError", "VocabularyError"} <= kinds

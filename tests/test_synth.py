@@ -212,6 +212,24 @@ def test_window_equals_the_reference_slice(a, b):
     assert track[a:b].tobytes() == want[a:b].tobytes()
 
 
+def test_random_slice_sequences_equal_the_reference_track():
+    """A chunk is drawn in parts, each up to the furthest sample read so
+    far; any order of slices reads the samples of one draw."""
+    spec = small_spec(N_WIN)
+    want, _ = reference.synth_track(spec, WIN_BURSTS, C)
+    rng = np.random.default_rng(20261019)
+    partial = 0
+    for _ in range(25):
+        track, _ = synth_audio_track(spec, WIN_BURSTS)
+        for _ in range(int(rng.integers(1, 8))):
+            a = int(rng.integers(-100, N_WIN + 100))
+            b = a + int(rng.integers(0, C // 2)) if rng.integers(4) else a + 1
+            assert track[a:b].tobytes() == want[a:b].tobytes()
+        partial += any(0 < c.filled < len(c.samples) for c in track.chunks.values())
+        assert track[:].tobytes() == want.tobytes()
+    assert partial >= 10
+
+
 @pytest.mark.parametrize("key", [5, slice(0, 10, 2), slice(None, None, -1), [1, 2],
                                  np.arange(3), Ellipsis])
 def test_track_takes_only_unit_step_slices(key):
