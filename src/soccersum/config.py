@@ -12,6 +12,7 @@ artifacts produced under different configurations.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 
@@ -122,45 +123,23 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
     # typed sub-config builders -------------------------------------------
+    def _section(self, cls, prefix: str, **fields):
+        """``cls`` with each field ``name`` read from key ``<prefix><name>``
+        where that key exists, and with ``fields``; the rest keep their
+        defaults."""
+        keyed = {f.name: self[prefix + f.name] for f in dataclasses.fields(cls)
+                 if prefix + f.name in KNOWN_KEYS}
+        return cls(**keyed, **fields)
+
     def gen_config(self) -> GenConfig:
-        return GenConfig(
-            matches=self["gen.matches"],
-            events_mean=self["gen.events_mean"],
-            budget_min=self["gen.budget_min"],
-            budget_max=self["gen.budget_max"],
-            audio_rate=self["gen.audio_rate"],
-            audio_gain=self["gen.audio_gain"],
-            audio_base_amp=self["gen.audio_base_amp"],
-            noise_insert=self["gen.noise_insert"],
-            noise_swap=self["gen.noise_swap"],
-            goals_min=self["gen.goals_min"],
-            goals_max=self["gen.goals_max"],
-            pad_pre=self["pad.pre"],
-            pad_post=self["pad.post"],
-        )
+        return self._section(GenConfig, "gen.", pad_pre=self["pad.pre"],
+                             pad_post=self["pad.post"])
 
     def mil_config(self) -> MilConfig:
-        return MilConfig(
-            hidden=self["stage1.hidden"],
-            window=self["stage1.window"],
-            stride=self["stage1.stride"],
-            lse_r=self["stage1.lse_r"],
-            epochs=self["stage1.epochs"],
-            patience=self["stage1.patience"],
-            batch=self["stage1.batch"],
-            lr=self["stage1.lr"],
-            beta=self["stage1.beta"],
-        )
+        return self._section(MilConfig, "stage1.")
 
     def hma_config(self) -> HmaConfig:
-        return HmaConfig(
-            hidden_modality=self["stage2.hidden_modality"],
-            hidden_fusion=self["stage2.hidden_fusion"],
-            epochs=self["stage2.epochs"],
-            patience=self["stage2.patience"],
-            batch=self["stage2.batch"],
-            lr=self["stage2.lr"],
-        )
+        return self._section(HmaConfig, "stage2.")
 
 
 def _read_config_file(path: str, seen: set[str], cfg: PipelineConfig) -> None:

@@ -8,6 +8,7 @@ a set of actions chosen to be shown to a viewer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -116,7 +117,13 @@ class Event(NamedTuple):
 
 
 def event_columns(events: list[Event], *names: str) -> list[tuple]:
-    """The ``Event`` fields ``names`` of every event, one tuple per name."""
+    """The ``Event`` fields ``names`` of every event, one tuple per name.
+
+    One field is one pass over the events; several transpose all fields at
+    once, which costs about three one-field passes.
+    """
+    if len(names) == 1:
+        return [tuple(map(operator.itemgetter(Event._fields.index(names[0])), events))]
     columns = list(zip(*events)) or [()] * len(Event._fields)
     return [columns[Event._fields.index(name)] for name in names]
 
@@ -137,20 +144,7 @@ class Match:
     audio: object = None
 
     def type_sequence(self) -> tuple[str, ...]:
-        return tuple(e.type for e in self.events)
-
-    def n_periods_before(self, index: int) -> int:
-        """Number of completed periods before event ``index``."""
-        return sum(1 for e in self.events[:index] if e.type == "end-period")
-
-    def attacks_right(self, index: int) -> bool:
-        """Whether the team of event ``index`` attacks the right goal there."""
-        ev = self.events[index]
-        right_first = self.attack_right_first[ev.team]
-        # direction flips after every completed period
-        if self.n_periods_before(index) % 2 == 0:
-            return right_first
-        return not right_first
+        return event_columns(self.events, "type")[0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from .audio import (  # noqa: F401
     window_features,
 )
 from .metadata import (  # noqa: F401
-    FieldConfig,
     MetadataEncoder,
     QualifierCodebook,
     geometry_to_goal,

@@ -3,8 +3,9 @@
 Layout (width = 10 + |vocabulary| + Q):
 
     0..3   sx, sy, ex, ey scaled to [0, 1]
-    4      seconds elapsed since the previous event (0 for the first)
-    5..6   start/end distance to the attacking goal (pitch-diagonal scaled)
+    4      log(1 + seconds since the previous event), 0 for the first
+    5..6   start/end distance to the attacking goal, divided by the pitch
+           side (100)
     7..8   start/end angle to the attacking goal, radians
     9      outcome flag
     10..   event-type one-hot over the vocabulary
@@ -13,27 +14,19 @@ Layout (width = 10 + |vocabulary| + Q):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import Event, Match, VocabularyError, event_columns
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """Pitch geometry; goals sit at mid-height on the left/right edges."""
-
-    width: float = 100.0
-    height: float = 100.0
-
-    def goal_center(self, attacking_right: bool) -> tuple[float, float]:
-        x = self.width if attacking_right else 0.0
-        return (x, self.height / 2.0)
+# side of the square pitch ``validate_match`` holds every coordinate to; the
+# goals sit at mid-height on its left and right edges
+PITCH = 100.0
 
 
 def geometry_to_goal(x: float, y: float, goal_x: float, goal_y: float,
-                     scale: float = 100.0) -> tuple[float, float]:
+                     scale: float = PITCH) -> tuple[float, float]:
     """Distance and angle from a pitch location to a goal center.
 
     Distance is Euclidean, divided by ``scale``.  Angle is
@@ -62,7 +55,7 @@ class QualifierCodebook:
 
     @classmethod
     def from_events(cls, events: list[Event], dims: int = 8) -> "QualifierCodebook":
-        counts = Counter(e.qualifier for e in events)
+        counts = Counter(event_columns(events, "qualifier")[0])
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         keep = [code for code, _ in ranked[: dims - 1]]
         return cls(keep, dims)
@@ -79,12 +72,10 @@ class QualifierCodebook:
 
 
 class MetadataEncoder:
-    def __init__(self, vocabulary, codebook: QualifierCodebook,
-                 field: FieldConfig = FieldConfig()):
+    def __init__(self, vocabulary, codebook: QualifierCodebook):
         self.vocabulary = tuple(vocabulary)
         self._type_index = {t: i for i, t in enumerate(self.vocabulary)}
         self.codebook = codebook
-        self.field = field
         self.width = 10 + len(self.vocabulary) + codebook.dims
 
     def feature_names(self) -> list[str]:
@@ -97,29 +88,8 @@ class MetadataEncoder:
         names += ["qualifier=other"]
         return names
 
-    def encode(self, match: Match, index: int) -> np.ndarray:
-        ev = match.events[index]
-        if ev.type not in self._type_index:
-            raise VocabularyError("event type %r not in vocabulary" % ev.type)
-        v = np.zeros(self.width)
-        v[0] = ev.sx / self.field.width
-        v[1] = ev.sy / self.field.height
-        v[2] = ev.ex / self.field.width
-        v[3] = ev.ey / self.field.height
-        if index > 0:
-            # log-squashed so the half-time gap stays a visible marker
-            # without swamping the unit-scale features around it
-            v[4] = float(np.log1p(ev.t - match.events[index - 1].t))
-        gx, gy = self.field.goal_center(match.attacks_right(index))
-        v[5], v[7] = geometry_to_goal(ev.sx, ev.sy, gx, gy)
-        v[6], v[8] = geometry_to_goal(ev.ex, ev.ey, gx, gy)
-        v[9] = float(ev.outcome)
-        v[10 + self._type_index[ev.type]] = 1.0
-        v[10 + len(self.vocabulary) + self.codebook.encode(ev.qualifier)] = 1.0
-        return v
-
     def encode_match(self, match: Match) -> np.ndarray:
-        """The rows of ``encode`` for every event, built column by column."""
+        """The (events, width) feature rows of a match, column by column."""
         events = match.events
         n = len(events)
         t, types, teams, sx, sy, ex, ey, outcomes, qualifiers = event_columns(
@@ -130,19 +100,21 @@ class MetadataEncoder:
         rows = np.arange(n)
         out = np.zeros((n, self.width))
         sx, sy, ex, ey = np.array((sx, sy, ex, ey), dtype=float).reshape(4, n)
-        out[:, 0] = sx / self.field.width
-        out[:, 1] = sy / self.field.height
-        out[:, 2] = ex / self.field.width
-        out[:, 3] = ey / self.field.height
+        out[:, 0] = sx / PITCH
+        out[:, 1] = sy / PITCH
+        out[:, 2] = ex / PITCH
+        out[:, 3] = ey / PITCH
+        # log-squashed so the half-time gap stays a visible marker without
+        # swamping the unit-scale features around it
         out[1:, 4] = np.log1p(np.diff(np.array(t, dtype=float)))
-        # Match.attacks_right: the direction flips after every completed period
+        # a team attacks right in the first period when ``attack_right_first``
+        # says so; the direction flips after every completed period
         is_end = np.array([etype == "end-period" for etype in types], dtype=bool)
         periods = np.cumsum(is_end) - is_end
         right_first = np.array([match.attack_right_first[team] for team in teams], dtype=bool)
         right = right_first == (periods % 2 == 0)
-        # FieldConfig.goal_center
-        gx = np.where(right, self.field.width, 0.0)
-        gy = self.field.height / 2.0
+        gx = np.where(right, PITCH, 0.0)
+        gy = PITCH / 2.0
         out[:, 5], out[:, 7] = geometry_to_goal(sx, sy, gx, gy)
         out[:, 6], out[:, 8] = geometry_to_goal(ex, ey, gx, gy)
         out[:, 9] = [float(outcome) for outcome in outcomes]

@@ -140,7 +140,9 @@ def _read_json(path: str, name: str):
             return json.load(fh)
     except OSError as exc:
         raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    # JSONDecodeError, bytes that are not UTF-8, an integer too long to
+    # convert, or nesting deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError("%s: not valid JSON (%s)" % (name, exc)) from None
 
 
@@ -201,13 +203,13 @@ def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
                 continue
             try:
                 rec, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(line):  # not one JSON value: json.loads names the fault
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc))
+                except (ValueError, RecursionError) as exc:  # as in _read_json
+                    raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc)) from None
             try:
                 fields = _get_fields(rec)
             except (KeyError, TypeError):  # not an object, or a field missing

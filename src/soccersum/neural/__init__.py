@@ -4,7 +4,6 @@ from .kernels import (  # noqa: F401
     lstm_forward,
     lstm_forward_batch,
     lstm_forward_numpy,
-    lstm_param_grads_batch,
 )
 from .layers import (  # noqa: F401
     bce_loss,

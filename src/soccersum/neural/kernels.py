@@ -80,21 +80,6 @@ def lstm_backward_batch(x, h, c, gates, W, U, dh_ext):
     dh_ext: (B, T, H) gradient flowing into each hidden state from outside
     the recurrence; zero on padded steps.  Returns (dx, dW, dU, db) with the
     weight gradients summed over the batch.
-    """
-    B, T, D = x.shape
-    dz, dW, dU, db = _backward(x, h, c, gates, U, dh_ext)
-    dx = (dz @ W).reshape(T, B, D)
-    return dx.transpose(1, 0, 2), dW, dU, db
-
-
-def lstm_param_grads_batch(x, h, c, gates, U, dh_ext):
-    """The (dW, dU, db) of ``lstm_backward_batch``, bit for bit, without
-    forming dx, for callers whose inputs are not trained."""
-    return _backward(x, h, c, gates, U, dh_ext)[1:]
-
-
-def _backward(x, h, c, gates, U, dh_ext):
-    """Time-major (T * B, 4H) pre-activation gradients dz, and dW, dU, db.
 
     The products of gate values that do not depend on the upstream
     gradient are formed for all steps before the loop, so a step is the
@@ -135,10 +120,11 @@ def _backward(x, h, c, gates, U, dh_ext):
         np.multiply(p[t, :, 3], dh, out=dz[t, :, 3])
         dc *= f_g[t]
     dz = dz[:T].reshape(T * B, 4 * H)
+    dx = (dz @ W).reshape(T, B, D)
     dW = dz.T @ _time_major(x).reshape(T * B, D)
     dU = dz[B:].T @ h[:-1].reshape((T - 1) * B, H)
     db = dz.sum(axis=0)
-    return dz, dW, dU, db
+    return dx.transpose(1, 0, 2), dW, dU, db
 
 
 def lstm_forward(x, W, U, b):

@@ -61,6 +61,7 @@ from .stage1 import (
     build_action_vocabulary,
     extract_proposals,
     find_vocabulary_spans,
+    intervals_to_labels,
     sample_training_bags,
     score_events,
     train_mil,
@@ -177,13 +178,12 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
     if not 0 <= fold_index < len(folds):
         raise ConfigError("fold %d is outside 0..%d" % (fold_index, len(folds) - 1))
     train_ids, val_ids, test_ids = folds[fold_index]
-    matches = {m.match_id: m for m in dataset.matches}
     vocab = build_action_vocabulary(
-        {i: matches[i] for i in train_ids},
+        {i: dataset.by_id(i) for i in train_ids},
         {i: dataset.summaries[i] for i in train_ids},
     )
     codebook = QualifierCodebook.from_events(
-        [e for i in train_ids for e in matches[i].events],
+        [e for i in train_ids for e in dataset.by_id(i).events],
         dims=config["features.qualifier_dims"],
     )
     encoder = MetadataEncoder(dataset.vocabulary, codebook)
@@ -194,8 +194,8 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
         vocab=vocab,
         codebook=codebook,
         encoder=encoder,
-        feats={i: encoder.encode_match(matches[i]) for i in ids},
-        types={i: matches[i].type_sequence() for i in ids},
+        feats={i: encoder.encode_match(dataset.by_id(i)) for i in ids},
+        types={i: dataset.by_id(i).type_sequence() for i in ids},
         # in start order, as overlap_match requires; a summary file may
         # list its actions in any order
         gt_intervals={
@@ -209,22 +209,14 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
 # ---------------------------------------------------------------------------
 # stages, shared by the CLI subcommands and run_fold
 
-def _interval_labels(n: int, intervals) -> np.ndarray:
-    labels = np.zeros(n, dtype=bool)
-    for s, e in intervals:
-        labels[s : e + 1] = True
-    return labels
-
-
 def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
                          seed: int) -> MilModel:
     """Stage 1: sample bags from the training matches and train the MIL
     scorer; the validation matches pick the epoch and the threshold."""
-    matches = {m.match_id: m for m in dataset.matches}
-    bags = sample_training_bags({i: matches[i] for i in ctx.train_ids}, ctx.vocab,
+    bags = sample_training_bags({i: dataset.by_id(i) for i in ctx.train_ids}, ctx.vocab,
                                 seed, config["stage1.neg_min_len"])
     val_inputs = [
-        (i, _interval_labels(len(ctx.types[i]), ctx.gt_intervals[i]), ctx.types[i])
+        (i, intervals_to_labels(len(ctx.types[i]), ctx.gt_intervals[i]), ctx.types[i])
         for i in ctx.val_ids
     ]
     return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), seed)
@@ -397,11 +389,9 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
                                                 audio, eval_ids)
 
     # evaluation: validation matches pick the sample index, test matches score
-    matches = {m.match_id: m for m in dataset.matches}
-
     def summary_counts(i, chosen):
         preds = [Action(*proposals[i][j]) for j in chosen]
-        return match_summary_actions(preds, dataset.summaries[i].actions, matches[i])
+        return match_summary_actions(preds, dataset.summaries[i].actions, dataset.by_id(i))
 
     f_matrix = np.zeros((len(val_ids), config["stage3.samples"]))
     for vi, i in enumerate(val_ids):

@@ -21,9 +21,9 @@ from .neural import (
     bce_sigmoid_grad,
     dense_init,
     fit,
+    lstm_backward_batch,
     lstm_forward_batch,
     lstm_init,
-    lstm_param_grads_batch,
     sigmoid,
 )
 # Unused here: perfbench's tracer (perfbench/tracing.py) wraps these
@@ -97,10 +97,7 @@ def find_vocabulary_spans(types: tuple[str, ...], vocab: set[tuple[str, ...]]) -
 def label_events_by_vocabulary(match: Match, vocab: set[tuple[str, ...]]):
     """Per-event positive labels (union of all matched spans) plus the spans."""
     spans = find_vocabulary_spans(match.type_sequence(), vocab)
-    labels = np.zeros(len(match.events), dtype=bool)
-    for s, e in spans:
-        labels[s : e + 1] = True
-    return labels, spans
+    return intervals_to_labels(len(match.events), spans), spans
 
 
 def sample_training_bags(matches: dict[str, Match], vocab: set[tuple[str, ...]],
@@ -191,7 +188,8 @@ def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys):
     dh_ext = np.zeros_like(h)
     np.put_along_axis(dh_ext, kstar[:, None, :], (dlogit[:, None] * params["out.w"])[:, None, :],
                       axis=1)
-    dW, dU, db = lstm_param_grads_batch(batch, h, c, gates, params["lstm.U"], dh_ext)
+    _dx, dW, dU, db = lstm_backward_batch(batch, h, c, gates, params["lstm.W"],
+                                          params["lstm.U"], dh_ext)
     grads = {
         "out.w": dlogit @ z,
         "out.b": np.array([dlogit.sum()]),
@@ -283,6 +281,14 @@ def extract_proposals(scores: np.ndarray, threshold: float,
 def labels_to_intervals(labels: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of positive labels as inclusive index spans."""
     return _runs(np.asarray(labels, dtype=bool))
+
+
+def intervals_to_labels(n_events: int, intervals) -> np.ndarray:
+    """Per-event labels, True inside any of the inclusive index spans."""
+    labels = np.zeros(n_events, dtype=bool)
+    for s, e in intervals:
+        labels[s : e + 1] = True
+    return labels
 
 
 # the thresholds select_threshold tries, ascending: 0.01, 0.02, ..., 0.99

@@ -201,15 +201,13 @@ def label_proposal(span: tuple[int, int], gt_intervals, ratio: float = 0.5) -> i
 class HmaModel:
     params: dict
     config: HmaConfig
-    audio_mu: np.ndarray = None
-    audio_sd: np.ndarray = None
+    audio_mu: np.ndarray  # z-score statistics of the training audio features
+    audio_sd: np.ndarray
     history: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_f: float = 0.0
 
     def normalize_audio(self, xa: np.ndarray) -> np.ndarray:
-        if self.audio_mu is None:
-            return xa
         return (xa - self.audio_mu) / self.audio_sd
 
     def to_checkpoint(self) -> dict:

@@ -18,6 +18,9 @@ reference that on-demand track slices are tested against.
 
 ``load_events`` reads events.jsonl with ``json.loads`` and every field
 check on every line, the reference for the loader's fast path.
+
+``encode_event`` builds one event's metadata feature row from that event
+alone, the reference for the columnar ``MetadataEncoder.encode_match``.
 """
 import json
 import math
@@ -26,6 +29,7 @@ import numpy as np
 
 from soccersum.core import DataFormatError, Event, VocabularyError
 from soccersum.evaluation import fbeta, interval_overlap, precision_recall
+from soccersum.features.metadata import geometry_to_goal
 from soccersum.neural import bce_loss, bce_sigmoid_grad, sigmoid
 
 
@@ -434,7 +438,7 @@ def load_events(path, vocab_set):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc))
             match_id, ev = record_to_event(rec, lineno)
             if not 0.0 <= ev.t < math.inf:
@@ -448,3 +452,31 @@ def load_events(path, vocab_set):
                 )
             events_by_match.setdefault(match_id, []).append(ev)
     return events_by_match
+
+
+# ---------------------------------------------------------------------------
+# metadata features
+
+def encode_event(encoder, match, index):
+    """Row ``index`` of ``encoder.encode_match(match)``: the direction of
+    attack counts the end-period events before the event, and the goals sit
+    at (0, 50) and (100, 50)."""
+    ev = match.events[index]
+    if ev.type not in encoder.vocabulary:
+        raise VocabularyError("event type %r not in vocabulary" % ev.type)
+    v = np.zeros(encoder.width)
+    v[0] = ev.sx / 100.0
+    v[1] = ev.sy / 100.0
+    v[2] = ev.ex / 100.0
+    v[3] = ev.ey / 100.0
+    if index > 0:
+        v[4] = float(np.log1p(ev.t - match.events[index - 1].t))
+    periods = sum(1 for e in match.events[:index] if e.type == "end-period")
+    right = match.attack_right_first[ev.team] == (periods % 2 == 0)
+    gx, gy = (100.0 if right else 0.0), 50.0
+    v[5], v[7] = geometry_to_goal(ev.sx, ev.sy, gx, gy)
+    v[6], v[8] = geometry_to_goal(ev.ex, ev.ey, gx, gy)
+    v[9] = float(ev.outcome)
+    v[10 + encoder.vocabulary.index(ev.type)] = 1.0
+    v[10 + len(encoder.vocabulary) + encoder.codebook.encode(ev.qualifier)] = 1.0
+    return v

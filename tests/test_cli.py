@@ -359,6 +359,17 @@ MALFORMED_FILES = {
                           "events.jsonl line 1: team 0.9 is not a JSON integer"),
     "not-utf8": ("events.jsonl", lambda raw: raw.replace(b'"ey": ', b'"ey\xff": ', 1),
                  "events.jsonl line 1"),
+    # a JSON integer longer than Python converts, and nesting deeper than
+    # the recursion limit: the decoder raises ValueError and RecursionError
+    "integer-too-long": ("events.jsonl",
+                         lambda raw: raw.replace(b'"player": ', b'"player": ' + b"9" * 5000
+                                                 + b', "was": ', 1),
+                         "events.jsonl line 1: Exceeds the limit"),
+    "event-line-too-deep": ("events.jsonl", lambda raw: b"[" * 3000 + b"\n" + raw,
+                            "events.jsonl line 1: maximum recursion depth"),
+    "summary-too-deep": ("summaries/m000.json",
+                         lambda raw: b"[" * 100000 + b"]" * 100000,
+                         "summary 'm000.json': not valid JSON (maximum recursion depth"),
     "one-direction": ("dataset.json", _edit_manifest(
         lambda m: m["matches"][0].update(attack_right_first=[True])), "dataset.json"),
     "listed-twice": ("dataset.json", _edit_manifest(

@@ -1,8 +1,13 @@
 """Configuration parsing, precedence, and hashing."""
+import dataclasses
+
 import pytest
 
 from soccersum.config import KNOWN_KEYS, PipelineConfig, load_config
 from soccersum.core import ConfigError
+from soccersum.stage1 import MilConfig
+from soccersum.stage2 import HmaConfig
+from soccersum.synth import GenConfig
 
 
 def test_defaults_present():
@@ -124,6 +129,29 @@ def test_canonical_lists_every_key_except_jobs():
             assert key + " = " in canon
 
 
+def test_default_config_hash_is_pinned():
+    # every artifact carries this hash; a change to a default or to the
+    # canonical listing changes it
+    assert load_config(use_env=False).config_hash() == "90093f27b1e6"
+
+
+# key prefix -> (builder, dataclass, key of each field the prefix does not name)
+SECTIONS = {
+    "gen.": ("gen_config", GenConfig, {"pad_pre": "pad.pre", "pad_post": "pad.post"}),
+    "stage1.": ("mil_config", MilConfig, {}),
+    "stage2.": ("hma_config", HmaConfig, {}),
+}
+# section keys that the pipeline reads itself, not through a dataclass field
+UNFIELDED_KEYS = {"stage1.neg_min_len", "stage2.overlap_ratio"}
+
+
+def _keyed_fields(cls, prefix, extra):
+    """{field name: key} of every field of ``cls`` that a key sets."""
+    keyed = {f.name: prefix + f.name for f in dataclasses.fields(cls)
+             if prefix + f.name in KNOWN_KEYS}
+    return dict(keyed, **extra)
+
+
 def test_typed_subconfig_builders():
     cfg = PipelineConfig({"stage1.window": 12, "stage2.lr": 0.01,
                           "gen.audio_gain": 5.0, "pad.pre": 2.0})
@@ -133,3 +161,23 @@ def test_typed_subconfig_builders():
     assert gen.audio_gain == 5.0
     assert gen.pad_pre == 2.0
     assert gen.padding().pre == 2.0
+
+    # every section key, set away from its default, reaches its field
+    changed = {key: default + 1 if typ is int else default + 0.25
+               for key, (typ, default) in KNOWN_KEYS.items()
+               if key.startswith(tuple(SECTIONS)) or key.startswith("pad.")}
+    cfg = PipelineConfig(changed)
+    reached = set()
+    for prefix, (builder, cls, extra) in SECTIONS.items():
+        built = getattr(cfg, builder)()
+        for name, key in _keyed_fields(cls, prefix, extra).items():
+            assert getattr(built, name) == changed[key], key
+            reached.add(key)
+    assert set(changed) - reached == UNFIELDED_KEYS
+
+    # a keyed field's default and its key's default declare one setting
+    # twice; they must not drift apart
+    for prefix, (_builder, cls, extra) in SECTIONS.items():
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for name, key in _keyed_fields(cls, prefix, extra).items():
+            assert defaults[name] == KNOWN_KEYS[key][1], key

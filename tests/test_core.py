@@ -49,6 +49,9 @@ def test_event_columns_follow_the_named_fields():
     events = [ev(0, 0.5, "pass", team=1), ev(1, 2.0, "shot")]
     assert event_columns(events, "type", "t", "team") == [("pass", "shot"), (0.5, 2.0), (1, 0)]
     assert event_columns([], "t", "qualifier") == [(), ()]
+    # one field is read by its own pass
+    assert event_columns(events, "team") == [(1, 0)]
+    assert event_columns([], "type") == [()]
 
 
 def test_action_rejects_reversed_span():
@@ -91,22 +94,6 @@ def test_summary_total_duration():
     pad = PaddingConfig(1.0, 1.0)
     s = Summary("t0", [Action(0, 1), Action(5, 8)])
     assert s.total_duration(m, pad) == pytest.approx((1 + 2) + (3 + 2))
-
-
-def test_attacks_right_flips_each_period():
-    types = ["pass", "end-period", "pass", "end-period", "pass"]
-    events = [ev(i, i * 2.0, t, team=0) for i, t in enumerate(types)]
-    m = Match(match_id="t0", events=events, attack_right_first=(True, False))
-    assert m.attacks_right(0) is True
-    assert m.attacks_right(2) is False  # second period, direction swapped
-    assert m.attacks_right(4) is True
-    assert m.n_periods_before(4) == 2
-
-    # other team mirrors
-    events2 = [ev(i, i * 2.0, t, team=1) for i, t in enumerate(types)]
-    m2 = Match(match_id="t1", events=events2, attack_right_first=(True, False))
-    assert m2.attacks_right(0) is False
-    assert m2.attacks_right(2) is True
 
 
 def test_type_sequence():

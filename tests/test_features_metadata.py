@@ -1,14 +1,17 @@
-"""Per-event metadata features: geometry oracle values, codebook, encoder."""
+"""Per-event metadata features: geometry oracle values, codebook, encoder.
+``encode_match`` is compared with the per-event oracle
+``reference.encode_event``."""
 import numpy as np
 import pytest
 
 from soccersum.core import Event, Match, VocabularyError
 from soccersum.features.metadata import (
-    FieldConfig,
     MetadataEncoder,
     QualifierCodebook,
     geometry_to_goal,
 )
+
+import reference
 
 
 def ev(i, t, etype, team=0, sx=50.0, sy=50.0, ex=50.0, ey=50.0, outcome=1, qual=0):
@@ -31,12 +34,6 @@ def test_geometry_hand_values():
     assert a == pytest.approx(np.arctan2(-30.0, 60.0))
     # standing on the goal center
     assert geometry_to_goal(100.0, 50.0, 100.0, 50.0) == (0.0, 0.0)
-
-
-def test_field_goal_centers():
-    f = FieldConfig()
-    assert f.goal_center(True) == (100.0, 50.0)
-    assert f.goal_center(False) == (0.0, 50.0)
 
 
 def test_codebook_keeps_most_frequent_codes():
@@ -62,7 +59,7 @@ def test_encoder_layout_and_one_hots():
     enc = MetadataEncoder(vocab, cb)
     assert enc.width == 10 + 3 + 2
 
-    v0 = enc.encode(match, 0)
+    v0, v1 = enc.encode_match(match)
     assert v0[0] == pytest.approx(0.25)
     assert v0[1] == pytest.approx(0.75)
     assert v0[2] == pytest.approx(0.30)
@@ -73,7 +70,6 @@ def test_encoder_layout_and_one_hots():
     assert list(type_hot) == [1.0, 0.0, 0.0]
     assert list(v0[13:]) == [1.0, 0.0]
 
-    v1 = enc.encode(match, 1)
     # elapsed time is log-squashed: log1p(6.389056) = log(7.389056) ~ 2
     assert v1[4] == pytest.approx(np.log1p(6.389056))
     assert v1[9] == 0.0
@@ -93,18 +89,20 @@ def test_encoder_goal_geometry_follows_attack_direction():
               ev(1, 2.0, "end-period"),
               ev(2, 4.0, "pass", sx=90.0, sy=50.0)]
     match = Match(match_id="m", events=events, attack_right_first=(True, False))
-    enc = MetadataEncoder(vocab, QualifierCodebook([], 1))
+    rows = MetadataEncoder(vocab, QualifierCodebook([], 1)).encode_match(match)
     # first period: team 0 attacks the right goal, 10 units away
-    assert enc.encode(match, 0)[5] == pytest.approx(0.10)
+    assert rows[0, 5] == pytest.approx(0.10)
     # second period the direction flips, so the same spot is 90 units out
-    assert enc.encode(match, 2)[5] == pytest.approx(0.90)
+    assert rows[2, 5] == pytest.approx(0.90)
 
 
 def test_encoder_rejects_unknown_type():
     match = Match(match_id="m", events=[ev(0, 0.0, "header")])
     enc = MetadataEncoder(("pass",), QualifierCodebook([], 1))
-    with pytest.raises(VocabularyError):
-        enc.encode(match, 0)
+    with pytest.raises(VocabularyError, match="header"):
+        enc.encode_match(match)
+    with pytest.raises(VocabularyError, match="header"):
+        reference.encode_event(enc, match, 0)
 
 
 def test_encode_match_stacks_rows():
@@ -112,21 +110,13 @@ def test_encode_match_stacks_rows():
     enc = MetadataEncoder(("pass",), QualifierCodebook([], 1))
     rows = enc.encode_match(match)
     assert rows.shape == (2, enc.width)
-    assert np.array_equal(rows[0], enc.encode(match, 0))
-    assert np.array_equal(rows[1], enc.encode(match, 1))
-
-
-class _LinearScanMatch(Match):
-    """The O(n) definition of attacks_right: count end-period events before
-    the index on every call."""
-
-    def attacks_right(self, index):
-        periods = sum(1 for e in self.events[:index] if e.type == "end-period")
-        right_first = self.attack_right_first[self.events[index].team]
-        return right_first if periods % 2 == 0 else not right_first
+    assert np.array_equal(rows[0], reference.encode_event(enc, match, 0))
+    assert np.array_equal(rows[1], reference.encode_event(enc, match, 1))
 
 
 def test_encode_match_equals_linear_scan_definition():
+    """A generated match with several periods: the oracle counts the
+    end-period events before each event."""
     from soccersum.core import DEFAULT_EVENT_TYPES
     from soccersum.synth import GenConfig, generate_match
 
@@ -134,9 +124,9 @@ def test_encode_match_equals_linear_scan_definition():
     assert sum(e.type == "end-period" for e in match.events) >= 2
     for first in ((True, False), (False, True)):
         match.attack_right_first = first
-        old = _LinearScanMatch(match.match_id, match.events, first)
         enc = MetadataEncoder(DEFAULT_EVENT_TYPES, QualifierCodebook.from_events(match.events))
-        want = np.stack([enc.encode(old, i) for i in range(len(old.events))])
+        want = np.stack([reference.encode_event(enc, match, i)
+                         for i in range(len(match.events))])
         assert enc.encode_match(match).tobytes() == want.tobytes()
 
 
@@ -163,10 +153,11 @@ def test_encode_match_equals_stacked_encode_rows(seed):
     vocab, match = _random_match(rng, int(rng.integers(1, 300)))
     # three kept codes: the other seven land in the catch-all bucket
     codebook = QualifierCodebook.from_events(match.events, dims=4)
-    enc = MetadataEncoder(vocab, codebook, FieldConfig(width=105.0, height=68.0))
+    enc = MetadataEncoder(vocab, codebook)
     for first in ((True, False), (False, True), (True, True)):
         match.attack_right_first = first
-        want = np.stack([enc.encode(match, i) for i in range(len(match.events))])
+        want = np.stack([reference.encode_event(enc, match, i)
+                         for i in range(len(match.events))])
         assert enc.encode_match(match).tobytes() == want.tobytes()
 
 

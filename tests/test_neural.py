@@ -214,22 +214,6 @@ def test_padded_steps_give_exactly_zero_gradients():
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("lengths", [[1], [13, 4, 13, 9], [10, 3, 1, 10, 7, 12, 5, 10]])
-def test_param_grads_equal_the_full_backward_bit_for_bit(lengths):
-    """Stage 1 skips dx; its dW, dU and db are those of the full backward."""
-    rng = np.random.default_rng(len(lengths))
-    x, _, W, U, b = ragged_batch(rng, lengths, 35, 16)
-    h, c, gates = kernels.lstm_forward_batch(x, W, U, b)
-    dh_ext = rng.normal(size=h.shape)
-    for i, n in enumerate(lengths):
-        dh_ext[i, n:] = 0.0
-    _, *want = kernels.lstm_backward_batch(x, h, c, gates, W, U, dh_ext)
-    got = kernels.lstm_param_grads_batch(x, h, c, gates, U, dh_ext)
-    assert len(got) == 3
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
 def test_batched_lstm_backward_matches_finite_differences():
     rng = np.random.default_rng(13)
     lengths = [6, 1, 4]
