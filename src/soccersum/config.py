@@ -2,7 +2,8 @@
 
 Plain-text files with ``key = value`` lines, ``#`` comments, and
 ``include <path>`` directives (relative to the including file).  Keys are
-registered with a type and default; unknown keys are rejected.  Environment
+registered with a type, a default and, for some, a domain of valid values;
+unknown keys and values outside a key's domain are rejected.  Environment
 variables named ``SOCCERSUM_<KEY>`` (dots become underscores, uppercase)
 override file values; explicit CLI flags override both.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 
 from .core import ConfigError
@@ -24,53 +26,59 @@ from .synth import GenConfig
 
 ENV_PREFIX = "SOCCERSUM_"
 
-# key -> (type, default)
-KNOWN_KEYS: dict[str, tuple[type, object]] = {
-    "seed": (int, 7),
-    "jobs": (int, 1),
-    "gen.matches": (int, 60),
-    "gen.events_mean": (int, 1500),
-    "gen.budget_min": (float, 110.0),
-    "gen.budget_max": (float, 270.0),
-    "gen.audio_rate": (int, 8000),
-    "gen.audio_gain": (float, 3.0),
-    "gen.audio_base_amp": (float, 0.05),
-    "gen.noise_insert": (float, 0.08),
-    "gen.noise_swap": (float, 0.02),
-    "gen.goals_min": (int, 1),
-    "gen.goals_max": (int, 3),
-    "features.qualifier_dims": (int, 8),
-    "pad.pre": (float, 5.0),
-    "pad.post": (float, 10.0),
-    "stage1.hidden": (int, 16),
-    "stage1.window": (int, 10),
-    "stage1.stride": (int, 5),
-    "stage1.lse_r": (float, 8.0),
-    "stage1.epochs": (int, 100),
-    "stage1.patience": (int, 20),
-    "stage1.batch": (int, 32),
-    "stage1.lr": (float, 1e-3),
-    "stage1.neg_min_len": (int, 4),
-    "stage1.beta": (float, 2.0),
-    "stage2.hidden_modality": (int, 32),
-    "stage2.hidden_fusion": (int, 16),
-    "stage2.epochs": (int, 100),
-    "stage2.patience": (int, 20),
-    "stage2.batch": (int, 32),
-    "stage2.lr": (float, 1e-3),
-    "stage2.overlap_ratio": (float, 0.5),
-    "stage3.samples": (int, 10),
-    "stage3.sigma": (float, 0.05),
-    "stage3.budget_tol": (float, 0.1),
-    "stage3.mode": (str, "stop_first"),
-    "eval.kfold": (int, 10),
-    "eval.folds": (int, 10),
-    "eval.beta": (float, 2.0),
+# A domain is (description, predicate): a value the predicate rejects is a
+# configuration error, "key 'k': <value> is not <description>".
+_COUNT = ("an integer of at least 1", lambda v: v >= 1)
+_POSITIVE = ("a finite number above 0", lambda v: math.isfinite(v) and v > 0)
+_BUDGET_MODE = ("one of " + ", ".join(BUDGET_MODES), lambda v: v in BUDGET_MODES)
+
+# key -> (type, default, domain or None)
+KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
+    "seed": (int, 7, None),
+    "jobs": (int, 1, _COUNT),
+    "gen.matches": (int, 60, None),
+    "gen.events_mean": (int, 1500, None),
+    "gen.budget_min": (float, 110.0, None),
+    "gen.budget_max": (float, 270.0, None),
+    "gen.audio_rate": (int, 8000, None),
+    "gen.audio_gain": (float, 3.0, None),
+    "gen.audio_base_amp": (float, 0.05, None),
+    "gen.noise_insert": (float, 0.08, None),
+    "gen.noise_swap": (float, 0.02, None),
+    "gen.goals_min": (int, 1, None),
+    "gen.goals_max": (int, 3, None),
+    "features.qualifier_dims": (int, 8, _COUNT),
+    "pad.pre": (float, 5.0, None),
+    "pad.post": (float, 10.0, None),
+    "stage1.hidden": (int, 16, _COUNT),
+    "stage1.window": (int, 10, _COUNT),
+    "stage1.stride": (int, 5, _COUNT),
+    "stage1.lse_r": (float, 8.0, _POSITIVE),
+    "stage1.epochs": (int, 100, _COUNT),
+    "stage1.patience": (int, 20, _COUNT),
+    "stage1.batch": (int, 32, _COUNT),
+    "stage1.lr": (float, 1e-3, _POSITIVE),
+    "stage1.neg_min_len": (int, 4, _COUNT),
+    "stage1.beta": (float, 2.0, _POSITIVE),
+    "stage2.hidden_modality": (int, 32, None),
+    "stage2.hidden_fusion": (int, 16, None),
+    "stage2.epochs": (int, 100, None),
+    "stage2.patience": (int, 20, None),
+    "stage2.batch": (int, 32, None),
+    "stage2.lr": (float, 1e-3, None),
+    "stage2.overlap_ratio": (float, 0.5, None),
+    "stage3.samples": (int, 10, None),
+    "stage3.sigma": (float, 0.05, None),
+    "stage3.budget_tol": (float, 0.1, None),
+    "stage3.mode": (str, "stop_first", _BUDGET_MODE),
+    "eval.kfold": (int, 10, None),
+    "eval.folds": (int, 10, None),
+    "eval.beta": (float, 2.0, None),
 }
 
 
 def _parse_value(key: str, raw: str):
-    typ, _default = KNOWN_KEYS[key]
+    typ = KNOWN_KEYS[key][0]
     raw = raw.strip()
     try:
         return typ(raw)
@@ -80,7 +88,7 @@ def _parse_value(key: str, raw: str):
 
 class PipelineConfig:
     def __init__(self, values: dict | None = None):
-        self.values = {k: d for k, (_t, d) in KNOWN_KEYS.items()}
+        self.values = {k: d for k, (_t, d, _domain) in KNOWN_KEYS.items()}
         if values:
             for k, v in values.items():
                 self.set(k, v)
@@ -90,11 +98,9 @@ class PipelineConfig:
             raise ConfigError("unknown configuration key %r" % key)
         if isinstance(value, str):
             value = _parse_value(key, value)
-        if key == "jobs" and value < 1:
-            raise ConfigError("key 'jobs': %r is not a worker count of at least 1" % value)
-        if key == "stage3.mode" and value not in BUDGET_MODES:
-            raise ConfigError("key 'stage3.mode': %r is not one of %s"
-                              % (value, ", ".join(BUDGET_MODES)))
+        domain = KNOWN_KEYS[key][2]
+        if domain is not None and not domain[1](value):
+            raise ConfigError("key %r: %r is not %s" % (key, value, domain[0]))
         self.values[key] = value
 
     def __getitem__(self, key: str):

@@ -20,6 +20,11 @@ are halved once per call (exact in floating point), so a step is the
 recurrent product, one tanh over 4H columns, and one multiply and one add
 that turn the i, f and o columns into sigmoids and leave g as it is.
 
+Both kernels compute in the dtype of ``x``: every buffer they allocate,
+and so every array they return, has ``x.dtype``.  Stage 1 calls them in
+float32 and stage 2 in float64; a float64 call is the float64 arithmetic
+it has always been.
+
 ``lstm_forward``/``lstm_backward`` run one (T, D) sequence as a batch of
 one.
 """
@@ -44,20 +49,21 @@ def lstm_forward_batch(x, W, U, b):
     """
     B, T, D = x.shape
     H = U.shape[1]
+    dt = x.dtype
     # per gate column: 0.5 * tanh(0.5 * z) + 0.5 on i, f and o, tanh(z) on g
-    scale = np.full(4 * H, 0.5)
+    scale = np.full(4 * H, 0.5, dtype=dt)
     scale[2 * H : 3 * H] = 1.0
     shift = 1.0 - scale
     Us_T = (U * scale[:, None]).T
-    gates = np.empty((T, B, 4 * H))
+    gates = np.empty((T, B, 4 * H), dtype=dt)
     np.matmul(_time_major(x).reshape(T * B, D), (W * scale[:, None]).T,
               out=gates.reshape(T * B, 4 * H))
     gates += b * scale
     # step t reads state t and writes state t + 1; state 0 is zero
-    h = np.zeros((T + 1, B, H))
-    c = np.zeros((T + 1, B, H))
-    rec = np.empty((B, 4 * H))
-    tmp = np.empty((B, H))
+    h = np.zeros((T + 1, B, H), dtype=dt)
+    c = np.zeros((T + 1, B, H), dtype=dt)
+    rec = np.empty((B, 4 * H), dtype=dt)
+    tmp = np.empty((B, H), dtype=dt)
     for t in range(T):
         g = gates[t]
         np.matmul(h[t], Us_T, out=rec)
@@ -109,9 +115,9 @@ def lstm_backward_batch(x, h, c, gates, W, U, dh_ext):
     p[1:, :, 1] *= c[:-1]
     p[:, :, 2] *= i_g
     p[:, :, 3] *= tc
-    dz = np.zeros((T + 1, B, 4, H))  # dz[T] stays zero
-    dh = np.empty((B, H))
-    dc = np.zeros((B, H))
+    dz = np.zeros((T + 1, B, 4, H), dtype=x.dtype)  # dz[T] stays zero
+    dh = np.empty((B, H), dtype=x.dtype)
+    dc = np.zeros((B, H), dtype=x.dtype)
     for t in range(T - 1, -1, -1):
         np.matmul(dz[t + 1].reshape(B, 4 * H), U, out=dh)
         dh += dh_ext[t]

@@ -1,8 +1,10 @@
 """Parameter containers, initialization, and checkpoint files.
 
-A parameter set is an ordered dict of named float64 arrays.  Checkpoints are
-a small binary format: an 8-byte magic, a format version, then one record
-per array with its name, shape, and row-major little-endian float64 payload.
+A parameter set is an ordered dict of named float arrays: float64 as
+initialized, float32 while stage 1 trains.  Checkpoints are a small binary
+format: an 8-byte magic, a format version, then one record per array with
+its name, shape, and row-major little-endian float64 payload; float64 holds
+stage 1's float32 values exactly.
 """
 from __future__ import annotations
 

@@ -7,6 +7,12 @@ neuron) is trained on positive/negative bags of consecutive events, slid
 over each match in fixed windows, and per-event scores are fused across
 covering windows with a log-sum-exp.  Runs of events above a tuned
 threshold become action proposals.
+
+The model computes in the dtype of its parameters: features are cast to
+``params["lstm.W"].dtype`` on the way in.  ``train_mil`` trains float32
+parameters and ``MilModel.from_checkpoint`` loads them as float32, so
+validation, test-time scoring and a reloaded checkpoint run the same
+float32 arithmetic; float64 parameters run the float64 path.
 """
 from __future__ import annotations
 
@@ -178,11 +184,12 @@ def mil_batch_loss_grads(params: dict, xs: list[np.ndarray], ys):
     """Summed loss, bag probabilities (B,) and summed parameter gradients of
     a minibatch of (K_i, D) bags ``xs`` with labels ``ys``, in one forward
     and one backward kernel call."""
+    dtype = params["lstm.W"].dtype
     lengths = np.array([x.shape[0] for x in xs])
-    batch = np.zeros((len(xs), int(lengths.max()), xs[0].shape[1]))
+    batch = np.zeros((len(xs), int(lengths.max()), xs[0].shape[1]), dtype=dtype)
     for row, x in zip(batch, xs):
         row[: x.shape[0]] = x
-    y = np.asarray(ys, dtype=float)
+    y = np.asarray(ys, dtype=dtype)
     p, (h, c, gates, z, kstar) = _mil_batch_forward(params, batch, lengths)
     dlogit = bce_sigmoid_grad(p, y)
     dh_ext = np.zeros_like(h)
@@ -220,6 +227,7 @@ def score_windows(params: dict, feats: np.ndarray, window: int, stride: int):
     n = feats.shape[0]
     starts = window_starts(n, window, stride)
     length = min(window, n)
+    feats = feats.astype(params["lstm.W"].dtype, copy=False)  # no copy if it matches
     batch = feats[np.asarray(starts)[:, None] + np.arange(length)]
     scores, _ = _mil_batch_forward(params, batch, np.full(len(starts), length))
     return starts, length, scores
@@ -377,7 +385,12 @@ class MilModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "MilModel":
-        params = {k: v for k, v in ckpt.items() if not k.startswith("_meta.")}
+        """The model a checkpoint holds, with its parameters as float32.
+
+        Checkpoints store float64, which holds every float32 value
+        exactly; a parameter value that is not a float32 value was not
+        written by ``train_mil`` (an earlier version's float64 model, or
+        a damaged file) and is refused."""
         try:
             cfg = MilConfig(
                 hidden=int(ckpt["_meta.hidden"][0]),
@@ -385,16 +398,27 @@ class MilModel:
                 stride=int(ckpt["_meta.stride"][0]),
                 lse_r=float(ckpt["_meta.lse_r"][0]),
             )
-            return cls(params=params, config=cfg, threshold=float(ckpt["_meta.threshold"][0]))
+            threshold = float(ckpt["_meta.threshold"][0])
         except KeyError as exc:
             raise DataFormatError("checkpoint has no record %s: not a stage-1 checkpoint"
                                   % exc) from None
+        params = {}
+        for name, value in ckpt.items():
+            if name.startswith("_meta."):
+                continue
+            with np.errstate(over="ignore"):  # an overflow is refused just below
+                params[name] = value.astype(np.float32)
+            if not np.array_equal(params[name], value):
+                raise DataFormatError(
+                    "checkpoint array %r holds values that are not float32: written by "
+                    "an earlier version or damaged; retrain the stage-1 model" % name)
+        return cls(params=params, config=cfg, threshold=threshold)
 
 
 def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
               val_scored_inputs: list[tuple[str, np.ndarray, tuple[str, ...]]],
               config: MilConfig, seed: int) -> MilModel:
-    """Train the bag scorer with ``neural.fit``.
+    """Train the bag scorer with ``neural.fit``, in float32.
 
     ``val_scored_inputs`` rows are (match_id, event labels, event types) for
     validation matches; after each epoch the validation matches are scored
@@ -406,7 +430,10 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
         raise TrainingError("training bags must contain both classes, got %s" % sorted(labels))
     input_dim = next(iter(features.values())).shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    params = init_mil_params(input_dim, config.hidden, rng)
+    # the model trains and scores in float32
+    params = {k: v.astype(np.float32)
+              for k, v in init_mil_params(input_dim, config.hidden, rng).items()}
+    features = {k: v.astype(np.float32) for k, v in features.items()}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
 
     def loss_grads(params, chunk):

@@ -164,7 +164,7 @@ def test_typed_subconfig_builders():
 
     # every section key, set away from its default, reaches its field
     changed = {key: default + 1 if typ is int else default + 0.25
-               for key, (typ, default) in KNOWN_KEYS.items()
+               for key, (typ, default, _domain) in KNOWN_KEYS.items()
                if key.startswith(tuple(SECTIONS)) or key.startswith("pad.")}
     cfg = PipelineConfig(changed)
     reached = set()

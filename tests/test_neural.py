@@ -173,6 +173,31 @@ def test_batched_lstm_matches_oracle_at_bench_shapes(shape):
     _check_batch_against_oracle([10, 3, 1, 10, 7, 12, 5, 10], D, H, D * 100 + H)
 
 
+# (B, T, D, H) of the stage-1 calls timed for the float32 kernels: a
+# training minibatch, a match's validation windows, a wider hidden state
+FLOAT32_SHAPES = [(32, 13, 35, 16), (300, 10, 35, 16), (32, 12, 35, 32)]
+
+
+@pytest.mark.parametrize("shape", FLOAT32_SHAPES, ids=str)
+def test_float32_kernels_stay_float32_and_agree_with_float64(shape):
+    """The kernels compute in their input's dtype: float32 inputs give
+    float32 outputs close to the float64 call on the same (rounded) values."""
+    B, T, D, H = shape
+    rng = np.random.default_rng(B * T + H)
+    x, _, W, U, b = ragged_batch(rng, [T] * B, D, H)
+    dh_ext = rng.normal(size=(B, T, H))
+    x, W, U, b, dh_ext = (a.astype(np.float32) for a in (x, W, U, b, dh_ext))
+    fwd32 = kernels.lstm_forward_batch(x, W, U, b)
+    bwd32 = kernels.lstm_backward_batch(x, *fwd32, W, U, dh_ext)
+    x, W, U, b, dh_ext = (a.astype(np.float64) for a in (x, W, U, b, dh_ext))
+    fwd64 = kernels.lstm_forward_batch(x, W, U, b)
+    bwd64 = kernels.lstm_backward_batch(x, *fwd64, W, U, dh_ext)
+    assert all(a.dtype == np.float32 for a in fwd32 + bwd32)
+    assert _rel(fwd32[0], fwd64[0]) <= 1e-5
+    for got, want in zip(bwd32, bwd64):
+        assert _rel(got, want) <= 1e-4
+
+
 @pytest.mark.parametrize("weight_scale", [1.0, 12.0])  # 12: gates saturate
 def test_gates_are_the_activations_of_the_pre_activations(weight_scale):
     """The kernel evaluates sigmoid(z) as 0.5 * tanh(0.5 z) + 0.5; its gates
@@ -312,6 +337,15 @@ def test_adam_leaves_parameters_without_gradients_alone():
     opt.step(params, {"a": np.ones(2)})
     assert np.array_equal(params["b"], np.ones(2))
     assert not np.array_equal(params["a"], np.ones(2))
+
+
+def test_adam_keeps_float32_parameters_float32():
+    params = {"w": np.array([1.0, -2.0, 0.5], dtype=np.float32)}
+    opt = Adam(params, lr=0.01)
+    assert opt.m["w"].dtype == opt.v["w"].dtype == np.float32
+    for _ in range(3):
+        opt.step(params, {"w": np.array([0.5, -0.25, 2.0], dtype=np.float32)})
+    assert params["w"].dtype == opt.m["w"].dtype == opt.v["w"].dtype == np.float32
 
 
 def test_adam_rejects_bad_gradients():

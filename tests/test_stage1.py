@@ -3,10 +3,12 @@ window fusion, proposal extraction, threshold pick, and bag training."""
 import numpy as np
 import pytest
 
-from soccersum import pipeline
+from soccersum import pipeline, stage1
 from soccersum.config import load_config
-from soccersum.core import Action, Event, Match, ShapeError, Summary, TrainingError
+from soccersum.core import (Action, DataFormatError, Event, Match, ShapeError, Summary,
+                            TrainingError)
 from soccersum.evaluation import fbeta, overlap_match, precision_recall
+from soccersum.neural import load_checkpoint, save_checkpoint
 from soccersum.synth import GenConfig, generate_dataset
 from soccersum.stage1 import (
     Bag,
@@ -474,6 +476,61 @@ def test_train_mil_learns_marked_stretches():
     assert proposal_fbeta(scored, model.threshold) == pytest.approx(model.best_val_f)
 
 
+def test_train_mil_trains_float32_parameters():
+    bags, feats, val = _toy_problem()
+    model = train_mil(bags, feats, val, MilConfig(hidden=4, window=8, stride=4, epochs=2,
+                                                  batch=8), seed=3)
+    assert {v.dtype for v in model.params.values()} == {np.dtype(np.float32)}
+    assert feats["a"].dtype == np.float64  # the caller's features are not touched
+
+
+def test_validation_scores_are_the_scores_of_the_returned_model(monkeypatch):
+    """The threshold picked on validation scores is applied to test scores
+    computed the same way: the validation scores of the kept epoch equal
+    ``score_matches`` of the returned model, byte for byte."""
+    bags, feats, val = _toy_problem()
+    seen = []
+    real = stage1.select_threshold
+
+    def recording(scored, beta):
+        seen.append([s for s, _, _ in scored])
+        return real(scored, beta)
+
+    monkeypatch.setattr(stage1, "select_threshold", recording)
+    cfg = MilConfig(hidden=8, window=8, stride=4, epochs=6, batch=8, lr=0.02)
+    model = train_mil(bags, feats, val, cfg, seed=3)
+    got = pipeline.score_matches(model, {"b": feats["b"]})["b"]
+    assert got.tobytes() == seen[model.best_epoch][0].tobytes()
+
+
+def test_reloaded_model_scores_a_match_byte_identically(tmp_path):
+    bags, feats, val = _toy_problem()
+    cfg = MilConfig(hidden=8, window=8, stride=4, epochs=3, batch=8, lr=0.02)
+    model = train_mil(bags, feats, val, cfg, seed=3)
+    path = str(tmp_path / "mil.ckpt")
+    save_checkpoint(model.to_checkpoint(), path)
+    back = MilModel.from_checkpoint(load_checkpoint(path))
+    assert back.threshold == model.threshold
+    for name, value in model.params.items():
+        assert back.params[name].dtype == np.float32
+        assert back.params[name].tobytes() == value.tobytes()
+    want = score_events(model.params, feats["b"], cfg)
+    assert score_events(back.params, feats["b"], back.config).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.1, 1e300], ids=["float64", "overflow"])
+def test_checkpoint_values_that_are_not_float32_are_refused(value):
+    """Stage 1 writes only float32 values; anything else (a model of an
+    earlier version, a damaged file) is a data error, not a cast."""
+    params = {k: v.astype(np.float32)
+              for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
+    ckpt = MilModel(params=params, config=MilConfig(hidden=4)).to_checkpoint()
+    ckpt["lstm.U"] = ckpt["lstm.U"].astype(np.float64)
+    ckpt["lstm.U"][1, 2] = value
+    with pytest.raises(DataFormatError, match="'lstm.U'.*retrain"):
+        MilModel.from_checkpoint(ckpt)
+
+
 def test_train_mil_requires_both_classes():
     bags, feats, val = _toy_problem()
     only_pos = [b for b in bags if b.label == 1]
@@ -484,7 +541,9 @@ def test_train_mil_requires_both_classes():
 def test_mil_model_checkpoint_round_trip():
     rng = np.random.default_rng(8)
     cfg = MilConfig(hidden=4, window=12, stride=3, lse_r=5.0)
-    model = MilModel(params=init_mil_params(5, 4, rng), config=cfg, threshold=0.37)
+    # train_mil's parameters are float32
+    params = {k: v.astype(np.float32) for k, v in init_mil_params(5, 4, rng).items()}
+    model = MilModel(params=params, config=cfg, threshold=0.37)
     back = MilModel.from_checkpoint(model.to_checkpoint())
     assert back.threshold == pytest.approx(0.37)
     assert back.config.window == 12
