@@ -29,7 +29,12 @@ ENV_PREFIX = "SOCCERSUM_"
 # A domain is (description, predicate): a value the predicate rejects is a
 # configuration error, "key 'k': <value> is not <description>".
 _COUNT = ("an integer of at least 1", lambda v: v >= 1)
+# test, validation and training shards must be distinct
+_KFOLD = ("an integer of at least 3", lambda v: v >= 3)
+# at 200 Hz a 10-sample frame still holds the 10 energy sub-frames
+_AUDIO_RATE = ("an integer of at least 200", lambda v: v >= 200)
 _POSITIVE = ("a finite number above 0", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = ("a finite number of at least 0", lambda v: math.isfinite(v) and v >= 0)
 _BUDGET_MODE = ("one of " + ", ".join(BUDGET_MODES), lambda v: v in BUDGET_MODES)
 
 # key -> (type, default, domain or None)
@@ -40,7 +45,7 @@ KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "gen.events_mean": (int, 1500, None),
     "gen.budget_min": (float, 110.0, None),
     "gen.budget_max": (float, 270.0, None),
-    "gen.audio_rate": (int, 8000, None),
+    "gen.audio_rate": (int, 8000, _AUDIO_RATE),
     "gen.audio_gain": (float, 3.0, None),
     "gen.audio_base_amp": (float, 0.05, None),
     "gen.noise_insert": (float, 0.08, None),
@@ -48,8 +53,8 @@ KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "gen.goals_min": (int, 1, None),
     "gen.goals_max": (int, 3, None),
     "features.qualifier_dims": (int, 8, _COUNT),
-    "pad.pre": (float, 5.0, None),
-    "pad.post": (float, 10.0, None),
+    "pad.pre": (float, 5.0, _NON_NEGATIVE),
+    "pad.post": (float, 10.0, _NON_NEGATIVE),
     "stage1.hidden": (int, 16, _COUNT),
     "stage1.window": (int, 10, _COUNT),
     "stage1.stride": (int, 5, _COUNT),
@@ -60,20 +65,20 @@ KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "stage1.lr": (float, 1e-3, _POSITIVE),
     "stage1.neg_min_len": (int, 4, _COUNT),
     "stage1.beta": (float, 2.0, _POSITIVE),
-    "stage2.hidden_modality": (int, 32, None),
-    "stage2.hidden_fusion": (int, 16, None),
-    "stage2.epochs": (int, 100, None),
-    "stage2.patience": (int, 20, None),
-    "stage2.batch": (int, 32, None),
-    "stage2.lr": (float, 1e-3, None),
+    "stage2.hidden_modality": (int, 32, _COUNT),
+    "stage2.hidden_fusion": (int, 16, _COUNT),
+    "stage2.epochs": (int, 100, _COUNT),
+    "stage2.patience": (int, 20, _COUNT),
+    "stage2.batch": (int, 32, _COUNT),
+    "stage2.lr": (float, 1e-3, _POSITIVE),
     "stage2.overlap_ratio": (float, 0.5, None),
-    "stage3.samples": (int, 10, None),
-    "stage3.sigma": (float, 0.05, None),
-    "stage3.budget_tol": (float, 0.1, None),
+    "stage3.samples": (int, 10, _COUNT),
+    "stage3.sigma": (float, 0.05, _NON_NEGATIVE),
+    "stage3.budget_tol": (float, 0.1, _NON_NEGATIVE),
     "stage3.mode": (str, "stop_first", _BUDGET_MODE),
-    "eval.kfold": (int, 10, None),
-    "eval.folds": (int, 10, None),
-    "eval.beta": (float, 2.0, None),
+    "eval.kfold": (int, 10, _KFOLD),
+    "eval.folds": (int, 10, _COUNT),
+    "eval.beta": (float, 2.0, _POSITIVE),
 }
 
 

@@ -1,9 +1,10 @@
 """Audio descriptors for the 2-second window following each event.
 
-Each window is cut into 50 ms frames with 50% overlap.  Per frame we compute
-eight waveform/spectral features plus 13 mel-cepstral coefficients from the
-un-windowed magnitude DFT, then average every feature over the window's
-frames.  Stereo input uses the first channel only.
+Each window is cut into 50 ms frames with 50% overlap, of an even number of
+samples (2,204 at 44.1 kHz).  Per frame we compute eight waveform/spectral
+features plus 13 mel-cepstral coefficients from the un-windowed magnitude
+DFT, then average every feature over the window's frames.  Stereo input uses
+the first channel only.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import functools
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..core import DataFormatError
 
@@ -31,7 +33,6 @@ LOG_FLOOR = 1e-10
 
 WINDOW_SECONDS = 2.0
 FRAME_SECONDS = 0.05
-FRAME_OVERLAP = 0.5
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
@@ -39,8 +40,8 @@ def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     if len(x) < frame_len:
         return np.empty((0, frame_len))
     n = (len(x) - frame_len) // hop + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n]
-    return np.ascontiguousarray(view)
+    step = x.strides[0]
+    return as_strided(x, shape=(n, frame_len), strides=(hop * step, step)).copy()
 
 
 def magnitude_spectrum(frames: np.ndarray) -> np.ndarray:
@@ -55,7 +56,21 @@ def zero_crossing_rate(frames: np.ndarray) -> np.ndarray:
 
 
 def short_term_energy(frames: np.ndarray) -> np.ndarray:
-    return np.mean(frames * frames, axis=1)
+    return np.einsum("ij,ij->i", frames, frames) / frames.shape[1]
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of non-negative ``a`` scaled to unit sum; all-zero rows stay 0."""
+    tot = a.sum(axis=1, keepdims=True)
+    return a / np.where(tot > 0, tot, 1.0)
+
+
+def _entropy(e: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each row of non-negative ``e``; all-zero rows give 0."""
+    p = _unit_rows(e)
+    # the floor keeps log2 finite where p is 0 and moves no sum by 1e-305;
+    # 0.0 - h, not -h, gives silent rows 0.0 rather than -0.0
+    return 0.0 - np.einsum("ij,ij->i", p, np.log2(np.maximum(p, np.finfo(float).tiny)))
 
 
 def energy_entropy(frames: np.ndarray, n_sub: int = 10) -> np.ndarray:
@@ -64,36 +79,30 @@ def energy_entropy(frames: np.ndarray, n_sub: int = 10) -> np.ndarray:
     L = frames.shape[1]
     sub_len = L // n_sub
     sub = frames[:, : sub_len * n_sub].reshape(frames.shape[0], n_sub, sub_len)
-    e = np.sum(sub * sub, axis=2)
-    tot = e.sum(axis=1, keepdims=True)
-    p = np.divide(e, tot, out=np.zeros_like(e), where=tot > 0)
-    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+    return _entropy(np.einsum("ijk,ijk->ij", sub, sub))
 
 
 def spectral_centroid_spread(mag: np.ndarray, freqs: np.ndarray):
     """First and second central moments of the magnitude spectrum (Hz)."""
-    tot = mag.sum(axis=1, keepdims=True)
-    w = np.divide(mag, tot, out=np.zeros_like(mag), where=tot > 0)
-    centroid = (w * freqs).sum(axis=1)
-    spread = np.sqrt((w * (freqs - centroid[:, None]) ** 2).sum(axis=1))
+    w = _unit_rows(mag)
+    centroid = w @ freqs
+    # E[f^2] - E[f]^2, clipped at 0 where rounding leaves it just below
+    spread = np.sqrt(np.maximum(w @ (freqs * freqs) - centroid * centroid, 0.0))
     return centroid, spread
 
 
 def spectral_entropy(mag: np.ndarray) -> np.ndarray:
     """Base-2 entropy of the normalized spectral energy distribution."""
-    power = mag * mag
-    tot = power.sum(axis=1, keepdims=True)
-    p = np.divide(power, tot, out=np.zeros_like(power), where=tot > 0)
-    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
+    return _entropy(mag * mag)
 
 
 def spectral_flux(mag: np.ndarray) -> np.ndarray:
     """Squared difference of successive sum-normalized spectra; first frame 0."""
-    tot = mag.sum(axis=1, keepdims=True)
-    norm = np.divide(mag, tot, out=np.zeros_like(mag), where=tot > 0)
+    norm = _unit_rows(mag)
     out = np.zeros(mag.shape[0])
     if mag.shape[0] > 1:
-        out[1:] = ((norm[1:] - norm[:-1]) ** 2).sum(axis=1)
+        d = norm[1:] - norm[:-1]
+        out[1:] = np.einsum("ij,ij->i", d, d)
     return out
 
 
@@ -163,19 +172,28 @@ def mfcc(mag: np.ndarray, fs: int, n_filters: int = 26, n_mfcc: int = 13) -> np.
 
 
 def window_features(samples: np.ndarray, fs: int) -> np.ndarray:
-    """Mean per-frame features over one analysis window; 21-vector."""
-    frame_len = int(round(FRAME_SECONDS * fs))
-    hop = int(round(FRAME_SECONDS * fs * (1.0 - FRAME_OVERLAP)))
+    """Mean per-frame features over one analysis window; 21-vector.
+
+    Raises ``DataFormatError`` when a sample the frames cover is not finite.
+    """
+    hop = int(round(FRAME_SECONDS * fs / 2))
+    # an even frame keeps the rfft bins on the filterbank's nyquist/(n-1) grid
+    frame_len = 2 * hop
     want = int(round(WINDOW_SECONDS * fs))
     if len(samples) < want:
         samples = np.concatenate([samples, np.zeros(want - len(samples))])
     frames = frame_signal(samples[:want], frame_len, hop)
+    energy = short_term_energy(frames)
+    # non-finite exactly where a sample is (or squares past 1e308); checked
+    # before the spectrum, which would warn
+    if not np.isfinite(energy).all():
+        raise DataFormatError("the audio window holds a sample that is not finite")
     mag = magnitude_spectrum(frames)
     freqs = np.fft.rfftfreq(frame_len, d=1.0 / fs)
     centroid, spread = spectral_centroid_spread(mag, freqs)
     feats = np.column_stack([
         zero_crossing_rate(frames),
-        short_term_energy(frames),
+        energy,
         energy_entropy(frames),
         centroid,
         spread,
@@ -191,7 +209,8 @@ def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float) 
     """Features for the window [t, t+2s] after an event.
 
     Windows running past the track end are zero-padded; an event time at or
-    beyond the end therefore yields the all-silence feature vector.
+    beyond the end therefore yields the all-silence feature vector.  A
+    non-finite sample in the window is a ``DataFormatError`` naming ``t``.
     """
     start = int(round(event_time * fs))
     want = int(round(WINDOW_SECONDS * fs))
@@ -199,7 +218,10 @@ def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float) 
         seg = np.zeros(want)
     else:
         seg = np.asarray(track[max(start, 0) : start + want], dtype=float)
-    return window_features(seg, fs)
+    try:
+        return window_features(seg, fs)
+    except DataFormatError as exc:
+        raise DataFormatError("event at t=%r s: %s" % (event_time, exc)) from None
 
 
 def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:

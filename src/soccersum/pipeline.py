@@ -98,8 +98,11 @@ def _audio_task(args):
     match = ds.by_id(match_id)
     samples, rate = resolve_audio(ds, match_id)
     rows = {}
-    for idx in event_indices:
-        rows[idx] = extract_event_audio_features(samples, rate, match.events[idx].t)
+    try:
+        for idx in event_indices:
+            rows[idx] = extract_event_audio_features(samples, rate, match.events[idx].t)
+    except DataFormatError as exc:
+        raise DataFormatError("match %r: %s" % (match_id, exc)) from None
     return match_id, rows
 
 

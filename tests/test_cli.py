@@ -173,6 +173,41 @@ def test_stage1_value_outside_its_domain_exits_one(chain, tmp_path, capsys, key,
     assert not (tmp_path / "run").exists()
 
 
+# every other key with a numeric domain -> values outside it
+OUT_OF_DOMAIN = {
+    **{key: ["0", "-1", "nan", "inf"] for key in [
+        "stage2.hidden_modality", "stage2.hidden_fusion", "stage2.epochs",
+        "stage2.patience", "stage2.batch", "stage3.samples", "eval.folds",
+        "stage2.lr", "eval.beta"]},
+    "eval.kfold": ["0", "-1", "nan", "inf", "2"],
+    "gen.audio_rate": ["0", "-1", "nan", "inf", "1", "199"],
+    **{key: ["-1", "nan", "inf", "-1e-9"] for key in [
+        "pad.pre", "pad.post", "stage3.sigma", "stage3.budget_tol"]},
+}
+# the lowest value inside each domain
+DOMAIN_FLOOR = {"eval.kfold": "3", "gen.audio_rate": "200", "pad.pre": "0", "pad.post": "0",
+                "stage3.sigma": "0", "stage3.budget_tol": "0", "stage2.lr": "1e-300",
+                "eval.beta": "1e-300"}
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k, vs in OUT_OF_DOMAIN.items() for v in vs])
+def test_value_outside_its_domain_exits_one(chain, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("include %s\n%s = %s\n" % (chain.cfg, key, value))
+    rc = main(["e2e", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert "configuration error" in err and repr(key) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_domain_floors_are_accepted():
+    from soccersum.config import PipelineConfig
+    for key in OUT_OF_DOMAIN:
+        PipelineConfig().set(key, DOMAIN_FLOOR.get(key, "1"))
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -451,6 +486,43 @@ def test_unreadable_wav_audio_exits_two(chain, tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert str(wav) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["extract-features", "summarize"])
+def test_non_finite_audio_sample_exits_two(chain, tmp_path, capsys, command):
+    """A raw track with a NaN in an event's window is a data error naming the
+    match and the event time, whichever command reads the window."""
+    from soccersum.io import load_dataset
+
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    manifest = json.loads((data / "dataset.json").read_text())
+    if command == "summarize":  # the first proposed event of a summarized match
+        proposals = json.loads((chain.run / "proposals.json").read_text())["matches"]
+        summarized = sorted(p.stem for p in (chain.run / "candidates").iterdir())
+        match_id = next(m for m in summarized if proposals.get(m))
+        first = min(p["start_index"] for p in proposals[match_id])
+    else:
+        match_id, first = "m000", 0
+    t = load_dataset(str(data)).by_id(match_id).events[first].t
+    track = np.random.default_rng(8).normal(scale=0.1, size=int((t + 3.0) * 8000))
+    track[int((t + 1.0) * 8000)] = np.nan
+    track.astype("<f4").tofile(str(tmp_path / "nan.f32"))
+    entry = next(m for m in manifest["matches"] if m["match_id"] == match_id)
+    entry["audio"] = {"file": str(tmp_path / "nan.f32"), "rate": 8000}
+    (data / "dataset.json").write_text(json.dumps(manifest, indent=1))
+    c = ["--config", str(chain.cfg), "--data", str(data)]
+    if command == "summarize":
+        argv = ["summarize", *c, "--proposals", str(chain.run / "proposals.json"),
+                "--model", str(chain.run / "hma.ckpt"), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["extract-features", *c, "--audio", "--matches", match_id,
+                "--out-dir", str(tmp_path / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert repr(match_id) in err and "t=%r s" % t in err and "not finite" in err
 
 
 PROPOSAL_DEFECTS = {

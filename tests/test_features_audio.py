@@ -13,6 +13,7 @@ from scipy.fft import dct
 from scipy.io import wavfile
 
 from soccersum.core import DataFormatError
+from soccersum.features import audio
 from soccersum.features.audio import (
     AUDIO_DIM,
     dct_matrix,
@@ -47,10 +48,11 @@ def naive_dft_magnitude(frames):
     return np.abs(frames @ basis.T)
 
 
-def naive_frame_features(frames, fs):
-    """The eight per-frame descriptors, recomputed with plain loops."""
+def naive_frame_features(frames, fs, mag=None):
+    """The eight per-frame descriptors, recomputed with plain loops from
+    ``mag``, by default the frames' DFT from the definition."""
     n_frames, n = frames.shape
-    mag = naive_dft_magnitude(frames)
+    mag = naive_dft_magnitude(frames) if mag is None else mag
     freqs = np.arange(n // 2 + 1) * fs / n
     out = np.zeros((n_frames, 8))
     prev_norm = None
@@ -214,6 +216,79 @@ def test_pure_tone_centroid_lands_on_its_bin():
     feats = window_features(tone, FS)
     bin_width = FS / FRAME  # 20 Hz
     assert abs(feats[3] - 1000.0) <= bin_width
+
+
+def naive_window_features(x, fs, mag_of=naive_dft_magnitude):
+    """Frame means of the oracles over the window's 50 ms frames of an even
+    number of samples at 50% overlap, zero-padded to 2 s."""
+    hop = int(round(0.025 * fs))
+    n, want = 2 * hop, int(round(2.0 * fs))
+    x = np.concatenate([x, np.zeros(max(0, want - len(x)))])[:want]
+    frames = np.stack([x[i * hop : i * hop + n] for i in range((want - n) // hop + 1)])
+    per_frame, mag, _freqs = naive_frame_features(frames, fs, mag_of(frames))
+    return np.column_stack([per_frame, naive_mfcc(mag, fs)]).mean(axis=0)
+
+
+def _test_window(kind, fs):
+    rng = np.random.default_rng(fs)
+    if kind == "tone":  # 1 kHz, moved to the nearest bin centre
+        step = fs / (2 * int(round(0.025 * fs)))
+        return np.sin(2 * np.pi * round(1000.0 / step) * step * np.arange(2 * fs) / fs)
+    if kind == "silence":
+        return np.zeros(2 * fs)
+    if kind == "short":
+        return rng.normal(scale=0.3, size=fs // 2)
+    x = rng.normal(scale=0.3, size=2 * fs)
+    if kind == "half-silent":
+        x[fs:] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("kind", ["noise", "tone", "silence", "short", "half-silent"])
+@pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100])
+def test_window_features_match_oracle(fs, kind):
+    x = _test_window(kind, fs)
+    # every spectral bin of a bin-centred tone but its own holds DFT rounding
+    # (1e-14 of the peak), on which the spread and the cepstrum then depend;
+    # its oracle therefore reads the fast spectrum, which
+    # test_magnitude_spectrum_matches_naive_dft checks against the definition
+    mag_of = magnitude_spectrum if kind == "tone" else naive_dft_magnitude
+    want = naive_window_features(x, fs, mag_of)
+    got = window_features(x, fs)
+    err = np.abs(got - want)
+    assert err.max() < 1e-6, "worst deviation %g in column %d" % (err.max(), err.argmax())
+
+
+def test_frames_are_even_at_every_rate(monkeypatch):
+    """An even frame length puts the rfft bins on the filterbank's grid."""
+    seen = []
+
+    def spy(x, frame_len, hop):
+        seen.append((frame_len, hop))
+        return frame_signal(x, frame_len, hop)
+
+    monkeypatch.setattr(audio, "frame_signal", spy)
+    for fs in (8000, 16000, 22050, 44100, 48000):
+        window_features(np.zeros(2 * fs), fs)
+        frame_len, hop = seen[-1]
+        assert frame_len == 2 * hop == 2 * int(round(0.025 * fs))
+        n_bins = frame_len // 2 + 1
+        grid = np.arange(n_bins) * (fs / 2.0) / (n_bins - 1)  # mel_filterbank's
+        assert np.allclose(grid, np.fft.rfftfreq(frame_len, 1.0 / fs), rtol=1e-13, atol=0.0)
+    assert seen[3] == (2204, 1102)  # 44.1 kHz
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_in_a_window_is_a_data_error(bad):
+    track = np.random.default_rng(5).normal(scale=0.1, size=10 * FS)
+    track[int(3.5 * FS)] = bad
+    with pytest.raises(DataFormatError, match=r"t=3\.0 s: .*not finite"):
+        extract_event_audio_features(track, FS, 3.0)
+    with pytest.raises(DataFormatError, match="not finite"):
+        window_features(track[3 * FS : 5 * FS], FS)
+    # windows that do not reach the sample are unaffected
+    assert np.isfinite(extract_event_audio_features(track, FS, 6.0)).all()
+    assert np.isfinite(extract_event_audio_features(track, FS, 1.0)).all()
 
 
 def test_frame_slicing():
