@@ -242,6 +242,21 @@ def write_fold_result(path: str, prov: Provenance, result) -> None:
     _write_json(path, prov, asdict(result))
 
 
+def write_train_log(path: str, prov: Provenance, models: dict) -> None:
+    """``train_log.jsonl``: a line with the provenance, then for each
+    ``stage -> model`` of ``models`` (a ``MilModel`` or ``HmaModel``) one
+    line per row of its history and a last line with its best epoch and
+    stop reason.  No line holds a wall time, so reruns and every ``--jobs``
+    value write the same bytes."""
+    lines = [{"config_hash": prov.config_hash, "seed": prov.seed}]
+    for stage, model in models.items():
+        lines += [dict(row, stage=stage) for row in model.history]
+        lines.append({"stage": stage, "best_epoch": model.best_epoch, "stop": model.stop})
+    with open(path, "w") as fh:
+        # float32 losses are not JSON floats: default= widens them exactly
+        fh.writelines(json.dumps(line, sort_keys=True, default=float) + "\n" for line in lines)
+
+
 def write_results(out_dir: str, prov: Provenance, result) -> None:
     """The report tables of a ``pipeline.ProtocolResult`` under ``out_dir/results``."""
     res_dir = os.path.join(out_dir, "results")

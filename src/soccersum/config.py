@@ -35,23 +35,27 @@ _KFOLD = ("an integer of at least 3", lambda v: v >= 3)
 _AUDIO_RATE = ("an integer of at least 200", lambda v: v >= 200)
 _POSITIVE = ("a finite number above 0", lambda v: math.isfinite(v) and v > 0)
 _NON_NEGATIVE = ("a finite number of at least 0", lambda v: math.isfinite(v) and v >= 0)
+_UNIT = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+# at 0 every proposal that touches a summary action is a positive, so
+# stage-2 training never sees both classes
+_OVERLAP = ("a number in (0, 1]", lambda v: 0 < v <= 1)
 _BUDGET_MODE = ("one of " + ", ".join(BUDGET_MODES), lambda v: v in BUDGET_MODES)
 
 # key -> (type, default, domain or None)
 KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "seed": (int, 7, None),
     "jobs": (int, 1, _COUNT),
-    "gen.matches": (int, 60, None),
-    "gen.events_mean": (int, 1500, None),
-    "gen.budget_min": (float, 110.0, None),
-    "gen.budget_max": (float, 270.0, None),
+    "gen.matches": (int, 60, _COUNT),
+    "gen.events_mean": (int, 1500, _COUNT),
+    "gen.budget_min": (float, 110.0, _NON_NEGATIVE),
+    "gen.budget_max": (float, 270.0, _NON_NEGATIVE),
     "gen.audio_rate": (int, 8000, _AUDIO_RATE),
-    "gen.audio_gain": (float, 3.0, None),
-    "gen.audio_base_amp": (float, 0.05, None),
-    "gen.noise_insert": (float, 0.08, None),
-    "gen.noise_swap": (float, 0.02, None),
-    "gen.goals_min": (int, 1, None),
-    "gen.goals_max": (int, 3, None),
+    "gen.audio_gain": (float, 3.0, _NON_NEGATIVE),
+    "gen.audio_base_amp": (float, 0.05, _NON_NEGATIVE),
+    "gen.noise_insert": (float, 0.08, _UNIT),
+    "gen.noise_swap": (float, 0.02, _UNIT),
+    "gen.goals_min": (int, 1, _COUNT),
+    "gen.goals_max": (int, 3, _COUNT),
     "features.qualifier_dims": (int, 8, _COUNT),
     "pad.pre": (float, 5.0, _NON_NEGATIVE),
     "pad.post": (float, 10.0, _NON_NEGATIVE),
@@ -71,7 +75,7 @@ KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "stage2.patience": (int, 20, _COUNT),
     "stage2.batch": (int, 32, _COUNT),
     "stage2.lr": (float, 1e-3, _POSITIVE),
-    "stage2.overlap_ratio": (float, 0.5, None),
+    "stage2.overlap_ratio": (float, 0.5, _OVERLAP),
     "stage3.samples": (int, 10, _COUNT),
     "stage3.sigma": (float, 0.05, _NON_NEGATIVE),
     "stage3.budget_tol": (float, 0.1, _NON_NEGATIVE),
@@ -143,6 +147,13 @@ class PipelineConfig:
         return cls(**keyed, **fields)
 
     def gen_config(self) -> GenConfig:
+        """The generator settings; a lower bound above its upper bound is a
+        configuration error naming both keys."""
+        for low, high in (("gen.budget_min", "gen.budget_max"),
+                          ("gen.goals_min", "gen.goals_max")):
+            if self[low] > self[high]:
+                raise ConfigError("key %r: %r is above key %r: %r"
+                                  % (low, self[low], high, self[high]))
         return self._section(GenConfig, "gen.", pad_pre=self["pad.pre"],
                              pad_post=self["pad.post"])
 

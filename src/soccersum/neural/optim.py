@@ -43,6 +43,11 @@ class Adam:
             params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
+# why ``fit`` stopped: ``config.patience`` epochs without a better val_f,
+# ``config.epochs`` epochs run, or a val_f of 1.0
+STOP_REASONS = ("patience", "epoch_limit", "val_f_max")
+
+
 def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
     """Minibatch Adam over ``items`` with validation-picked early stopping.
 
@@ -58,12 +63,14 @@ def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
 
     ``params`` is updated in place.  Returns (a copy of the best epoch's
     parameters, or of the initial ones without a scored epoch; the
-    history; the best epoch, -1 without one).
+    history; the best epoch, -1 without one; the stop reason: one of
+    ``STOP_REASONS``).
     """
     opt = Adam(params, lr=config.lr)
     best_params = {k: v.copy() for k, v in params.items()}
     best_f, best_epoch, stale = -1.0, -1, 0
     history = []
+    stop = "epoch_limit"
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(items))
         total_loss = 0.0
@@ -80,9 +87,11 @@ def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
             best_params = {k: v.copy() for k, v in params.items()}
             best_f, best_epoch, stale = row["val_f"], epoch, 0
             if best_f >= 1.0:
+                stop = "val_f_max"
                 break
         else:
             stale += 1
             if stale >= config.patience:
+                stop = "patience"
                 break
-    return best_params, history, best_epoch
+    return best_params, history, best_epoch, stop

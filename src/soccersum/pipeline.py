@@ -34,6 +34,7 @@ from .artifacts import (
     write_results,
     write_scores_csv,
     write_theta_csv,
+    write_train_log,
 )
 # perfbench/workloads.py reads checkpoints and features as ``pipeline.X``
 from .artifacts import load_model_checkpoint, read_features_json  # noqa: F401
@@ -464,6 +465,8 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
                 i, inputs[i][2], candidates[i], proposals[i],
             )
         write_fold_result(os.path.join(fold_dir, "fold_result.json"), prov, result)
+        write_train_log(os.path.join(fold_dir, "train_log.jsonl"), prov,
+                        {"stage1": mil, "stage2": hma})
     return result
 
 

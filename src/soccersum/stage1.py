@@ -373,6 +373,7 @@ class MilModel:
     history: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_f: float = 0.0
+    stop: str = ""  # why training stopped (neural.optim.STOP_REASONS); "" if loaded
 
     def to_checkpoint(self) -> dict:
         out = dict(self.params)
@@ -446,7 +447,9 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
         threshold, f = select_threshold(scored, config.beta)
         return {"val_f": f, "threshold": threshold}
 
-    params, history, best_epoch = fit(params, bags, loss_grads, validate, config, shuffle_rng)
+    params, history, best_epoch, stop = fit(params, bags, loss_grads, validate, config,
+                                            shuffle_rng)
     best = history[best_epoch] if best_epoch >= 0 else {"val_f": -1.0, "threshold": 0.5}
     return MilModel(params=params, config=config, threshold=best["threshold"],
-                    history=history, best_epoch=best_epoch, best_val_f=best["val_f"])
+                    history=history, best_epoch=best_epoch, best_val_f=best["val_f"],
+                    stop=stop)

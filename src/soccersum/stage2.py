@@ -206,6 +206,7 @@ class HmaModel:
     history: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_f: float = 0.0
+    stop: str = ""  # why training stopped (neural.optim.STOP_REASONS); "" if loaded
 
     def normalize_audio(self, xa: np.ndarray) -> np.ndarray:
         return (xa - self.audio_mu) / self.audio_sd
@@ -274,11 +275,12 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
     def validate(params):
         return {"val_f": _classification_f(params, val_items)}
 
-    params, history, best_epoch = fit(params, train_items, hma_batch_loss_grads, validate,
-                                      config, shuffle_rng)
+    params, history, best_epoch, stop = fit(params, train_items, hma_batch_loss_grads,
+                                            validate, config, shuffle_rng)
     return HmaModel(params=params, config=config, audio_mu=audio_mu, audio_sd=audio_sd,
                     history=history, best_epoch=best_epoch,
-                    best_val_f=history[best_epoch]["val_f"] if best_epoch >= 0 else -1.0)
+                    best_val_f=history[best_epoch]["val_f"] if best_epoch >= 0 else -1.0,
+                    stop=stop)
 
 
 def score_proposals(model: HmaModel, items) -> np.ndarray:

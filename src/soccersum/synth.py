@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     DEFAULT_EVENT_TYPES,
     Action,
+    ConfigError,
     DataFormatError,
     Event,
     Match,
@@ -36,7 +37,7 @@ from .features.audio import load_audio
 from .io import Dataset
 
 
-class GenerationError(SoccersumError):
+class GenerationError(ConfigError):
     """The generator cannot satisfy its configuration."""
 
 
@@ -396,8 +397,11 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
             total += d
     if total < budget - 40.0 and len(chosen) == len(planted):
         raise GenerationError(
-            "summary budget %.1fs unfillable: all %d planted actions total %.1fs"
-            % (budget, len(planted), total)
+            "match %s: summary budget %.1fs, drawn between gen.budget_min = %g and "
+            "gen.budget_max = %g, is unfillable: all %d planted actions total %.1fs "
+            "with pad.pre = %g and pad.post = %g at gen.events_mean = %d"
+            % (match_id, budget, cfg.budget_min, cfg.budget_max, len(planted), total,
+               cfg.pad_pre, cfg.pad_post, cfg.events_mean)
         )
 
     gt_actions = []
@@ -469,9 +473,13 @@ class SynthTrack:
     burst draws from its own ``SeedSequence`` keyed by the spec seed and its
     index, so any slice can be drawn without the samples before it.  A
     chunk is drawn only up to the furthest sample read from it so far, a
-    burst at most once, and both are kept.  Bursts are
-    added in time order, so a slice is bit-identical to the same slice of
-    the full track ``track[:]``.
+    burst at most once while it is kept.  A slice starting at sample ``a``
+    drops the chunks before the one holding ``a`` and the bursts that end
+    at or before ``a``, so a track read forward, as windows in event order
+    are, holds only its current window's chunks and bursts; a later slice
+    that reaches back draws them again from their keys.  Bursts are added
+    in time order, so a slice is bit-identical to the same slice of the
+    full track ``track[:]``.
     """
 
     dtype = np.dtype(np.float32)
@@ -521,11 +529,14 @@ class SynthTrack:
         out = np.empty(max(b - a, 0), dtype=np.float32)
         if b <= a:
             return out
-        for j in range(a // RENDER_CHUNK, -(-b // RENDER_CHUNK)):
+        first_chunk = a // RENDER_CHUNK
+        first = int(np.searchsorted(self._ends, a, side="right"))
+        self.chunks = {j: c for j, c in self.chunks.items() if j >= first_chunk}
+        self.bursts = {k: v for k, v in self.bursts.items() if k >= first}
+        for j in range(first_chunk, -(-b // RENDER_CHUNK)):
             base = j * RENDER_CHUNK
             lo, hi = max(a, base), min(b, base + RENDER_CHUNK)
             out[lo - a : hi - a] = self._chunk(j, hi - base)[lo - base : hi - base]
-        first = int(np.searchsorted(self._ends, a, side="right"))
         last = int(np.searchsorted(self._starts, b, side="left"))
         for k in range(first, last):
             s = int(self._starts[k])

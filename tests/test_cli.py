@@ -179,15 +179,23 @@ OUT_OF_DOMAIN = {
         "stage2.hidden_modality", "stage2.hidden_fusion", "stage2.epochs",
         "stage2.patience", "stage2.batch", "stage3.samples", "eval.folds",
         "stage2.lr", "eval.beta"]},
+    **{key: ["0", "-1", "nan", "inf"] for key in [
+        "gen.matches", "gen.events_mean", "gen.goals_min", "gen.goals_max"]},
     "eval.kfold": ["0", "-1", "nan", "inf", "2"],
     "gen.audio_rate": ["0", "-1", "nan", "inf", "1", "199"],
     **{key: ["-1", "nan", "inf", "-1e-9"] for key in [
-        "pad.pre", "pad.post", "stage3.sigma", "stage3.budget_tol"]},
+        "pad.pre", "pad.post", "stage3.sigma", "stage3.budget_tol", "gen.budget_min",
+        "gen.budget_max", "gen.audio_gain", "gen.audio_base_amp"]},
+    **{key: ["-1", "nan", "inf", "-1e-9", "1.5", "2"] for key in [
+        "gen.noise_insert", "gen.noise_swap"]},
+    "stage2.overlap_ratio": ["0", "-1", "nan", "inf", "1.5", "2"],
 }
 # the lowest value inside each domain
-DOMAIN_FLOOR = {"eval.kfold": "3", "gen.audio_rate": "200", "pad.pre": "0", "pad.post": "0",
-                "stage3.sigma": "0", "stage3.budget_tol": "0", "stage2.lr": "1e-300",
-                "eval.beta": "1e-300"}
+DOMAIN_FLOOR = {"eval.kfold": "3", "gen.audio_rate": "200", "stage2.lr": "1e-300",
+                "eval.beta": "1e-300", "stage2.overlap_ratio": "1e-300", **dict.fromkeys([
+                    "pad.pre", "pad.post", "stage3.sigma", "stage3.budget_tol",
+                    "gen.budget_min", "gen.budget_max", "gen.audio_gain",
+                    "gen.audio_base_amp", "gen.noise_insert", "gen.noise_swap"], "0")}
 
 
 @pytest.mark.parametrize("key, value", [(k, v) for k, vs in OUT_OF_DOMAIN.items() for v in vs])
@@ -206,6 +214,50 @@ def test_domain_floors_are_accepted():
     from soccersum.config import PipelineConfig
     for key in OUT_OF_DOMAIN:
         PipelineConfig().set(key, DOMAIN_FLOOR.get(key, "1"))
+    for key in ["gen.noise_insert", "gen.noise_swap", "stage2.overlap_ratio"]:
+        PipelineConfig().set(key, "1")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "e2e"])
+@pytest.mark.parametrize("low, high, values", [
+    pytest.param("gen.budget_min", "gen.budget_max", "gen.budget_min = 300", id="budget-300-270"),
+    pytest.param("gen.budget_min", "gen.budget_max", "gen.budget_max = 100", id="budget-110-100"),
+    pytest.param("gen.goals_min", "gen.goals_max", "gen.goals_min = 5", id="goals-5-3"),
+    pytest.param("gen.goals_min", "gen.goals_max", "gen.goals_min = 2\ngen.goals_max = 1",
+                 id="goals-2-1"),
+])
+def test_lower_bound_above_upper_bound_exits_one(chain, tmp_path, capsys, command, low,
+                                                 high, values):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("include %s\n%s\n" % (chain.cfg, values))
+    rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert "configuration error" in err and repr(low) in err and repr(high) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_equal_bounds_generate(tmp_path):
+    cfg = tmp_path / "equal.cfg"
+    cfg.write_text("gen.matches = 2\ngen.events_mean = 250\ngen.goals_min = 2\n"
+                   "gen.goals_max = 2\ngen.budget_min = 150\ngen.budget_max = 150\n")
+    assert main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0
+
+
+def test_unfillable_budget_exits_one_naming_its_keys(tmp_path, capsys):
+    cfg = tmp_path / "pad0.cfg"
+    cfg.write_text("gen.matches = 3\ngen.events_mean = 300\npad.pre = 0\npad.post = 0\n")
+    rc = main(["gen-data", "--config", str(cfg), "--seed", "7",
+               "--out-dir", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("configuration error: ") and "unfillable" in err
+    for key in ("gen.budget_min", "gen.budget_max", "pad.pre", "pad.post",
+                "gen.events_mean"):
+        assert key in err
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +678,54 @@ def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
         for rel in files:
             assert ((tmp_path / "protocol" / fold / rel).read_bytes()
                     == (tmp_path / "single" / fold / rel).read_bytes()), (fold, rel)
+
+
+def _read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_train_log_rows_equal_the_training_history(chain, tmp_path, monkeypatch):
+    """A fold's train_log.jsonl: provenance, each stage's history rows, then
+    its best epoch and stop reason; a rerun writes the same bytes."""
+    from soccersum import pipeline
+    from soccersum.config import load_config
+    from soccersum.io import load_dataset
+
+    models = {}
+    for stage, name in (("stage1", "train_proposal_model"), ("stage2", "train_proposal_scorer")):
+        def capture(*args, _stage=stage, _train=getattr(pipeline, name)):
+            models[_stage] = _train(*args)
+            return models[_stage]
+        monkeypatch.setattr(pipeline, name, capture)
+    cfg = load_config(str(chain.cfg), {}, use_env=False)
+    dataset = load_dataset(str(chain.data))
+    logs = []
+    for run in ("a", "b"):
+        pipeline.run_fold(dataset, cfg, 0, 7, out_dir=str(tmp_path / run),
+                          data_dir=str(chain.data))
+        logs.append(tmp_path / run / "fold_000" / "train_log.jsonl")
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+    want = [{"config_hash": cfg.config_hash(), "seed": 7}]
+    for stage, model in models.items():
+        assert model.history and model.stop
+        want += [dict(row, stage=stage) for row in model.history]
+        want.append({"stage": stage, "best_epoch": model.best_epoch, "stop": model.stop})
+    assert _read_jsonl(logs[0]) == want
+
+
+def test_train_log_writes_each_stop_reason(tmp_path):
+    from soccersum.artifacts import Provenance, write_train_log
+    from soccersum.neural.optim import STOP_REASONS
+
+    history = [{"epoch": 0, "loss": np.float32(0.5), "val_f": 0.25, "threshold": 0.3}]
+    models = {"stage%d" % k: SimpleNamespace(history=history, best_epoch=0, stop=stop)
+              for k, stop in enumerate(STOP_REASONS)}
+    write_train_log(str(tmp_path / "log.jsonl"), Provenance("abc", 3), models)
+    rows = _read_jsonl(tmp_path / "log.jsonl")
+    assert rows[0] == {"config_hash": "abc", "seed": 3}
+    assert [r["stop"] for r in rows if "stop" in r] == list(STOP_REASONS)
+    assert rows[1] == {"stage": "stage0", "epoch": 0, "loss": 0.5, "val_f": 0.25,
+                       "threshold": 0.3}
 
 
 class _RecordingExecutor:

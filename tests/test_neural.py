@@ -26,6 +26,7 @@ from soccersum.neural import (
     uniform_init,
 )
 from soccersum.neural import kernels
+from soccersum.neural.optim import STOP_REASONS
 from soccersum.neural.params import MAGIC
 
 import reference
@@ -383,8 +384,8 @@ def _scripted_fit(monkeypatch, val_fs, epochs=10):
 
     params = {"w": np.array([0.5, -0.5])}
     config = SimpleNamespace(epochs=epochs, patience=3, batch=2, lr=0.1)
-    best, history, best_epoch = fit(params, [1.0, 2.0, 3.0, 4.0, 5.0], loss_grads, validate, config,
-                                    np.random.default_rng(11))
+    best, history, best_epoch, rec.stop = fit(params, [1.0, 2.0, 3.0, 4.0, 5.0], loss_grads,
+                                              validate, config, np.random.default_rng(11))
     return params, best, history, best_epoch, rec
 
 
@@ -394,6 +395,7 @@ def test_fit_stops_after_patience_epochs_and_ties_do_not_improve(monkeypatch):
     assert best_epoch == 1
     assert [row["epoch"] for row in history] == [0, 1, 2, 3, 4]
     assert len(rec.seen) == 5
+    assert rec.stop == "patience"
 
 
 def test_fit_stops_once_val_f_reaches_one(monkeypatch):
@@ -401,6 +403,7 @@ def test_fit_stops_once_val_f_reaches_one(monkeypatch):
     live, best, history, best_epoch, rec = _scripted_fit(monkeypatch, [0.5, 0.7, 1.0, 0.9, 1.0])
     assert best_epoch == 2
     assert [row["epoch"] for row in history] == [0, 1, 2]
+    assert rec.stop == "val_f_max"
     assert len(rec.seen) == 3 and len(rec.steps) == 3 * 3
     # the kept parameters are those epoch 2 validated, as without the stop
     assert np.array_equal(best["w"], rec.seen[2]["w"])
@@ -434,9 +437,20 @@ def test_fit_history_rows(monkeypatch):
                        {"epoch": 1, "loss": 3.0, "val_f": 0.2, "extra": 2}]
 
 
+@pytest.mark.parametrize("val_fs, stop", [
+    ([0.1, 0.2, 0.3], "epoch_limit"),
+    ([0.3, 0.2, 0.2], "epoch_limit"),  # one short of patience when the epochs end
+    ([0.3, 0.2, 0.2, 0.2], "patience"),  # patience reached on the last epoch
+    ([0.3, 0.2, 1.0], "val_f_max"),  # a maximum on the last epoch
+])
+def test_fit_stop_reason(monkeypatch, val_fs, stop):
+    *_, rec = _scripted_fit(monkeypatch, val_fs, epochs=len(val_fs))
+    assert rec.stop == stop and rec.stop in STOP_REASONS
+
+
 def test_fit_without_epochs_keeps_the_initial_parameters(monkeypatch):
     live, best, history, best_epoch, rec = _scripted_fit(monkeypatch, [], epochs=0)
-    assert (history, best_epoch, rec.steps) == ([], -1, [])
+    assert (history, best_epoch, rec.steps, rec.stop) == ([], -1, [], "epoch_limit")
     assert np.array_equal(best["w"], [0.5, -0.5]) and best["w"] is not live["w"]
 
 def test_initializers():

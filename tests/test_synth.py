@@ -269,6 +269,45 @@ def test_a_window_renders_only_its_chunks(default_match):
     assert len(track.bursts) <= 2
 
 
+def test_event_windows_in_order_hold_only_their_window(default_match):
+    """Windows read in event order, as every audio reader reads them, equal
+    the reference track, and the track then holds only the chunks that
+    overlap the current window and the bursts that end after its start."""
+    m, s, _ = default_match
+    spec, bursts = m.audio["synth"], summary_event_times(m, s)
+    want, fs = reference.synth_track(spec, bursts, C)
+    track, _ = synth_audio_track(spec, bursts)
+    n = len(track)
+    starts = sorted(int(round(t * fs)) for t in bursts)
+    ends = [min(a + 2 * fs, n) for a in starts if a < n]
+    for e in m.events:
+        a = int(round(e.t * fs))
+        b = min(a + 2 * fs, n)
+        assert track[a : a + 2 * fs].tobytes() == want[a : a + 2 * fs].tobytes()
+        assert set(track.chunks) <= set(range(a // C, -(-b // C)))
+        assert len(track.chunks) <= 2
+        assert sum(c.samples.nbytes for c in track.chunks.values()) <= 2 * C * 4
+        assert all(ends[k] > a for k in track.bursts)
+    assert len(track.bursts) < len(ends)
+
+
+def test_a_read_that_reaches_back_draws_again():
+    """Chunks and bursts a forward read dropped are drawn again, to the
+    same samples, by a later read that reaches back."""
+    spec = small_spec(N_WIN)
+    want, _ = reference.synth_track(spec, WIN_BURSTS, C)
+    track, _ = synth_audio_track(spec, WIN_BURSTS)
+    assert track[8000:28000].tobytes() == want[8000:28000].tobytes()
+    assert set(track.chunks) == {0} and set(track.bursts) == {0, 1}
+    far = (159000, 175000)  # chunk 2 and the burst at 20.0 s
+    assert track[far[0] : far[1]].tobytes() == want[far[0] : far[1]].tobytes()
+    assert set(track.chunks) == {2} and set(track.bursts) == {2}
+    # back across the dropped chunks 0 and 1 and bursts 0 and 1
+    assert track[8000 : C + 10].tobytes() == want[8000 : C + 10].tobytes()
+    assert set(track.chunks) == {0, 1, 2} and set(track.bursts) == {0, 1, 2}
+    assert track[:].tobytes() == want.tobytes()
+
+
 def test_event_audio_equals_descriptors_of_the_full_track():
     ds = generate_dataset(GenConfig(matches=1, events_mean=150), 5)
     match = ds.matches[0]
