@@ -127,7 +127,7 @@ def cmd_extract_features(args) -> int:
     ids = _match_ids(args, dataset, dataset.match_ids())
     if args.audio:
         every_event = {i: list(range(len(ctx.feats[i]))) for i in ids}
-        audio = event_audio(dataset, args.data, every_event, cfg["jobs"])
+        audio = event_audio(dataset, every_event, cfg["jobs"])
     for match_id in ids:
         write_features_csv(os.path.join(feat_dir, "%s_metadata.csv" % match_id), prov,
                            ctx.encoder.feature_names(), ctx.feats[match_id])
@@ -198,7 +198,7 @@ def cmd_train_hma(args) -> int:
     _require_current(cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
     events = proposal_events(proposals, ctx.train_ids + ctx.val_ids)
-    audio = event_audio(dataset, args.data, events, cfg["jobs"])
+    audio = event_audio(dataset, events, cfg["jobs"])
     model = train_proposal_scorer(cfg, ctx, proposals, audio, cfg["seed"])
     os.makedirs(args.out_dir, exist_ok=True)
     save_model_checkpoint(os.path.join(args.out_dir, "hma.ckpt"),
@@ -219,7 +219,7 @@ def cmd_summarize(args) -> int:
     prov = _prov(cfg)
     os.makedirs(os.path.join(args.out_dir, "candidates"), exist_ok=True)
 
-    audio = event_audio(dataset, args.data, proposal_events(proposals, ids), cfg["jobs"])
+    audio = event_audio(dataset, proposal_events(proposals, ids), cfg["jobs"])
     theta, inputs, candidates = rank_and_sample(dataset, cfg, cfg["seed"], ctx, model,
                                                 proposals, audio, ids)
     write_theta_csv(os.path.join(args.out_dir, "theta.csv"), prov, theta)
@@ -233,19 +233,16 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir,
-                          data_dir=args.data, jobs=cfg["jobs"])
+    result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir, jobs=cfg["jobs"])
     print(result.text, end="")
     return 0
 
 
 def cmd_e2e(args) -> int:
     cfg = _config_from(args)
-    data_dir = os.path.join(args.out_dir, "data")
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
-    save_dataset(dataset, data_dir)
-    result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir,
-                          data_dir=data_dir, jobs=cfg["jobs"])
+    save_dataset(dataset, os.path.join(args.out_dir, "data"))
+    result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir, jobs=cfg["jobs"])
     print(result.text, end="")
     return 0
 

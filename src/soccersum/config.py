@@ -85,6 +85,11 @@ KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "eval.beta": (float, 2.0, _POSITIVE),
 }
 
+# (low, high) key pairs whose low value must not be above the high one; a
+# stride above the window leaves events that no window scores
+ORDERED_KEYS = (("gen.budget_min", "gen.budget_max"), ("gen.goals_min", "gen.goals_max"),
+                ("stage1.stride", "stage1.window"))
+
 
 def _parse_value(key: str, raw: str):
     typ = KNOWN_KEYS[key][0]
@@ -141,19 +146,18 @@ class PipelineConfig:
     def _section(self, cls, prefix: str, **fields):
         """``cls`` with each field ``name`` read from key ``<prefix><name>``
         where that key exists, and with ``fields``; the rest keep their
-        defaults."""
+        defaults.  Every section refuses a configuration with a pair of
+        ``ORDERED_KEYS`` out of order, naming both keys, so a command
+        fails before it writes anything."""
+        for low, high in ORDERED_KEYS:
+            if self[low] > self[high]:
+                raise ConfigError("key %r: %r is above key %r: %r"
+                                  % (low, self[low], high, self[high]))
         keyed = {f.name: self[prefix + f.name] for f in dataclasses.fields(cls)
                  if prefix + f.name in KNOWN_KEYS}
         return cls(**keyed, **fields)
 
     def gen_config(self) -> GenConfig:
-        """The generator settings; a lower bound above its upper bound is a
-        configuration error naming both keys."""
-        for low, high in (("gen.budget_min", "gen.budget_max"),
-                          ("gen.goals_min", "gen.goals_max")):
-            if self[low] > self[high]:
-                raise ConfigError("key %r: %r is above key %r: %r"
-                                  % (low, self[low], high, self[high]))
         return self._section(GenConfig, "gen.", pad_pre=self["pad.pre"],
                              pad_post=self["pad.post"])
 

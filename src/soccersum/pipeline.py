@@ -8,9 +8,9 @@ substreams (1 match generation, 2 audio, 3/4 stage-1 init and shuffling,
 baseline, 9 candidate sampling, 10 the random ranking baseline), each
 further keyed by match ordinal where applicable.
 
-Parallelism: ``run_protocol`` runs a fold's stage 1 as one task, each
-match's audio descriptors as one task, and a fold's stages 2 and 3,
-evaluation and writes as one task.  At ``jobs > 1`` the tasks run in one
+Parallelism: ``run_protocol`` and ``run_fold`` run a fold's stage 1 as one
+task, each match's audio descriptors as one task, and a fold's stages 2 and
+3, evaluation and writes as one task.  At ``jobs > 1`` the tasks run in one
 pool of forked worker processes per run (``WorkerPool``); at ``jobs = 1``
 the same task functions run inline.  A task computes exactly what it would
 inline, so ``--jobs`` never changes any output byte.
@@ -56,7 +56,8 @@ from .evaluation import (
     soccer_baseline,
 )
 from .features import MetadataEncoder, QualifierCodebook, extract_event_audio_features
-from .io import Dataset, load_dataset
+from .io import Dataset
+from .io import load_dataset  # noqa: F401 (perfbench/tracing.py wraps pipeline.load_dataset)
 from .stage1 import (
     MilModel,
     build_action_vocabulary,
@@ -84,20 +85,13 @@ STAGE1_ROWS = ("template-matching", "learned-model")
 # ---------------------------------------------------------------------------
 # worker tasks (top level so they pickle for the process pool)
 
-_WORKER_DATASETS: dict[str | None, Dataset] = {}
-
-
-def _worker_dataset(data_dir: str | None) -> Dataset:
-    if data_dir not in _WORKER_DATASETS:
-        _WORKER_DATASETS[data_dir] = load_dataset(data_dir)
-    return _WORKER_DATASETS[data_dir]
+_DATASET: Dataset | None = None  # set by an open WorkerPool, before any worker forks
 
 
 def _audio_task(args):
-    data_dir, match_id, event_indices = args
-    ds = _worker_dataset(data_dir)
-    match = ds.by_id(match_id)
-    samples, rate = resolve_audio(ds, match_id)
+    match_id, event_indices = args
+    match = _DATASET.by_id(match_id)
+    samples, rate = resolve_audio(_DATASET, match_id)
     rows = {}
     try:
         for idx in event_indices:
@@ -108,38 +102,48 @@ def _audio_task(args):
 
 
 def _propose_task(args):
-    data_dir, config, seed, fold_index = args
-    ds = _worker_dataset(data_dir)
-    return propose_fold(ds, config, prepare_fold(ds, config, fold_index, seed), fold_index, seed)
+    """Stage 1 of one fold: train the proposal model, then score and cut
+    proposals in every match."""
+    config, seed, fold_index = args
+    ctx = prepare_fold(_DATASET, config, fold_index, seed)
+    mil = train_proposal_model(_DATASET, config, ctx, seed)
+    scores = score_matches(mil, ctx.feats)
+    return ProposedFold(fold_index, mil, scores,
+                        typed_proposals(_DATASET, scores, mil.threshold))
 
 
 def _finish_task(args):
-    data_dir, config, seed, fold, audio, out_dir = args
-    ds = _worker_dataset(data_dir)
-    ctx = prepare_fold(ds, config, fold.index, seed)
-    return finish_fold(ds, config, seed, ctx, fold, audio, out_dir)
+    config, seed, fold, audio, out_dir = args
+    ctx = prepare_fold(_DATASET, config, fold.index, seed)
+    return finish_fold(_DATASET, config, seed, ctx, fold, audio, out_dir)
 
 
 class WorkerPool:
     """``min(jobs, max_tasks)`` worker processes forked from this one, shared
-    by every task map of a run; with one worker, maps run inline.  Workers
-    see the ``_WORKER_DATASETS`` of the moment they fork, so cache the
-    dataset before the first map.  ``int(pool)`` is the worker count."""
+    by every task map of a run; with one worker, maps run inline.  While
+    the pool is open, tasks read ``dataset`` as ``_DATASET``; workers fork
+    after it is set.  ``int(pool)`` is the worker count (perfbench's pool
+    span records it)."""
 
-    def __init__(self, jobs: int, max_tasks: int):
+    def __init__(self, dataset: Dataset, jobs: int, max_tasks: int):
+        self.dataset = dataset
         self.workers = max(1, min(jobs, max_tasks))
         self.executor = None
 
     def __enter__(self):
+        global _DATASET
+        _DATASET = self.dataset
         if self.workers > 1:
             self.executor = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=multiprocessing.get_context("fork"))
         return self
 
     def __exit__(self, *exc):
+        global _DATASET
         if self.executor is not None:
             self.executor.shutdown(cancel_futures=True)
             self.executor = None
+        _DATASET = None
 
     def __int__(self):
         return self.workers
@@ -178,6 +182,9 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
     if missing:
         raise DataFormatError("no reference summary (summaries/<id>.json) for match %s"
                               % ", ".join(missing))
+    if len(ids) < config["eval.kfold"]:
+        raise ConfigError("key 'eval.kfold': %d is above the dataset's %d matches"
+                          % (config["eval.kfold"], len(ids)))
     folds = kfold_split(ids, k=config["eval.kfold"], seed=seed)
     if not 0 <= fold_index < len(folds):
         raise ConfigError("fold %d is outside 0..%d" % (fold_index, len(folds) - 1))
@@ -248,17 +255,11 @@ def proposal_events(proposals: dict, ids) -> dict[str, list[int]]:
             for i in ids}
 
 
-def event_audio(dataset: Dataset, data_dir: str | None, events: dict,
-                jobs: int | WorkerPool) -> dict[str, dict[int, np.ndarray]]:
+def event_audio(dataset: Dataset, events: dict, jobs: int) -> dict[str, dict[int, np.ndarray]]:
     """Audio descriptor rows of the listed events, one task per match with
-    any, run in the open pool ``jobs`` or in a pool of at most ``jobs``
-    workers.  The dataset enters the per-process cache, so inline tasks and
-    workers forked after this call use it as is."""
-    _WORKER_DATASETS[data_dir] = dataset
-    tasks = [(data_dir, i, idx) for i, idx in events.items() if idx]
-    if isinstance(jobs, WorkerPool):
-        return dict(_parallel_map(_audio_task, tasks, jobs))
-    with WorkerPool(jobs, len(tasks)) as pool:
+    any, in a pool of at most ``jobs`` workers."""
+    tasks = [(i, idx) for i, idx in events.items() if idx]
+    with WorkerPool(dataset, jobs, len(tasks)) as pool:
         return dict(_parallel_map(_audio_task, tasks, pool))
 
 
@@ -356,27 +357,6 @@ class ProposedFold:
     mil: MilModel
     scores: dict
     proposals: dict
-
-
-def propose_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
-                 fold_index: int, seed: int) -> ProposedFold:
-    """Stage 1 of one prepared fold: train the proposal model, then score
-    and cut proposals in every match."""
-    mil = train_proposal_model(dataset, config, ctx, seed)
-    scores = score_matches(mil, ctx.feats)
-    return ProposedFold(fold_index, mil, scores,
-                        typed_proposals(dataset, scores, mil.threshold))
-
-
-def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: int,
-             out_dir: str | None = None, data_dir: str | None = None,
-             jobs: int = 1) -> FoldResult:
-    """Train all three stages on one fold and evaluate on its test shard."""
-    ctx = prepare_fold(dataset, config, fold_index, seed)
-    fold = propose_fold(dataset, config, ctx, fold_index, seed)
-    events = proposal_events(fold.proposals, dataset.match_ids())
-    audio = event_audio(dataset, data_dir, events, jobs)
-    return finish_fold(dataset, config, seed, ctx, fold, audio, out_dir)
 
 
 def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldContext,
@@ -516,37 +496,49 @@ def aggregate_results(fold_results: list, config: PipelineConfig) -> ProtocolRes
     return ProtocolResult(folds=fold_results, tables=tables, text=text)
 
 
-def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
-                 out_dir: str | None = None, data_dir: str | None = None,
-                 jobs: int = 1, n_folds: int | None = None) -> ProtocolResult:
-    """Train and evaluate over the first ``n_folds`` cross-validation folds
-    (default from config), then aggregate counts into the report tables.
-
-    Three phases, each a map over tasks in one ``WorkerPool`` of at most
+def _run_folds(dataset: Dataset, config: PipelineConfig, seed: int, fold_indices,
+               out_dir: str | None, jobs: int) -> list[FoldResult]:
+    """Three phases, each a map over tasks in one ``WorkerPool`` of at most
     ``jobs`` workers: stage 1 of each fold; the audio of each match, over
     the events that any fold's proposals need; then stages 2 and 3,
     evaluation and the writes of each fold.  A fold task builds its
     context with ``prepare_fold`` and returns no feature arrays, so no
-    fold's context crosses a pipe or stays in this process.  Each fold's
-    outputs equal those of ``run_fold``."""
-    if n_folds is None:
-        n_folds = config["eval.folds"]
-    n_folds = max(1, min(n_folds, config["eval.kfold"]))
+    fold's context crosses a pipe or stays in this process.  A fold's
+    outputs do not depend on the other folds run with it."""
     ids = dataset.match_ids()
-    _WORKER_DATASETS[data_dir] = dataset  # before the workers fork
-    with WorkerPool(jobs, max(n_folds, len(ids))) as pool:
-        folds = _parallel_map(_propose_task, [(data_dir, config, seed, k)
-                                              for k in range(n_folds)], pool)
+    with WorkerPool(dataset, jobs, max(len(fold_indices), len(ids))) as pool:
+        folds = _parallel_map(_propose_task, [(config, seed, k) for k in fold_indices], pool)
         # a descriptor row depends only on (match, event): compute the union
         # of every fold's events once, rendering each match's audio once
         needed = [proposal_events(f.proposals, ids) for f in folds]
         events = {i: sorted(set().union(*(e[i] for e in needed))) for i in ids}
-        audio = event_audio(dataset, data_dir, events, pool)
-        fold_results = _parallel_map(_finish_task, [
-            (data_dir, config, seed, f, {i: {k: audio[i][k] for k in e[i]} for i in ids},
-             out_dir)
+        audio = dict(_parallel_map(_audio_task, [(i, idx) for i, idx in events.items() if idx],
+                                   pool))
+        return _parallel_map(_finish_task, [
+            (config, seed, f, {i: {k: audio[i][k] for k in e[i]} for i in ids}, out_dir)
             for f, e in zip(folds, needed)], pool)
-    result = aggregate_results(fold_results, config)
+
+
+def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: int,
+             out_dir: str | None = None, data_dir: str | None = None,
+             jobs: int = 1) -> FoldResult:
+    """Train all three stages on one fold and evaluate on its test shard:
+    the three phases of ``run_protocol`` over this fold alone.
+    ``data_dir`` is unused; it stays for callers that pass it."""
+    return _run_folds(dataset, config, seed, [fold_index], out_dir, jobs)[0]
+
+
+def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
+                 out_dir: str | None = None, jobs: int = 1,
+                 n_folds: int | None = None) -> ProtocolResult:
+    """Train and evaluate over the first ``n_folds`` cross-validation folds
+    (default from config), then aggregate counts into the report tables.
+    Each fold's outputs equal those of ``run_fold``."""
+    if n_folds is None:
+        n_folds = config["eval.folds"]
+    n_folds = max(1, min(n_folds, config["eval.kfold"]))
+    result = aggregate_results(_run_folds(dataset, config, seed, range(n_folds), out_dir, jobs),
+                               config)
     if out_dir is not None:
         write_results(out_dir, Provenance(config.config_hash(), seed), result)
     return result

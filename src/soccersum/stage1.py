@@ -403,6 +403,9 @@ class MilModel:
         except KeyError as exc:
             raise DataFormatError("checkpoint has no record %s: not a stage-1 checkpoint"
                                   % exc) from None
+        if cfg.stride > cfg.window:
+            raise DataFormatError("checkpoint stride %d is above its window %d: events "
+                                  "between windows would go unscored" % (cfg.stride, cfg.window))
         params = {}
         for name, value in ckpt.items():
             if name.startswith("_meta."):

@@ -274,8 +274,7 @@ def protocol_run(tmp_path_factory):
     data_dir = out / "data"
     save_dataset(dataset, str(data_dir))
     t0 = time.time()
-    result = run_protocol(dataset, cfg, 7, out_dir=str(out),
-                          data_dir=str(data_dir), jobs=1, n_folds=1)
+    result = run_protocol(dataset, cfg, 7, out_dir=str(out), jobs=1, n_folds=1)
     elapsed = time.time() - t0
     return SimpleNamespace(result=result, out=out, elapsed=elapsed,
                            dataset=dataset, config=cfg)

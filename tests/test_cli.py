@@ -225,6 +225,7 @@ def test_domain_floors_are_accepted():
     pytest.param("gen.goals_min", "gen.goals_max", "gen.goals_min = 5", id="goals-5-3"),
     pytest.param("gen.goals_min", "gen.goals_max", "gen.goals_min = 2\ngen.goals_max = 1",
                  id="goals-2-1"),
+    pytest.param("stage1.stride", "stage1.window", "stage1.stride = 11", id="stride-11-10"),
 ])
 def test_lower_bound_above_upper_bound_exits_one(chain, tmp_path, capsys, command, low,
                                                  high, values):
@@ -236,6 +237,26 @@ def test_lower_bound_above_upper_bound_exits_one(chain, tmp_path, capsys, comman
     assert "Traceback" not in err
     assert "configuration error" in err and repr(low) in err and repr(high) in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["e2e", "train-proposals"])
+def test_more_folds_than_matches_exits_one(chain, tmp_path, capsys, command):
+    """The fold count is checked against the dataset where both are known:
+    6 generated matches for e2e, the chain's 10 for train-proposals."""
+    cfg = tmp_path / "folds.cfg"
+    if command == "e2e":
+        cfg.write_text("include %s\ngen.matches = 6\neval.kfold = 10\n" % chain.cfg)
+        args = ["e2e"]
+    else:
+        cfg.write_text("include %s\neval.kfold = 11\n" % chain.cfg)
+        args = ["train-proposals", "--data", str(chain.data)]
+    rc = main(args + ["--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    n = 6 if command == "e2e" else 10
+    assert "configuration error" in err and "'eval.kfold'" in err and "%d matches" % n in err
+    assert not (tmp_path / "run" / "fold_000").exists()
 
 
 def test_equal_bounds_generate(tmp_path):
@@ -647,8 +668,11 @@ def test_evaluate_fold_matches_piecewise_chain(chain, tmp_path):
 
 
 def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
-    """run_protocol computes the audio of all folds in one pass; each fold
-    directory still holds the bytes run_fold writes for that fold alone."""
+    """run_protocol and run_fold run the same three phases; over two folds
+    the audio phase computes the union of their events in one pass, yet
+    each fold directory holds the bytes run_fold writes for that fold
+    alone.  Neither call keeps the dataset once it returns."""
+    from soccersum import pipeline
     from soccersum.config import load_config
     from soccersum.io import load_dataset
     from soccersum.artifacts import read_proposals_json
@@ -657,11 +681,11 @@ def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
     cfg = load_config(str(chain.cfg), {}, use_env=False)
     dataset = load_dataset(str(chain.data))
     seed = 5  # its two folds need audio events that the other does not
-    run_protocol(dataset, cfg, seed, out_dir=str(tmp_path / "protocol"),
-                 data_dir=str(chain.data), jobs=2, n_folds=2)
+    run_protocol(dataset, cfg, seed, out_dir=str(tmp_path / "protocol"), jobs=2, n_folds=2)
+    assert pipeline._DATASET is None
     for k in range(2):
-        run_fold(dataset, cfg, k, seed, out_dir=str(tmp_path / "single"),
-                 data_dir=str(chain.data))
+        run_fold(dataset, cfg, k, seed, out_dir=str(tmp_path / "single"))
+        assert pipeline._DATASET is None
     ids = dataset.match_ids()
     needed = [proposal_events(read_proposals_json(
         str(tmp_path / "single" / ("fold_%03d" % k) / "proposals.json"), dataset)[1], ids)
@@ -701,8 +725,7 @@ def test_train_log_rows_equal_the_training_history(chain, tmp_path, monkeypatch)
     dataset = load_dataset(str(chain.data))
     logs = []
     for run in ("a", "b"):
-        pipeline.run_fold(dataset, cfg, 0, 7, out_dir=str(tmp_path / run),
-                          data_dir=str(chain.data))
+        pipeline.run_fold(dataset, cfg, 0, 7, out_dir=str(tmp_path / run))
         logs.append(tmp_path / run / "fold_000" / "train_log.jsonl")
     assert logs[0].read_bytes() == logs[1].read_bytes()
     want = [{"config_hash": cfg.config_hash(), "seed": 7}]
@@ -756,18 +779,19 @@ def test_pool_never_exceeds_its_task_count(chain, monkeypatch):
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
     dataset = load_dataset(str(chain.data))
     ids = dataset.match_ids()
-    rows = pipeline.event_audio(dataset, str(chain.data),
-                                {i: [0, 1] for i in ids[:3]}, jobs=64)
+    rows = pipeline.event_audio(dataset, {i: [0, 1] for i in ids[:3]}, jobs=64)
     assert sorted(rows) == ids[:3]
-    pipeline.event_audio(dataset, str(chain.data), {ids[0]: [0]}, jobs=64)  # inline
+    pipeline.event_audio(dataset, {ids[0]: [0]}, jobs=64)  # inline
     assert _RecordingExecutor.sizes == [3]
+    assert pipeline._DATASET is None
 
     # a run's pool serves its fold tasks and its per-match audio tasks
     monkeypatch.setattr(_RecordingExecutor, "refuse", True)
     cfg = load_config(str(chain.cfg), {}, use_env=False)
     with pytest.raises(RuntimeError, match="map refused"):
-        pipeline.run_protocol(dataset, cfg, 7, data_dir=str(chain.data), jobs=64, n_folds=2)
+        pipeline.run_protocol(dataset, cfg, 7, jobs=64, n_folds=2)
     assert _RecordingExecutor.sizes == [3, len(ids)]
+    assert pipeline._DATASET is None  # released when a map raises
 
 
 @pytest.fixture(scope="module")

@@ -531,6 +531,18 @@ def test_checkpoint_values_that_are_not_float32_are_refused(value):
         MilModel.from_checkpoint(ckpt)
 
 
+def test_checkpoint_stride_above_window_is_refused():
+    """A stride above the window leaves events that no window scores."""
+    params = {k: v.astype(np.float32)
+              for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
+    cfg = MilConfig(hidden=4, window=10, stride=10)
+    ckpt = MilModel(params=params, config=cfg).to_checkpoint()
+    MilModel.from_checkpoint(ckpt)
+    ckpt["_meta.stride"][0] = 11
+    with pytest.raises(DataFormatError, match="stride 11 is above its window 10"):
+        MilModel.from_checkpoint(ckpt)
+
+
 def test_train_mil_requires_both_classes():
     bags, feats, val = _toy_problem()
     only_pos = [b for b in bags if b.label == 1]

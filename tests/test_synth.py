@@ -312,7 +312,7 @@ def test_event_audio_equals_descriptors_of_the_full_track():
     ds = generate_dataset(GenConfig(matches=1, events_mean=150), 5)
     match = ds.matches[0]
     events = list(range(0, len(match.events), 3))
-    rows = event_audio(ds, None, {match.match_id: events}, jobs=1)[match.match_id]
+    rows = event_audio(ds, {match.match_id: events}, jobs=1)[match.match_id]
     full, fs = resolve_audio(ds, match.match_id)
     full = full[:]
     for k in events:
