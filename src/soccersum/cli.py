@@ -43,6 +43,7 @@ from .core import ConfigError, DataFormatError, SoccersumError
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
+    check_fold_count,
     event_audio,
     prepare_fold,
     proposal_events,
@@ -147,7 +148,7 @@ def cmd_train_proposals(args) -> int:
     prov = _prov(cfg)
     save_model_checkpoint(os.path.join(args.out_dir, "mil.ckpt"), model.to_checkpoint(), prov)
     write_features_json(os.path.join(args.out_dir, "stage1_features.json"), prov,
-                        ctx.codebook, ctx.vocab)
+                        ctx.encoder.codebook, ctx.vocab)
     print("trained proposal model: threshold %.2f, validation F%.1f %.4f"
           % (model.threshold, cfg["stage1.beta"], model.best_val_f))
     return 0
@@ -240,6 +241,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_e2e(args) -> int:
     cfg = _config_from(args)
+    check_fold_count(cfg, cfg["gen.matches"])  # before anything is generated or written
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
     save_dataset(dataset, os.path.join(args.out_dir, "data"))
     result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir, jobs=cfg["jobs"])

@@ -214,10 +214,7 @@ def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float) 
     """
     start = int(round(event_time * fs))
     want = int(round(WINDOW_SECONDS * fs))
-    if start >= len(track):
-        seg = np.zeros(want)
-    else:
-        seg = np.asarray(track[max(start, 0) : start + want], dtype=float)
+    seg = np.asarray(track[max(start, 0) : start + want], dtype=float)
     try:
         return window_features(seg, fs)
     except DataFormatError as exc:

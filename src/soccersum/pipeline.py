@@ -63,7 +63,6 @@ from .stage1 import (
     build_action_vocabulary,
     extract_proposals,
     find_vocabulary_spans,
-    intervals_to_labels,
     sample_training_bags,
     score_events,
     train_mil,
@@ -160,19 +159,25 @@ def _parallel_map(fn, tasks: list, pool: WorkerPool) -> list:
 
 @dataclass
 class FoldContext:
-    """Shared per-fold state: the split, harvested vocabulary, fitted
-    qualifier codebook, and metadata features for every match."""
+    """Shared per-fold state: the split, harvested vocabulary, the encoder
+    with its fitted qualifier codebook, and metadata features and sorted
+    ground-truth spans for every match."""
 
     train_ids: list
     val_ids: list
     test_ids: list
     vocab: set
-    codebook: QualifierCodebook
     encoder: MetadataEncoder
     feats: dict
-    types: dict
     gt_intervals: dict
     ordinals: dict
+
+
+def check_fold_count(config: PipelineConfig, n_matches: int) -> None:
+    """Refuse an ``eval.kfold`` above the number of matches to split."""
+    if n_matches < config["eval.kfold"]:
+        raise ConfigError("key 'eval.kfold': %d is above the dataset's %d matches"
+                          % (config["eval.kfold"], n_matches))
 
 
 def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
@@ -182,9 +187,7 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
     if missing:
         raise DataFormatError("no reference summary (summaries/<id>.json) for match %s"
                               % ", ".join(missing))
-    if len(ids) < config["eval.kfold"]:
-        raise ConfigError("key 'eval.kfold': %d is above the dataset's %d matches"
-                          % (config["eval.kfold"], len(ids)))
+    check_fold_count(config, len(ids))
     folds = kfold_split(ids, k=config["eval.kfold"], seed=seed)
     if not 0 <= fold_index < len(folds):
         raise ConfigError("fold %d is outside 0..%d" % (fold_index, len(folds) - 1))
@@ -203,10 +206,8 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
         val_ids=val_ids,
         test_ids=test_ids,
         vocab=vocab,
-        codebook=codebook,
         encoder=encoder,
         feats={i: encoder.encode_match(dataset.by_id(i)) for i in ids},
-        types={i: dataset.by_id(i).type_sequence() for i in ids},
         # in start order, as overlap_match requires; a summary file may
         # list its actions in any order
         gt_intervals={
@@ -226,10 +227,8 @@ def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldCont
     scorer; the validation matches pick the epoch and the threshold."""
     bags = sample_training_bags({i: dataset.by_id(i) for i in ctx.train_ids}, ctx.vocab,
                                 seed, config["stage1.neg_min_len"])
-    val_inputs = [
-        (i, intervals_to_labels(len(ctx.types[i]), ctx.gt_intervals[i]), ctx.types[i])
-        for i in ctx.val_ids
-    ]
+    val_inputs = [(i, ctx.gt_intervals[i], dataset.by_id(i).type_sequence())
+                  for i in ctx.val_ids]
     return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), seed)
 
 
@@ -287,8 +286,7 @@ def budget_inputs(dataset: Dataset, config: PipelineConfig, match_id: str,
     padding = PaddingConfig(config["pad.pre"], config["pad.post"])
     durations = [action_duration(Action(s, e), match, padding) for s, e, _t in proposals]
     starts = [match.events[s].t for s, _e, _t in proposals]
-    budget = sum(action_duration(a, match, padding)
-                 for a in dataset.summaries[match_id].actions)
+    budget = dataset.summaries[match_id].total_duration(match, padding)
     return durations, starts, budget
 
 
@@ -381,7 +379,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
     for vi, i in enumerate(val_ids):
         for j, c in enumerate(candidates[i]):
             f_matrix[vi, j] = Counts(*summary_counts(i, c.chosen)).metrics(beta=1.0)["f"]
-    best_j = select_best_index(f_matrix) if val_ids else 0
+    best_j = select_best_index(f_matrix)
 
     tol, mode = config["stage3.budget_tol"], config["stage3.mode"]
     stage1 = {name: Counts() for name in STAGE1_ROWS}
@@ -390,8 +388,8 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
     assembled = [(c, inputs[i][2]) for i in eval_ids for c in candidates[i]]
     for i in test_ids:
         gt = ctx.gt_intervals[i]
-        stage1["template-matching"].add(
-            *overlap_match(find_vocabulary_spans(ctx.types[i], ctx.vocab), gt))
+        template = find_vocabulary_spans(dataset.by_id(i).type_sequence(), ctx.vocab)
+        stage1["template-matching"].add(*overlap_match(template, gt))
         stage1["learned-model"].add(*overlap_match([(s, e) for s, e, _t in proposals[i]], gt))
 
         ptypes = [t for _s, _e, t in proposals[i]]
@@ -435,7 +433,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
         save_model_checkpoint(os.path.join(fold_dir, "mil.ckpt"), mil.to_checkpoint(), prov)
         save_model_checkpoint(os.path.join(fold_dir, "hma.ckpt"), hma.to_checkpoint(), prov)
         write_features_json(os.path.join(fold_dir, "stage1_features.json"), prov,
-                            ctx.codebook, ctx.vocab)
+                            ctx.encoder.codebook, ctx.vocab)
         write_scores_csv(os.path.join(fold_dir, "scores.csv"), prov, scores)
         write_proposals_json(os.path.join(fold_dir, "proposals.json"), prov, proposals)
         write_theta_csv(os.path.join(fold_dir, "theta.csv"), prov, theta)

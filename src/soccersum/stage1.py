@@ -286,11 +286,6 @@ def extract_proposals(scores: np.ndarray, threshold: float,
     return _runs(np.asarray(scores) >= threshold, _goal_mask(types))
 
 
-def labels_to_intervals(labels: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of positive labels as inclusive index spans."""
-    return _runs(np.asarray(labels, dtype=bool))
-
-
 def intervals_to_labels(n_events: int, intervals) -> np.ndarray:
     """Per-event labels, True inside any of the inclusive index spans."""
     labels = np.zeros(n_events, dtype=bool)
@@ -331,23 +326,22 @@ def _grid_runs(scores: np.ndarray, goal: np.ndarray):
 
 def select_threshold(scored, beta: float = 2.0, ratio: float = 0.5) -> tuple[float, float]:
     """Grid-search the score threshold (0.01..0.99, step 0.01) maximizing
-    proposal F-beta, micro-averaged over the (event scores, event labels,
-    event types) rows of ``scored``; ties go to the lowest threshold.
-    Returns (threshold, fbeta)."""
+    proposal F-beta, micro-averaged over the (event scores, ground-truth
+    spans in start order, event types) rows of ``scored``, each span matched
+    as evaluation's ``overlap_match`` matches it; ties go to the lowest
+    threshold.  Returns (threshold, fbeta)."""
     n_grid = len(_THRESHOLDS)
     tp = [0] * n_grid
     n_runs = np.zeros(n_grid, dtype=np.int64)
     n_gts = 0
-    for scores, labels, types in scored:
-        labels = np.asarray(labels, dtype=bool)
-        gts = labels_to_intervals(labels)
+    for scores, gts, types in scored:
         n_gts += len(gts)
         rows, starts, ends = _grid_runs(np.asarray(scores), _goal_mask(types))
         n_runs += np.bincount(rows, minlength=n_grid)
-        # a run that has less than ``ratio`` of its events labeled matches
-        # no ground truth, so only the others go through overlap_match
-        labeled = np.concatenate(([0], np.cumsum(labels)))
-        keep = labeled[ends + 1] - labeled[starts] >= ratio * (ends - starts + 1)
+        # a run that has less than ``ratio`` of its events inside ground
+        # truth matches none, so only the others go through overlap_match
+        covered = np.concatenate(([0], np.cumsum(intervals_to_labels(len(types), gts))))
+        keep = covered[ends + 1] - covered[starts] >= ratio * (ends - starts + 1)
         bounds = np.searchsorted(rows[keep], np.arange(n_grid + 1)).tolist()
         starts, ends = starts[keep].tolist(), ends[keep].tolist()
         for k in range(n_grid):
@@ -420,14 +414,16 @@ class MilModel:
 
 
 def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
-              val_scored_inputs: list[tuple[str, np.ndarray, tuple[str, ...]]],
+              val_scored_inputs: list[tuple[str, list[tuple[int, int]], tuple[str, ...]]],
               config: MilConfig, seed: int) -> MilModel:
     """Train the bag scorer with ``neural.fit``, in float32.
 
-    ``val_scored_inputs`` rows are (match_id, event labels, event types) for
-    validation matches; after each epoch the validation matches are scored
-    and a threshold is grid-picked, and the epoch with the best validation
-    F-beta (threshold included) is kept.
+    ``val_scored_inputs`` rows are (match_id, ground-truth spans in start
+    order, event types) for validation matches; after each epoch the
+    validation matches are scored and a threshold is grid-picked, and the
+    epoch with the best validation F-beta (threshold included) is kept.
+    ``features`` are not copied: each minibatch and scored match is cast
+    to float32 as it enters the model.
     """
     labels = {b.label for b in bags}
     if labels != {0, 1}:
@@ -437,7 +433,6 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
     # the model trains and scores in float32
     params = {k: v.astype(np.float32)
               for k, v in init_mil_params(input_dim, config.hidden, rng).items()}
-    features = {k: v.astype(np.float32) for k, v in features.items()}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
 
     def loss_grads(params, chunk):
@@ -445,8 +440,8 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
         return mil_batch_loss_grads(params, xs, [b.label for b in chunk])
 
     def validate(params):
-        scored = [(score_events(params, features[match_id], config), ev_labels, types)
-                  for match_id, ev_labels, types in val_scored_inputs]
+        scored = [(score_events(params, features[match_id], config), spans, types)
+                  for match_id, spans, types in val_scored_inputs]
         threshold, f = select_threshold(scored, config.beta)
         return {"val_f": f, "threshold": threshold}
 

@@ -8,7 +8,7 @@ cut to a duration budget and reordered chronologically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class Candidate:
     sample_index: int
     ranking: list[int]
     chosen: list[int]  # chronological order
-    durations: list[float]
     total_duration: float
     over_budget: bool = False
 
@@ -92,7 +91,6 @@ def assemble_summary(ranking, durations, starts, budget: float,
         sample_index=sample_index,
         ranking=list(int(i) for i in ranking),
         chosen=[int(i) for i in chosen],
-        durations=[float(durations[i]) for i in chosen],
         total_duration=float(total),
         over_budget=over,
     )

@@ -171,7 +171,6 @@ class Planted:
     end: int
     core_start: int
     in_summary: bool
-    noised: bool
 
 
 def _background_type(rng: np.random.Generator, prev: str) -> str:
@@ -186,25 +185,22 @@ _MIN_CONTEXT = 6
 
 
 def _instance_sequence(family: str, rng: np.random.Generator,
-                       cfg: GenConfig) -> tuple[list[str], int, bool]:
-    """One planted instance: (type sequence, context length, noised flag).
+                       cfg: GenConfig) -> tuple[list[str], int]:
+    """One planted instance: (type sequence, context length).
 
     Noise only ever touches the front of the build-up context, never the
     core or the last few context events, so the shortest library variant
     of every planted action stays intact."""
     contexts, core = FAMILY_LIBRARY[family]
     ctx = list(contexts[int(rng.integers(len(contexts)))])
-    noised = False
     safe = len(ctx) - _MIN_CONTEXT
     if safe >= 2 and rng.random() < cfg.noise_swap:
         pos = int(rng.integers(safe - 1))
         ctx[pos], ctx[pos + 1] = ctx[pos + 1], ctx[pos]
-        noised = True
     if safe >= 0 and rng.random() < cfg.noise_insert:
         pos = int(rng.integers(safe + 1))
         ctx.insert(pos, str(rng.choice(_NOISE_TYPES)))
-        noised = True
-    return ctx + list(core), len(ctx), noised
+    return ctx + list(core), len(ctx)
 
 
 def _gap_sizes(total: int, n_gaps: int, min_gap: int, rng: np.random.Generator) -> list[int]:
@@ -237,11 +233,11 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     for i in order:
         per_half[halves[i]].append(plan[i])
 
-    segments: list[list[tuple[list[str], str, int, bool]]] = [[], []]
+    segments: list[list[tuple[list[str], str, int]]] = [[], []]
     for h in (0, 1):
         for fam in per_half[h]:
-            seq, ctx_len, noised = _instance_sequence(fam, rng, cfg)
-            segments[h].append((seq, fam, ctx_len, noised))
+            seq, ctx_len = _instance_sequence(fam, rng, cfg)
+            segments[h].append((seq, fam, ctx_len))
 
     planted_event_total = (
         sum(len(seq) for seg in segments for seq, *_ in seg)
@@ -264,23 +260,23 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
             stream.append((t, -1))
             prev_bg = t
 
-    def emit_instance(seq: list[str], fam: str, ctx_len: int, noised: bool):
+    def emit_instance(seq: list[str], fam: str, ctx_len: int):
         start = len(stream)
         for t in seq:
             stream.append((t, len(planted)))
-        planted.append(Planted(fam, start, len(stream) - 1, start + ctx_len, False, noised))
+        planted.append(Planted(fam, start, len(stream) - 1, start + ctx_len, False))
 
-    emit_instance(list(OPEN_TEMPLATE), "start-period", len(OPEN_TEMPLATE), False)
+    emit_instance(list(OPEN_TEMPLATE), "start-period", len(OPEN_TEMPLATE))
     for h in (0, 1):
         gaps = _gap_sizes(bg_half[h], len(segments[h]) + 1, cfg.min_gap_events, rng)
         for gi, item in enumerate(segments[h]):
             emit_background(gaps[gi])
-            emit_instance(item[0], item[1], item[2], item[3])
+            emit_instance(*item)
         emit_background(gaps[len(segments[h])] if gaps else cfg.min_gap_events)
-        emit_instance(list(CLOSE_TEMPLATE), "end-period", len(CLOSE_TEMPLATE), False)
+        emit_instance(list(CLOSE_TEMPLATE), "end-period", len(CLOSE_TEMPLATE))
         if h == 0:
             emit_background(cfg.min_gap_events)
-            emit_instance(list(OPEN_TEMPLATE), "start-period", len(OPEN_TEMPLATE), False)
+            emit_instance(list(OPEN_TEMPLATE), "start-period", len(OPEN_TEMPLATE))
 
     # timestamps: quick touches through decisive cores, brisk sustained
     # rhythm through build-up contexts and the period open/close patterns,

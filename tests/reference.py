@@ -232,30 +232,16 @@ def extract_proposals(scores, threshold, types):
     return proposals
 
 
-def labels_to_intervals(labels):
-    spans = []
-    start = None
-    for i, flag in enumerate(labels):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            spans.append((start, i - 1))
-            start = None
-    if start is not None:
-        spans.append((start, len(labels) - 1))
-    return spans
-
-
 def select_threshold(scored, beta=2.0, ratio=0.5):
-    """(threshold, F-beta) of the grid search over 0.01..0.99, lowest
-    threshold on ties."""
+    """(threshold, F-beta) of the grid search over 0.01..0.99 on (event
+    scores, ground-truth spans, event types) rows, lowest threshold on
+    ties."""
     best_t, best_f = 0.01, -1.0
     for step in range(1, 100):
         t = step / 100.0
         tp = fp = fn = 0
-        for scores, labels, types in scored:
-            a, b, c = overlap_match(extract_proposals(scores, t, types),
-                                    labels_to_intervals(labels), ratio)
+        for scores, spans, types in scored:
+            a, b, c = overlap_match(extract_proposals(scores, t, types), spans, ratio)
             tp += a
             fp += b
             fn += c

@@ -241,8 +241,9 @@ def test_lower_bound_above_upper_bound_exits_one(chain, tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["e2e", "train-proposals"])
 def test_more_folds_than_matches_exits_one(chain, tmp_path, capsys, command):
-    """The fold count is checked against the dataset where both are known:
-    6 generated matches for e2e, the chain's 10 for train-proposals."""
+    """The fold count is checked against the match count as soon as both
+    are known: for e2e, the configured 6 matches, before any data is
+    generated or written; for train-proposals, the chain's 10."""
     cfg = tmp_path / "folds.cfg"
     if command == "e2e":
         cfg.write_text("include %s\ngen.matches = 6\neval.kfold = 10\n" % chain.cfg)
@@ -257,6 +258,7 @@ def test_more_folds_than_matches_exits_one(chain, tmp_path, capsys, command):
     n = 6 if command == "e2e" else 10
     assert "configuration error" in err and "'eval.kfold'" in err and "%d matches" % n in err
     assert not (tmp_path / "run" / "fold_000").exists()
+    assert not (tmp_path / "run" / "data").exists()
 
 
 def test_equal_bounds_generate(tmp_path):

@@ -20,7 +20,6 @@ from soccersum.stage1 import (
     fuse_event_scores,
     init_mil_params,
     label_events_by_vocabulary,
-    labels_to_intervals,
     mil_batch_loss_grads,
     mil_loss_grads,
     sample_training_bags,
@@ -88,11 +87,10 @@ def loop_sample_training_bags(matches, vocab, seed, neg_min_len=4):
 
 def proposal_fbeta(scored, threshold, beta=2.0, ratio=0.5):
     """F-beta of proposal extraction at a threshold, micro-averaged over
-    (event scores, event labels, event types) rows."""
+    (event scores, ground-truth spans, event types) rows."""
     tp = fp = fn = 0
-    for scores, labels, types in scored:
-        a, b, c = overlap_match(extract_proposals(scores, threshold, types),
-                                labels_to_intervals(labels), ratio)
+    for scores, spans, types in scored:
+        a, b, c = overlap_match(extract_proposals(scores, threshold, types), spans, ratio)
         tp += a
         fp += b
         fn += c
@@ -100,11 +98,14 @@ def proposal_fbeta(scored, threshold, beta=2.0, ratio=0.5):
 
 
 def random_scored_match(rng, n):
-    """Smooth random scores in (0, 1), labels, and types with goal-shots."""
+    """Smooth random scores in (0, 1), ground-truth spans in start order,
+    and types with goal-shots.  Each hit k covers events k-2..k, so spans
+    overlap, abut and stand apart."""
     scores = np.clip(np.convolve(rng.uniform(size=n + 4), np.ones(5) / 5, "valid"), 0, 1)
-    labels = np.convolve(rng.uniform(size=n + 2) < 0.25, np.ones(3), "valid") > 0
+    hits = np.flatnonzero(rng.uniform(size=n + 2) < 0.25).tolist()
+    spans = [(max(k - 2, 0), min(k, n - 1)) for k in hits]
     types = tuple(rng.choice(["pass", "shot", "goal-shot"], size=n, p=[0.7, 0.2, 0.1]))
-    return scores, labels, types
+    return scores, spans, types
 
 
 def typed_match(types, match_id="m"):
@@ -288,23 +289,30 @@ def test_extract_proposals_runs_and_goal_rule():
         extract_proposals(np.array([0.9] * 3), 0.5, ("pass", "pass"))
 
 
-def test_labels_to_intervals():
-    labels = np.array([True, True, False, True, False, False, True])
-    assert labels_to_intervals(labels) == [(0, 1), (3, 3), (6, 6)]
-    assert labels_to_intervals(np.zeros(3, dtype=bool)) == []
-    assert labels_to_intervals(np.ones(2, dtype=bool)) == [(0, 1)]
-
-
 def test_select_threshold_prefers_lowest_tie():
     scores = np.array([0.9, 0.9, 0.1, 0.9, 0.9])
-    labels = np.array([1, 1, 0, 1, 1], dtype=bool)
     types = ("pass",) * 5
-    scored = [(scores, labels, types)]
+    scored = [(scores, [(0, 1), (3, 4)], types)]
     assert proposal_fbeta(scored, 0.5) == pytest.approx(1.0)
     assert proposal_fbeta(scored, 0.05) == pytest.approx(0.0)
     t, f = select_threshold(scored)
     assert f == pytest.approx(1.0)
     assert t == pytest.approx(0.11)  # first grid point where the split works
+
+
+def test_adjacent_actions_are_scored_as_evaluation_scores_them():
+    """Two abutting summary actions stay two ground truths: the search
+    reports the F that ``overlap_match`` gives at the threshold it picks.
+    Merged into one span, the whole-match run at 0.01 would cover it and
+    score F 1.0, while evaluation finds no true positive there."""
+    gts = [(2, 4), (5, 7)]
+    scores = np.where((np.arange(12) >= 2) & (np.arange(12) <= 7), 0.9, 0.1)
+    types = ("pass",) * 12
+    t, f = select_threshold([(scores, gts, types)])
+    tp, fp, fn = overlap_match(extract_proposals(scores, t, types), gts)
+    assert f == fbeta(*precision_recall(tp, fp, fn), 2.0)
+    assert (t, (tp, fp, fn)) == (0.11, (1, 0, 1))
+    assert overlap_match(extract_proposals(scores, 0.01, types), gts) == (0, 1, 2)
 
 
 def test_vectorised_fusion_matches_loop():
@@ -323,11 +331,10 @@ def test_vectorised_fusion_matches_loop():
 def test_vectorised_proposals_and_threshold_match_loops():
     rng = np.random.default_rng(17)
     for _ in range(30):
-        scores, labels, types = random_scored_match(rng, int(rng.integers(1, 120)))
+        scores, _spans, types = random_scored_match(rng, int(rng.integers(1, 120)))
         for t in (0.0, 0.3, 0.5, 0.62, 1.0):
             want = reference.extract_proposals(scores, t, types)
             assert extract_proposals(scores, t, types) == want
-        assert labels_to_intervals(labels) == reference.labels_to_intervals(labels)
     scored = [random_scored_match(rng, int(rng.integers(40, 200))) for _ in range(6)]
     assert select_threshold(scored) == reference.select_threshold(scored)
     assert (select_threshold(scored, beta=1.0, ratio=0.3)
@@ -343,12 +350,12 @@ def test_one_pass_threshold_search_equals_the_loop():
             assert (select_threshold(scored, beta, ratio)
                     == reference.select_threshold(scored, beta, ratio))
     n = 60
-    _, labels, types = random_scored_match(rng, n)
+    _, spans, types = random_scored_match(rng, n)
     for scores in (np.full(n, 0.005),                  # below every threshold
                    np.full(n, 0.995),                  # above every threshold
                    rng.integers(0, 101, size=n) / 100.0,  # on the grid points
                    np.where(rng.uniform(size=n) < 0.5, 0.001, 0.999)):
-        scored = [(scores, labels, types)]
+        scored = [(scores, spans, types)]
         assert select_threshold(scored) == reference.select_threshold(scored)
 
 
@@ -455,10 +462,7 @@ def _toy_problem(seed=31):
         feats[mid] = f
     bags = [Bag("a", s, e - s + 1, 1) for s, e in spans["a"]]
     bags += [Bag("a", st, 8, 0) for st in (0, 30, 66)]
-    labels_b = np.zeros(80, dtype=bool)
-    for s, e in spans["b"]:
-        labels_b[s : e + 1] = True
-    val = [("b", labels_b, ("pass",) * 80)]
+    val = [("b", spans["b"], ("pass",) * 80)]
     return bags, feats, val
 
 
@@ -482,6 +486,18 @@ def test_train_mil_trains_float32_parameters():
                                                   batch=8), seed=3)
     assert {v.dtype for v in model.params.values()} == {np.dtype(np.float32)}
     assert feats["a"].dtype == np.float64  # the caller's features are not touched
+
+
+def test_train_mil_casts_at_the_batch():
+    """Features are cast to float32 where they enter the model, so float64
+    features train exactly as their float32 copy does."""
+    bags, feats, val = _toy_problem()
+    cfg = MilConfig(hidden=4, window=8, stride=4, epochs=4, batch=4, lr=0.02)
+    a = train_mil(bags, feats, val, cfg, seed=3)
+    b = train_mil(bags, {k: v.astype(np.float32) for k, v in feats.items()}, val, cfg, seed=3)
+    assert {k: v.tobytes() for k, v in a.params.items()} == {
+        k: v.tobytes() for k, v in b.params.items()}
+    assert (a.threshold, a.history, a.best_epoch) == (b.threshold, b.history, b.best_epoch)
 
 
 def test_validation_scores_are_the_scores_of_the_returned_model(monkeypatch):

@@ -119,7 +119,6 @@ def test_assembly_stop_first_and_chronology():
     assert cand.chosen == [1, 0]  # reordered by start time
     assert cand.total_duration == pytest.approx(80.0)
     assert cand.over_budget is False
-    assert cand.durations == [30.0, 50.0]
 
 
 def test_assembly_skip_continue_takes_later_fits():
