@@ -29,6 +29,11 @@ class Provenance:
     config_hash: str
     seed: int
 
+    @classmethod
+    def of(cls, config) -> Provenance:
+        """The provenance of a run under ``config`` (a ``PipelineConfig``)."""
+        return cls(config.config_hash(), config["seed"])
+
 
 def ensure_same_provenance(tagged: list[tuple[str, Provenance]]) -> Provenance:
     """Accept a non-empty list of (path, provenance); all entries must agree."""
@@ -261,7 +266,6 @@ def write_results(out_dir: str, prov: Provenance, result) -> None:
     """The report tables of a ``pipeline.ProtocolResult`` under ``out_dir/results``."""
     res_dir = os.path.join(out_dir, "results")
     os.makedirs(res_dir, exist_ok=True)
-    for name in ("stage1", "selection", "ranking"):
-        _write_csv(os.path.join(res_dir, "%s.csv" % name), prov,
-                   format_csv(*result.tables[name]))
+    for name, table in result.tables.items():
+        _write_csv(os.path.join(res_dir, "%s.csv" % name), prov, format_csv(*table))
     _write_csv(os.path.join(res_dir, "results.txt"), prov, "\n" + result.text)

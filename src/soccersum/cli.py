@@ -76,6 +76,15 @@ def _add_common(sub):
     sub.add_argument("--jobs", type=int, default=None, help="worker processes")
 
 
+def _threshold(text: str) -> float:
+    """A ``--threshold``: stage-1 scores lie in (0, 1), so a finite number
+    in [0, 1]; ``_Parser.error`` turns the refusal into exit code 1."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for NaN
+        raise argparse.ArgumentTypeError("%r is not a finite number in [0, 1]" % text)
+    return value
+
+
 def _config_from(args):
     overrides = {}
     if args.seed is not None:
@@ -85,13 +94,9 @@ def _config_from(args):
     return load_config(args.config, overrides)
 
 
-def _prov(cfg) -> Provenance:
-    return Provenance(cfg.config_hash(), cfg["seed"])
-
-
 def _require_current(cfg, tagged):
     """All consumed artifacts must match the active config hash and seed."""
-    ensure_same_provenance([("active configuration", _prov(cfg))] + list(tagged))
+    ensure_same_provenance([("active configuration", Provenance.of(cfg))] + list(tagged))
 
 
 def _match_ids(args, dataset, default) -> list:
@@ -121,8 +126,8 @@ def cmd_gen_data(args) -> int:
 def cmd_extract_features(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
-    prov = _prov(cfg)
+    ctx = prepare_fold(dataset, cfg, args.fold)
+    prov = Provenance.of(cfg)
     feat_dir = os.path.join(args.out_dir, "features")
     os.makedirs(feat_dir, exist_ok=True)
     ids = _match_ids(args, dataset, dataset.match_ids())
@@ -142,10 +147,10 @@ def cmd_extract_features(args) -> int:
 def cmd_train_proposals(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
-    model = train_proposal_model(dataset, cfg, ctx, cfg["seed"])
+    ctx = prepare_fold(dataset, cfg, args.fold)
+    model = train_proposal_model(dataset, cfg, ctx)
     os.makedirs(args.out_dir, exist_ok=True)
-    prov = _prov(cfg)
+    prov = Provenance.of(cfg)
     save_model_checkpoint(os.path.join(args.out_dir, "mil.ckpt"), model.to_checkpoint(), prov)
     write_features_json(os.path.join(args.out_dir, "stage1_features.json"), prov,
                         ctx.encoder.codebook, ctx.vocab)
@@ -171,7 +176,7 @@ def cmd_score_events(args) -> int:
     feats = {i: encoder.encode_match(dataset.by_id(i)) for i in ids}
     scores = score_matches(model, feats)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    write_scores_csv(args.out, _prov(cfg), scores)
+    write_scores_csv(args.out, Provenance.of(cfg), scores)
     print("scored %d matches -> %s" % (len(ids), args.out))
     return 0
 
@@ -186,7 +191,7 @@ def cmd_extract_proposals(args) -> int:
     threshold = args.threshold if args.threshold is not None else model.threshold
     proposals = typed_proposals(dataset, scores, threshold)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    write_proposals_json(args.out, _prov(cfg), proposals)
+    write_proposals_json(args.out, Provenance.of(cfg), proposals)
     n = sum(len(v) for v in proposals.values())
     print("extracted %d proposals (threshold %.2f) -> %s" % (n, threshold, args.out))
     return 0
@@ -197,13 +202,13 @@ def cmd_train_hma(args) -> int:
     dataset = load_dataset(args.data)
     prov_p, proposals = read_proposals_json(args.proposals, dataset)
     _require_current(cfg, [(args.proposals, prov_p)])
-    ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
+    ctx = prepare_fold(dataset, cfg, args.fold)
     events = proposal_events(proposals, ctx.train_ids + ctx.val_ids)
     audio = event_audio(dataset, events, cfg["jobs"])
-    model = train_proposal_scorer(cfg, ctx, proposals, audio, cfg["seed"])
+    model = train_proposal_scorer(cfg, ctx, proposals, audio)
     os.makedirs(args.out_dir, exist_ok=True)
     save_model_checkpoint(os.path.join(args.out_dir, "hma.ckpt"),
-                          model.to_checkpoint(), _prov(cfg))
+                          model.to_checkpoint(), Provenance.of(cfg))
     print("trained proposal scorer: validation F1 %.4f" % model.best_val_f)
     return 0
 
@@ -215,14 +220,13 @@ def cmd_summarize(args) -> int:
     ckpt, prov_m = load_model_checkpoint(args.model)
     _require_current(cfg, [(args.proposals, prov_p), (args.model, prov_m)])
     model = HmaModel.from_checkpoint(ckpt)
-    ctx = prepare_fold(dataset, cfg, args.fold, cfg["seed"])
+    ctx = prepare_fold(dataset, cfg, args.fold)
     ids = _match_ids(args, dataset, ctx.test_ids)
-    prov = _prov(cfg)
+    prov = Provenance.of(cfg)
     os.makedirs(os.path.join(args.out_dir, "candidates"), exist_ok=True)
 
     audio = event_audio(dataset, proposal_events(proposals, ids), cfg["jobs"])
-    theta, inputs, candidates = rank_and_sample(dataset, cfg, cfg["seed"], ctx, model,
-                                                proposals, audio, ids)
+    theta, inputs, candidates = rank_and_sample(dataset, cfg, ctx, model, proposals, audio, ids)
     write_theta_csv(os.path.join(args.out_dir, "theta.csv"), prov, theta)
     for i in ids:
         write_candidates_json(os.path.join(args.out_dir, "candidates", "%s.json" % i), prov,
@@ -234,7 +238,7 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir, jobs=cfg["jobs"])
+    result = run_protocol(dataset, cfg, out_dir=args.out_dir)
     print(result.text, end="")
     return 0
 
@@ -244,7 +248,7 @@ def cmd_e2e(args) -> int:
     check_fold_count(cfg, cfg["gen.matches"])  # before anything is generated or written
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
     save_dataset(dataset, os.path.join(args.out_dir, "data"))
-    result = run_protocol(dataset, cfg, cfg["seed"], out_dir=args.out_dir, jobs=cfg["jobs"])
+    result = run_protocol(dataset, cfg, out_dir=args.out_dir)
     print(result.text, end="")
     return 0
 
@@ -290,7 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--out", required=True, help="proposals JSON to write")
     p.set_defaults(func=cmd_extract_proposals)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,18 @@ from .stage3 import (
 )
 from .synth import resolve_audio
 
-SELECTOR_ROWS = ("random-selector", "only-goals", "shots-on-target", "attention-classifier")
-RANKING_ROWS = ("random-ranking", "score-descending", "sampled-best-of-k")
-STAGE1_ROWS = ("template-matching", "learned-model")
+# The report tables, each also a ``FoldResult`` field of per-row counts:
+# title, label column, the config key of the F beta (None: F1), row names,
+# and the ``Counts.metrics`` shown ("missing" as missing_pct, "f" as f<beta>).
+REPORT = {
+    "stage1": ("Action proposals (test shards)", "method", "eval.beta",
+               ("template-matching", "learned-model"), ("missing", "f")),
+    "selection": ("Proposal selection (test shards)", "selector", None,
+                  ("random-selector", "only-goals", "shots-on-target", "attention-classifier"),
+                  ("precision", "recall", "f")),
+    "ranking": ("Budgeted summaries (test shards)", "method", None,
+                ("random-ranking", "score-descending", "sampled-best-of-k"), ("missing", "f")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +112,18 @@ def _audio_task(args):
 def _propose_task(args):
     """Stage 1 of one fold: train the proposal model, then score and cut
     proposals in every match."""
-    config, seed, fold_index = args
-    ctx = prepare_fold(_DATASET, config, fold_index, seed)
-    mil = train_proposal_model(_DATASET, config, ctx, seed)
+    config, fold_index = args
+    ctx = prepare_fold(_DATASET, config, fold_index)
+    mil = train_proposal_model(_DATASET, config, ctx)
     scores = score_matches(mil, ctx.feats)
     return ProposedFold(fold_index, mil, scores,
                         typed_proposals(_DATASET, scores, mil.threshold))
 
 
 def _finish_task(args):
-    config, seed, fold, audio, out_dir = args
-    ctx = prepare_fold(_DATASET, config, fold.index, seed)
-    return finish_fold(_DATASET, config, seed, ctx, fold, audio, out_dir)
+    config, fold, audio, out_dir = args
+    ctx = prepare_fold(_DATASET, config, fold.index)
+    return finish_fold(_DATASET, config, ctx, fold, audio, out_dir)
 
 
 class WorkerPool:
@@ -180,15 +189,14 @@ def check_fold_count(config: PipelineConfig, n_matches: int) -> None:
                           % (config["eval.kfold"], n_matches))
 
 
-def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
-                 seed: int) -> FoldContext:
+def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int) -> FoldContext:
     ids = dataset.match_ids()
     missing = [i for i in ids if i not in dataset.summaries]
     if missing:
         raise DataFormatError("no reference summary (summaries/<id>.json) for match %s"
                               % ", ".join(missing))
     check_fold_count(config, len(ids))
-    folds = kfold_split(ids, k=config["eval.kfold"], seed=seed)
+    folds = kfold_split(ids, k=config["eval.kfold"], seed=config["seed"])
     if not 0 <= fold_index < len(folds):
         raise ConfigError("fold %d is outside 0..%d" % (fold_index, len(folds) - 1))
     train_ids, val_ids, test_ids = folds[fold_index]
@@ -221,15 +229,14 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int,
 # ---------------------------------------------------------------------------
 # stages, shared by the CLI subcommands and run_fold
 
-def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
-                         seed: int) -> MilModel:
+def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldContext) -> MilModel:
     """Stage 1: sample bags from the training matches and train the MIL
     scorer; the validation matches pick the epoch and the threshold."""
     bags = sample_training_bags({i: dataset.by_id(i) for i in ctx.train_ids}, ctx.vocab,
-                                seed, config["stage1.neg_min_len"])
+                                config["seed"], config["stage1.neg_min_len"])
     val_inputs = [(i, ctx.gt_intervals[i], dataset.by_id(i).type_sequence())
                   for i in ctx.val_ids]
-    return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), seed)
+    return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), config["seed"])
 
 
 def score_matches(model: MilModel, feats: dict) -> dict[str, np.ndarray]:
@@ -291,18 +298,18 @@ def budget_inputs(dataset: Dataset, config: PipelineConfig, match_id: str,
 
 
 def train_proposal_scorer(config: PipelineConfig, ctx: FoldContext, proposals: dict,
-                          audio: dict, seed: int) -> HmaModel:
+                          audio: dict) -> HmaModel:
     """Stage 2: train the attention scorer on the labeled proposals of the
     training matches; those of the validation matches pick the epoch."""
     ratio = config["stage2.overlap_ratio"]
     return train_hma(
         stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
         stage2_items(proposals, ctx.feats, audio, ctx.val_ids, ctx.gt_intervals, ratio),
-        config.hma_config(), seed,
+        config.hma_config(), config["seed"],
     )
 
 
-def rank_and_sample(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldContext,
+def rank_and_sample(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
                     hma: HmaModel, proposals: dict, audio: dict, ids) -> tuple[dict, dict, dict]:
     """Stage 2 scoring and stage 3 for each match of ``ids``: the proposal
     scores theta, the budget inputs (padded durations, start times,
@@ -314,7 +321,7 @@ def rank_and_sample(dataset: Dataset, config: PipelineConfig, seed: int, ctx: Fo
     candidates = {
         i: generate_candidates(
             theta[i], *inputs[i], k=config["stage3.samples"], sigma=config["stage3.sigma"],
-            seed_key=(seed, 9, ctx.ordinals[i]), tol=config["stage3.budget_tol"],
+            seed_key=(config["seed"], 9, ctx.ordinals[i]), tol=config["stage3.budget_tol"],
             mode=config["stage3.mode"],
         )
         for i in ids
@@ -357,7 +364,7 @@ class ProposedFold:
     proposals: dict
 
 
-def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldContext,
+def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
                 fold: ProposedFold, audio: dict, out_dir: str | None = None) -> FoldResult:
     """Stages 2 and 3 of a proposed fold, evaluation on its test shard, and
     its artifacts under ``out_dir``.  ``audio`` holds the descriptor rows
@@ -366,9 +373,9 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
     val_ids, test_ids = ctx.val_ids, ctx.test_ids
     eval_ids = val_ids + test_ids
 
-    hma = train_proposal_scorer(config, ctx, proposals, audio, seed)
-    theta, inputs, candidates = rank_and_sample(dataset, config, seed, ctx, hma, proposals,
-                                                audio, eval_ids)
+    hma = train_proposal_scorer(config, ctx, proposals, audio)
+    theta, inputs, candidates = rank_and_sample(dataset, config, ctx, hma, proposals, audio,
+                                                eval_ids)
 
     # evaluation: validation matches pick the sample index, test matches score
     def summary_counts(i, chosen):
@@ -382,9 +389,8 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
     best_j = select_best_index(f_matrix)
 
     tol, mode = config["stage3.budget_tol"], config["stage3.mode"]
-    stage1 = {name: Counts() for name in STAGE1_ROWS}
-    selection = {name: Counts() for name in SELECTOR_ROWS}
-    ranking = {name: Counts() for name in RANKING_ROWS}
+    counts = {table: {name: Counts() for name in spec[3]} for table, spec in REPORT.items()}
+    stage1, selection, ranking = counts["stage1"], counts["selection"], counts["ranking"]
     assembled = [(c, inputs[i][2]) for i in eval_ids for c in candidates[i]]
     for i in test_ids:
         gt = ctx.gt_intervals[i]
@@ -395,7 +401,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
         ptypes = [t for _s, _e, t in proposals[i]]
         picks = {
             "random-selector": soccer_baseline("random", ptypes,
-                                               _derived_seed(seed, 8, ctx.ordinals[i])),
+                                               _derived_seed(config["seed"], 8, ctx.ordinals[i])),
             "only-goals": soccer_baseline("goals", ptypes),
             "shots-on-target": soccer_baseline("shots_on_target", ptypes),
             "attention-classifier": [j for j, v in enumerate(theta[i]) if v >= 0.5],
@@ -403,7 +409,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
         for name, chosen in picks.items():
             selection[name].add(*summary_counts(i, chosen))
 
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 10, ctx.ordinals[i]]))
+        rng = np.random.default_rng(np.random.SeedSequence([config["seed"], 10, ctx.ordinals[i]]))
         desc = assemble_summary(baseline_ranking(theta[i], "descending"), *inputs[i], tol, mode)
         rand = assemble_summary(baseline_ranking(theta[i], "random", rng), *inputs[i], tol, mode)
         assembled += [(desc, inputs[i][2]), (rand, inputs[i][2])]
@@ -413,9 +419,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
 
     result = FoldResult(
         fold=fold.index,
-        stage1=stage1,
-        selection=selection,
-        ranking=ranking,
+        **counts,
         best_sample_index=best_j,
         threshold=mil.threshold,
         mil_val_f=mil.best_val_f,
@@ -427,7 +431,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
     )
 
     if out_dir is not None:
-        prov = Provenance(config.config_hash(), seed)
+        prov = Provenance.of(config)
         fold_dir = os.path.join(out_dir, "fold_%03d" % fold.index)
         os.makedirs(os.path.join(fold_dir, "candidates"), exist_ok=True)
         save_model_checkpoint(os.path.join(fold_dir, "mil.ckpt"), mil.to_checkpoint(), prov)
@@ -454,58 +458,41 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, seed: int, ctx: FoldCo
 @dataclass
 class ProtocolResult:
     folds: list
-    tables: dict = field(default_factory=dict)
-    text: str = ""
-
-
-def _sum_counts(fold_results, section: str, name: str) -> Counts:
-    total = Counts()
-    for fr in fold_results:
-        c = getattr(fr, section)[name]
-        total.add(c.tp, c.fp, c.fn)
-    return total
+    tables: dict
+    text: str
 
 
 def aggregate_results(fold_results: list, config: PipelineConfig) -> ProtocolResult:
-    beta = config["eval.beta"]
-    stage1_rows = []
-    for name in STAGE1_ROWS:
-        m = _sum_counts(fold_results, "stage1", name).metrics(beta=beta)
-        stage1_rows.append([name, m["missing"], m["f"]])
-    selection_rows = []
-    for name in SELECTOR_ROWS:
-        m = _sum_counts(fold_results, "selection", name).metrics(beta=1.0)
-        selection_rows.append([name, m["precision"], m["recall"], m["f"]])
-    ranking_rows = []
-    for name in RANKING_ROWS:
-        m = _sum_counts(fold_results, "ranking", name).metrics(beta=1.0)
-        ranking_rows.append([name, m["missing"], m["f"]])
-
-    tables = {
-        "stage1": (["method", "missing_pct", "f%g" % beta], stage1_rows),
-        "selection": (["selector", "precision", "recall", "f1"], selection_rows),
-        "ranking": (["method", "missing_pct", "f1"], ranking_rows),
-    }
-    text = "\n".join([
-        format_table("Action proposals (test shards)", *tables["stage1"]),
-        format_table("Proposal selection (test shards)", *tables["selection"]),
-        format_table("Budgeted summaries (test shards)", *tables["ranking"]),
-    ])
-    return ProtocolResult(folds=fold_results, tables=tables, text=text)
+    """The ``REPORT`` tables over the counts of every fold, and their text."""
+    tables, text = {}, []
+    for table, (title, label, beta_key, names, metrics) in REPORT.items():
+        beta = config[beta_key] if beta_key else 1.0
+        header = {"missing": "missing_pct", "f": "f%g" % beta}
+        rows = []
+        for name in names:
+            total = Counts()
+            for fr in fold_results:
+                c = getattr(fr, table)[name]
+                total.add(c.tp, c.fp, c.fn)
+            m = total.metrics(beta=beta)
+            rows.append([name] + [m[k] for k in metrics])
+        tables[table] = ([label] + [header.get(k, k) for k in metrics], rows)
+        text.append(format_table(title, *tables[table]))
+    return ProtocolResult(fold_results, tables, "\n".join(text))
 
 
-def _run_folds(dataset: Dataset, config: PipelineConfig, seed: int, fold_indices,
-               out_dir: str | None, jobs: int) -> list[FoldResult]:
+def _run_folds(dataset: Dataset, config: PipelineConfig, fold_indices,
+               out_dir: str | None) -> list[FoldResult]:
     """Three phases, each a map over tasks in one ``WorkerPool`` of at most
-    ``jobs`` workers: stage 1 of each fold; the audio of each match, over
-    the events that any fold's proposals need; then stages 2 and 3,
-    evaluation and the writes of each fold.  A fold task builds its
+    ``config["jobs"]`` workers: stage 1 of each fold; the audio of each
+    match, over the events that any fold's proposals need; then stages 2
+    and 3, evaluation and the writes of each fold.  A fold task builds its
     context with ``prepare_fold`` and returns no feature arrays, so no
     fold's context crosses a pipe or stays in this process.  A fold's
     outputs do not depend on the other folds run with it."""
     ids = dataset.match_ids()
-    with WorkerPool(dataset, jobs, max(len(fold_indices), len(ids))) as pool:
-        folds = _parallel_map(_propose_task, [(config, seed, k) for k in fold_indices], pool)
+    with WorkerPool(dataset, config["jobs"], max(len(fold_indices), len(ids))) as pool:
+        folds = _parallel_map(_propose_task, [(config, k) for k in fold_indices], pool)
         # a descriptor row depends only on (match, event): compute the union
         # of every fold's events once, rendering each match's audio once
         needed = [proposal_events(f.proposals, ids) for f in folds]
@@ -513,7 +500,7 @@ def _run_folds(dataset: Dataset, config: PipelineConfig, seed: int, fold_indices
         audio = dict(_parallel_map(_audio_task, [(i, idx) for i, idx in events.items() if idx],
                                    pool))
         return _parallel_map(_finish_task, [
-            (config, seed, f, {i: {k: audio[i][k] for k in e[i]} for i in ids}, out_dir)
+            (config, f, {i: {k: audio[i][k] for k in e[i]} for i in ids}, out_dir)
             for f, e in zip(folds, needed)], pool)
 
 
@@ -521,22 +508,22 @@ def run_fold(dataset: Dataset, config: PipelineConfig, fold_index: int, seed: in
              out_dir: str | None = None, data_dir: str | None = None,
              jobs: int = 1) -> FoldResult:
     """Train all three stages on one fold and evaluate on its test shard:
-    the three phases of ``run_protocol`` over this fold alone.
-    ``data_dir`` is unused; it stays for callers that pass it."""
-    return _run_folds(dataset, config, seed, [fold_index], out_dir, jobs)[0]
+    the three phases of ``run_protocol`` over this fold alone, under a copy
+    of ``config`` with ``seed`` and ``jobs`` set, so its artifacts carry
+    the provenance of the seed they were drawn from.  ``data_dir`` is
+    unused; it stays for callers that pass it."""
+    config = PipelineConfig(dict(config.values, seed=seed, jobs=jobs))
+    return _run_folds(dataset, config, [fold_index], out_dir)[0]
 
 
-def run_protocol(dataset: Dataset, config: PipelineConfig, seed: int,
-                 out_dir: str | None = None, jobs: int = 1,
-                 n_folds: int | None = None) -> ProtocolResult:
-    """Train and evaluate over the first ``n_folds`` cross-validation folds
-    (default from config), then aggregate counts into the report tables.
-    Each fold's outputs equal those of ``run_fold``."""
-    if n_folds is None:
-        n_folds = config["eval.folds"]
-    n_folds = max(1, min(n_folds, config["eval.kfold"]))
-    result = aggregate_results(_run_folds(dataset, config, seed, range(n_folds), out_dir, jobs),
-                               config)
+def run_protocol(dataset: Dataset, config: PipelineConfig,
+                 out_dir: str | None = None) -> ProtocolResult:
+    """Train and evaluate over the first ``eval.folds`` cross-validation
+    folds, at most ``eval.kfold`` of them, in a pool of ``jobs`` workers,
+    then aggregate counts into the report tables.  Each fold's outputs
+    equal those of ``run_fold``."""
+    n_folds = min(config["eval.folds"], config["eval.kfold"])
+    result = aggregate_results(_run_folds(dataset, config, range(n_folds), out_dir), config)
     if out_dir is not None:
-        write_results(out_dir, Provenance(config.config_hash(), seed), result)
+        write_results(out_dir, Provenance.of(config), result)
     return result

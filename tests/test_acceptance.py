@@ -269,12 +269,12 @@ def test_criterion_05_matching_oracle_equivalence():
 @pytest.fixture(scope="module")
 def protocol_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_run")
-    cfg = load_config(None, {})
+    cfg = load_config(None, {"seed": 7, "jobs": 1, "eval.folds": 1})
     dataset = generate_dataset(cfg.gen_config(), 7)
     data_dir = out / "data"
     save_dataset(dataset, str(data_dir))
     t0 = time.time()
-    result = run_protocol(dataset, cfg, 7, out_dir=str(out), jobs=1, n_folds=1)
+    result = run_protocol(dataset, cfg, out_dir=str(out))
     elapsed = time.time() - t0
     return SimpleNamespace(result=result, out=out, elapsed=elapsed,
                            dataset=dataset, config=cfg)

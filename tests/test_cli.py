@@ -422,6 +422,30 @@ def test_malformed_scores_exit_two(chain, tmp_path, capsys, fault):
     assert not out.exists()
 
 
+def _extract_at(chain, threshold, out):
+    return main(["extract-proposals", "--config", str(chain.cfg), "--data", str(chain.data),
+                 "--scores", str(chain.run / "scores.csv"),
+                 "--model", str(chain.run / "mil.ckpt"),
+                 "--threshold=" + threshold, "--out", str(out)])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
+def test_threshold_outside_the_unit_interval_exits_one(chain, tmp_path, capsys, value):
+    """Stage-1 scores lie in (0, 1): any other --threshold is a usage error."""
+    out = tmp_path / "proposals.json"
+    with pytest.raises(SystemExit) as exc:
+        _extract_at(chain, value, out)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert "--threshold" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_threshold_bounds_are_accepted(chain, tmp_path, value):
+    assert _extract_at(chain, value, tmp_path / "proposals.json") == 0
+
+
 @pytest.mark.parametrize("t", ["-0.5", "NaN"])
 def test_bad_event_time_exits_two(chain, tmp_path, capsys, t):
     data = tmp_path / "data"
@@ -680,10 +704,10 @@ def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
     from soccersum.artifacts import read_proposals_json
     from soccersum.pipeline import proposal_events, run_fold, run_protocol
 
-    cfg = load_config(str(chain.cfg), {}, use_env=False)
-    dataset = load_dataset(str(chain.data))
     seed = 5  # its two folds need audio events that the other does not
-    run_protocol(dataset, cfg, seed, out_dir=str(tmp_path / "protocol"), jobs=2, n_folds=2)
+    cfg = load_config(str(chain.cfg), {"seed": seed, "jobs": 2, "eval.folds": 2}, use_env=False)
+    dataset = load_dataset(str(chain.data))
+    run_protocol(dataset, cfg, out_dir=str(tmp_path / "protocol"))
     assert pipeline._DATASET is None
     for k in range(2):
         run_fold(dataset, cfg, k, seed, out_dir=str(tmp_path / "single"))
@@ -704,6 +728,43 @@ def test_protocol_folds_equal_separate_run_fold_calls(chain, tmp_path):
         for rel in files:
             assert ((tmp_path / "protocol" / fold / rel).read_bytes()
                     == (tmp_path / "single" / fold / rel).read_bytes()), (fold, rel)
+
+
+def test_run_fold_artifacts_carry_the_seed_they_were_drawn_from(chain, tmp_path):
+    """run_fold runs a copy of its config with its ``seed`` set, so the
+    fold's files carry that seed's config hash and the CLI accepts them
+    under ``--seed``."""
+    from soccersum.artifacts import Provenance, load_model_checkpoint, read_scores_csv
+    from soccersum.config import load_config
+    from soccersum.io import load_dataset
+    from soccersum.pipeline import run_fold
+
+    cfg = load_config(str(chain.cfg), {}, use_env=False)
+    seed = 3
+    assert cfg["seed"] != seed
+    run_fold(load_dataset(str(chain.data)), cfg, 0, seed, out_dir=str(tmp_path))
+    fold = tmp_path / "fold_000"
+    want = Provenance.of(load_config(str(chain.cfg), {"seed": seed}, use_env=False))
+    assert read_scores_csv(str(fold / "scores.csv"))[0] == want
+    assert load_model_checkpoint(str(fold / "mil.ckpt"))[1] == want
+    result = json.loads((fold / "fold_result.json").read_text())
+    assert (result["config_hash"], result["seed"]) == (want.config_hash, seed)
+    out = tmp_path / "proposals.json"
+    assert main(["extract-proposals", "--config", str(chain.cfg), "--seed", str(seed),
+                 "--data", str(chain.data), "--scores", str(fold / "scores.csv"),
+                 "--model", str(fold / "mil.ckpt"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (fold / "proposals.json").read_bytes()
+
+
+def test_more_folds_than_kfold_runs_kfold_folds(chain, tmp_path):
+    """``eval.folds`` above ``eval.kfold`` runs every one of the k folds once."""
+    cfg = tmp_path / "folds.cfg"
+    cfg.write_text(TINY.replace("eval.kfold = 5", "eval.kfold = 3")
+                   .replace("eval.folds = 1", "eval.folds = 50"))
+    out = tmp_path / "run"
+    assert main(["evaluate", "--config", str(cfg), "--data", str(chain.data),
+                 "--out-dir", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["fold_000", "fold_001", "fold_002", "results"]
 
 
 def _read_jsonl(path):
@@ -789,9 +850,9 @@ def test_pool_never_exceeds_its_task_count(chain, monkeypatch):
 
     # a run's pool serves its fold tasks and its per-match audio tasks
     monkeypatch.setattr(_RecordingExecutor, "refuse", True)
-    cfg = load_config(str(chain.cfg), {}, use_env=False)
+    cfg = load_config(str(chain.cfg), {"jobs": 64, "eval.folds": 2}, use_env=False)
     with pytest.raises(RuntimeError, match="map refused"):
-        pipeline.run_protocol(dataset, cfg, 7, jobs=64, n_folds=2)
+        pipeline.run_protocol(dataset, cfg)
     assert _RecordingExecutor.sizes == [3, len(ids)]
     assert pipeline._DATASET is None  # released when a map raises
 

@@ -1,5 +1,6 @@
 """Configuration parsing, precedence, and hashing."""
 import dataclasses
+import inspect
 
 import pytest
 
@@ -181,3 +182,21 @@ def test_typed_subconfig_builders():
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         for name, key in _keyed_fields(cls, prefix, extra).items():
             assert defaults[name] == KNOWN_KEYS[key][1], key
+
+
+def test_pipeline_takes_no_setting_beside_its_config():
+    """A public pipeline callable that takes ``config`` reads the run's seed,
+    worker count and fold count from it.  ``run_fold`` keeps its ``seed``
+    and ``jobs`` for the callers that pass them, and sets them in a copy
+    of the config it runs."""
+    from soccersum import pipeline
+
+    shadows = []
+    for name, obj in vars(pipeline).items():
+        if (name.startswith("_") or name == "run_fold" or not callable(obj)
+                or getattr(obj, "__module__", None) != pipeline.__name__):
+            continue
+        params = set(inspect.signature(obj).parameters)
+        if "config" in params:
+            shadows += ["%s(%s)" % (name, p) for p in ("seed", "jobs", "n_folds") if p in params]
+    assert shadows == []
