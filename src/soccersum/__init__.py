@@ -18,5 +18,4 @@ from .core import (  # noqa: F401
     Summary,
     action_duration,
     action_type,
-    validate_match,
 )

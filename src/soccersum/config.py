@@ -19,6 +19,7 @@ import math
 import os
 
 from .core import ConfigError
+from .features.audio import MIN_RATE
 from .stage1 import MilConfig
 from .stage2 import HmaConfig
 from .stage3 import BUDGET_MODES
@@ -31,8 +32,7 @@ ENV_PREFIX = "SOCCERSUM_"
 _COUNT = ("an integer of at least 1", lambda v: v >= 1)
 # test, validation and training shards must be distinct
 _KFOLD = ("an integer of at least 3", lambda v: v >= 3)
-# at 200 Hz a 10-sample frame still holds the 10 energy sub-frames
-_AUDIO_RATE = ("an integer of at least 200", lambda v: v >= 200)
+_AUDIO_RATE = ("an integer of at least %d" % MIN_RATE, lambda v: v >= MIN_RATE)
 _POSITIVE = ("a finite number above 0", lambda v: math.isfinite(v) and v > 0)
 _NON_NEGATIVE = ("a finite number of at least 0", lambda v: math.isfinite(v) and v >= 0)
 _UNIT = ("a number in [0, 1]", lambda v: 0 <= v <= 1)

@@ -7,7 +7,6 @@ a set of actions chosen to be shown to a viewer.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -89,10 +88,16 @@ class ConfigError(SoccersumError):
     """A configuration file or key is invalid."""
 
 
+# side of the square pitch every event coordinate lies on; the goals sit at
+# mid-height on its left and right edges
+PITCH = 100.0
+
+
 class Event(NamedTuple):
     """One annotated match event.
 
-    Coordinates live on a 100x100 pitch with (0, 0) the bottom-left corner.
+    Coordinates live on a ``PITCH`` x ``PITCH`` square with (0, 0) the
+    bottom-left corner.
     ``team`` is 0 or 1, ``outcome`` is 1 for a successful event, ``qualifier``
     is a small opaque annotation code.
 
@@ -208,79 +213,3 @@ def action_duration(action: Action, match: Match, padding: PaddingConfig) -> flo
     t0 = match.events[action.start_index].t
     t1 = match.events[action.end_index].t
     return (t1 - t0) + padding.pre + padding.post
-
-
-@dataclass
-class ValidationIssue:
-    kind: str
-    message: str
-    index: int = -1
-
-
-def validate_match(match: Match, vocabulary: tuple[str, ...] | list[str]) -> list[ValidationIssue]:
-    """Check structural invariants of a match; returns found issues.
-
-    Checked: at least one event, dense indices starting at 0, finite,
-    non-negative and non-decreasing timestamps, coordinates within [0, 100],
-    team in {0, 1}, outcome in {0, 1}, and all event types members of
-    ``vocabulary``.
-    """
-    issues: list[ValidationIssue] = []
-    vocab = set(vocabulary)
-    if not match.events:
-        issues.append(ValidationIssue("empty", "match %r has no events" % match.match_id))
-        return issues
-    prev_t = None
-    columns = event_columns(match.events, "index", "t", "type", "team",
-                            "sx", "sy", "ex", "ey", "outcome")
-    for pos, (index, t, etype, team, sx, sy, ex, ey, outcome) in enumerate(zip(*columns)):
-        if index != pos:
-            issues.append(
-                ValidationIssue(
-                    "index", "event at position %d has index %d" % (pos, index), pos
-                )
-            )
-        if not 0.0 <= t < math.inf:
-            issues.append(
-                ValidationIssue(
-                    "time", "timestamp %r negative or not finite at index %d" % (t, pos), pos
-                )
-            )
-        elif prev_t is not None and t < prev_t:
-            issues.append(
-                ValidationIssue(
-                    "time",
-                    "timestamp decreases at index %d (%.6f < %.6f)" % (pos, t, prev_t),
-                    pos,
-                )
-            )
-        prev_t = t
-        if etype not in vocab:
-            issues.append(
-                ValidationIssue(
-                    "type", "unknown event type %r at index %d" % (etype, pos), pos
-                )
-            )
-        # one test for the common case, all four in range
-        if not (0.0 <= sx <= 100.0 and 0.0 <= sy <= 100.0
-                and 0.0 <= ex <= 100.0 and 0.0 <= ey <= 100.0):
-            for name, val in (("sx", sx), ("sy", sy), ("ex", ex), ("ey", ey)):
-                if not (0.0 <= val <= 100.0):
-                    issues.append(
-                        ValidationIssue(
-                            "coord",
-                            "%s=%.6f outside [0, 100] at index %d" % (name, val, pos),
-                            pos,
-                        )
-                    )
-        if team not in (0, 1):
-            issues.append(
-                ValidationIssue("team", "team %r not in {0, 1} at index %d" % (team, pos), pos)
-            )
-        if outcome not in (0, 1):
-            issues.append(
-                ValidationIssue(
-                    "outcome", "outcome %r not in {0, 1} at index %d" % (outcome, pos), pos
-                )
-            )
-    return issues

@@ -33,6 +33,17 @@ LOG_FLOOR = 1e-10
 
 WINDOW_SECONDS = 2.0
 FRAME_SECONDS = 0.05
+# the lowest sample rate, in Hz, whose 50 ms frames hold the 10 energy
+# sub-frames of ``energy_entropy``: 10 samples at 200 Hz
+MIN_RATE = 200
+
+
+def check_rate(rate, what: str) -> None:
+    """Raise ``DataFormatError`` naming ``what`` and ``rate`` unless
+    ``rate`` is an integer of at least ``MIN_RATE``."""
+    if not (isinstance(rate, int) and not isinstance(rate, bool) and rate >= MIN_RATE):
+        raise DataFormatError("%s sample rate %r is not an integer of at least %d Hz"
+                              % (what, rate, MIN_RATE))
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
@@ -227,7 +238,8 @@ def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
     WAV files carry their own rate and load whole as float64, because their
     integer samples are scaled.  Raw ``.f32``/``.raw`` files (little-endian
     float32) need ``rate`` declared by the caller and are mapped read-only,
-    so a window reads only its own pages.
+    so a window reads only its own pages.  Either rate must pass
+    ``check_rate``.
     """
     if path.endswith(".wav"):
         from scipy.io import wavfile  # imported here: it alone costs ~0.4 s
@@ -236,6 +248,7 @@ def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
             fs, data = wavfile.read(path)
         except (OSError, ValueError, struct.error) as exc:  # missing, unreadable or malformed
             raise DataFormatError("cannot read WAV audio %r (%s)" % (path, exc)) from None
+        check_rate(fs, "WAV audio %r" % path)
         if data.ndim > 1:
             data = data[:, 0]
         if data.dtype == np.int16:
@@ -246,12 +259,11 @@ def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:
             samples = (data.astype(float) - 128.0) / 128.0
         else:
             samples = data.astype(float)
-        return samples.astype(float), int(fs)
+        return samples, fs
     if path.endswith(".f32") or path.endswith(".raw"):
-        if rate is None:
-            raise DataFormatError("raw audio %r needs a declared sample rate" % path)
+        check_rate(rate, "raw audio %r" % path)
         try:
-            return np.memmap(path, dtype="<f4", mode="r"), int(rate)
+            return np.memmap(path, dtype="<f4", mode="r"), rate
         except (OSError, ValueError) as exc:  # missing, empty, or not whole float32s
             raise DataFormatError("cannot read raw audio %r (%s)" % (path, exc)) from None
     raise DataFormatError("unsupported audio container: %r" % path)

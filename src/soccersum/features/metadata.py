@@ -17,12 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..core import Event, Match, VocabularyError, event_columns
-
-
-# side of the square pitch ``validate_match`` holds every coordinate to; the
-# goals sit at mid-height on its left and right edges
-PITCH = 100.0
+from ..core import PITCH, Event, Match, VocabularyError, event_columns
 
 
 def geometry_to_goal(x: float, y: float, goal_x: float, goal_y: float,

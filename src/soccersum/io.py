@@ -10,8 +10,15 @@ Event lines carry {match_id, index, t, type, team, player, sx, sy, ex, ey,
 outcome, qualifier}.  Numeric fields are written rounded to 6 decimals so a
 read/write cycle is byte-stable for data already at that precision.  A line
 whose fields have the types written here becomes an ``Event`` with no
-per-field check or conversion; any other line goes through
+per-field type check or conversion; any other line goes through
 ``record_to_event``, whose errors name the line and field.
+
+The loader checks every rule of the event data once, where it can name the
+input that breaks it.  Rules of one event name its events.jsonl line: a
+finite time of at least 0, a type in the vocabulary, ``sx``, ``sy``,
+``ex`` and ``ey`` on the ``PITCH`` square, and ``team`` and ``outcome``
+each 0 or 1.  Rules of a whole match name the match and the event index:
+indices 0..n-1 and times that never decrease in index order.
 """
 from __future__ import annotations
 
@@ -24,13 +31,13 @@ import typing
 from dataclasses import dataclass, field
 
 from .core import (
+    PITCH,
     Action,
     DataFormatError,
     Event,
     Match,
     Summary,
     VocabularyError,
-    validate_match,
 )
 
 _EVENT_FIELDS = ("match_id", *Event._fields)
@@ -45,6 +52,7 @@ _NUMBER_FIELDS = tuple(f for f in Event._fields if _EVENT_TYPES[f] is float)
 # with nothing to convert
 _PLAIN_TYPES = [str, *(_EVENT_TYPES[f] for f in Event._fields)]
 _get_fields = operator.itemgetter(*_EVENT_FIELDS)
+_get_index_t = operator.itemgetter(0, 1)
 # ``JSONDecoder.raw_decode`` without its wrapper: (value, end) of the JSON
 # value at an index, ``StopIteration`` when none starts there
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
@@ -192,7 +200,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
 def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
     """The events of an events.jsonl file by match id, in file order.
     Raises ``DataFormatError`` (``VocabularyError`` for a type outside
-    ``vocab_set``) naming the first line at fault."""
+    ``vocab_set``) naming the first line at fault, for a line that is not
+    an event or breaks a rule of one event."""
     events_by_match: dict[str, list[Event]] = {}
     match_id, events = None, []
     # bytes that are not UTF-8 read as U+FFFD, which no field accepts
@@ -220,15 +229,23 @@ def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
                 mid, ev = fields[0], tuple.__new__(Event, fields[1:])
             else:
                 mid, ev = record_to_event(rec, lineno)
-            if not 0.0 <= ev.t < math.inf:
+            _, t, etype, team, _, sx, sy, ex, ey, outcome, _ = ev
+            if not 0.0 <= t < math.inf:
                 raise DataFormatError(
-                    "events.jsonl line %d: event time %r is negative or not finite"
-                    % (lineno, ev.t)
+                    "events.jsonl line %d: event time %r is negative or not finite" % (lineno, t)
                 )
-            if ev.type not in vocab_set:
+            if etype not in vocab_set:
                 raise VocabularyError(
-                    "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
+                    "events.jsonl line %d: event type %r not in vocabulary" % (lineno, etype)
                 )
+            if not (0.0 <= sx <= PITCH and 0.0 <= sy <= PITCH
+                    and 0.0 <= ex <= PITCH and 0.0 <= ey <= PITCH):
+                raise DataFormatError("events.jsonl line %d: sx, sy, ex, ey must each be in "
+                                      "[0, %g], got %r, %r, %r, %r"
+                                      % (lineno, PITCH, sx, sy, ex, ey))
+            if team not in (0, 1) or outcome not in (0, 1):
+                raise DataFormatError("events.jsonl line %d: team and outcome must each be 0 "
+                                      "or 1, got %r, %r" % (lineno, team, outcome))
             if mid != match_id:
                 match_id, events = mid, events_by_match.setdefault(mid, [])
             events.append(ev)
@@ -237,9 +254,9 @@ def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
 
 def load_dataset(path: str) -> Dataset:
     """Read and check a dataset directory.  Any input that breaks the
-    layout above or fails ``validate_match`` raises ``DataFormatError``
-    (``VocabularyError`` for an event type outside the vocabulary) naming
-    the file, line or match at fault."""
+    layout or a rule above raises ``DataFormatError`` (``VocabularyError``
+    for an event type outside the vocabulary) naming the file, line or
+    match at fault."""
     manifest_path = os.path.join(path, "dataset.json")
     if not os.path.exists(manifest_path):
         raise DataFormatError("no dataset.json under %r" % path)
@@ -270,20 +287,17 @@ def load_dataset(path: str) -> Dataset:
                 "match %r has no events (every match needs at least one)" % match_id
             )
         events.sort(key=lambda e: e.index)
-        for pos, ev in enumerate(events):
-            if ev.index != pos:
-                raise DataFormatError(
-                    "match %r: event indices not dense at position %d" % (match_id, pos)
-                )
-        match = Match(match_id=match_id, events=events,
-                      attack_right_first=attack_right_first, audio=audio)
-        issues = validate_match(match, vocabulary)
-        if issues:
-            first = issues[0]
-            raise DataFormatError("match %r, event %d, %s issue: %s (%d issue(s) in all)"
-                                  % (match_id, first.index, first.kind, first.message,
-                                     len(issues)))
-        matches.append(match)
+        prev_t = 0.0
+        for pos, (index, t) in enumerate(map(_get_index_t, events)):
+            if index != pos:
+                raise DataFormatError("match %r, event %d: event indices not dense (index %d "
+                                      "found there)" % (match_id, pos, index))
+            if t < prev_t:
+                raise DataFormatError("match %r, event %d: event time %r is before the "
+                                      "previous event's %r" % (match_id, pos, t, prev_t))
+            prev_t = t
+        matches.append(Match(match_id=match_id, events=events,
+                             attack_right_first=attack_right_first, audio=audio))
 
     by_id = {m.match_id: m for m in matches}
     if len(by_id) != len(matches):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_EVENT_TYPES,
+    PITCH,
     Action,
     ConfigError,
     DataFormatError,
@@ -33,7 +34,7 @@ from .core import (
     action_duration,
     action_type,
 )
-from .features.audio import load_audio
+from .features.audio import check_rate, load_audio
 from .io import Dataset
 
 
@@ -151,8 +152,8 @@ def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
 
 
 def _clip100(v: float) -> float:
-    """``float(np.clip(v, 0.0, 100.0))`` for a Python float."""
-    return min(max(v, 0.0), 100.0)
+    """``float(np.clip(v, 0.0, PITCH))`` for a Python float."""
+    return min(max(v, 0.0), PITCH)
 
 
 _AFTER_SHOT_TYPES = ("save", "out", "clearance")
@@ -320,7 +321,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
         else:
             team = int(rng.integers(2))
         attacking_right = (team == 0) == (n_period_ends % 2 == 0)
-        gx = 100.0 if attacking_right else 0.0
+        gx = PITCH if attacking_right else 0.0
         toward = -1.0 if attacking_right else 1.0
         if p is not None and i == p.start and p.core_start > p.start:
             # build-up begins: carry the ball from wherever play was toward
@@ -441,9 +442,7 @@ def _check_spec(spec) -> None:
     if not (isinstance(seed, list) and len(seed) == 3
             and all(_is_int(s) and s >= 0 for s in seed)):
         raise DataFormatError("synth audio seed %r is not 3 non-negative integers" % (seed,))
-    rate = spec.get("rate")
-    if not (_is_int(rate) and rate > 0):
-        raise DataFormatError("synth audio rate %r is not a positive integer" % (rate,))
+    check_rate(spec.get("rate"), "synth audio")
     for key in ("duration", "base_amp", "gain"):
         v = spec.get(key)
         if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v >= 0):

@@ -415,7 +415,8 @@ def record_to_event(rec, lineno):
 
 
 def load_events(path, vocab_set):
-    """The events of an events.jsonl file by match id, in file order."""
+    """The events of an events.jsonl file by match id, in file order; every
+    rule of one event checked on its line."""
     events_by_match = {}
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -436,6 +437,13 @@ def load_events(path, vocab_set):
                 raise VocabularyError(
                     "events.jsonl line %d: event type %r not in vocabulary" % (lineno, ev.type)
                 )
+            coords = (ev.sx, ev.sy, ev.ex, ev.ey)
+            if not all(0.0 <= v <= 100.0 for v in coords):
+                raise DataFormatError("events.jsonl line %d: sx, sy, ex, ey must each be in "
+                                      "[0, 100], got %r, %r, %r, %r" % (lineno, *coords))
+            if not (ev.team in (0, 1) and ev.outcome in (0, 1)):
+                raise DataFormatError("events.jsonl line %d: team and outcome must each be 0 "
+                                      "or 1, got %r, %r" % (lineno, ev.team, ev.outcome))
             events_by_match.setdefault(match_id, []).append(ev)
     return events_by_match
 

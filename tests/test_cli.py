@@ -477,24 +477,34 @@ def _time_goes_back(recs):
     recs[i]["t"] = recs[i - 1]["t"] - 173.0
 
 
+def _set_fourth(**fields):
+    return lambda recs: recs[3].update(fields)
+
+
+# defect -> (edit of the parsed lines, text the error names): a rule of one
+# event names its line, a rule of a whole match the match and event index
 EVENT_DEFECTS = {
-    "team": lambda recs: recs[3].update(team=2),
-    "team-negative": lambda recs: recs[3].update(team=-1),
-    "coord": lambda recs: recs[3].update(sx=250.0),
-    "outcome": lambda recs: recs[3].update(outcome=7),
-    "time": _time_goes_back,
+    "team": (_set_fourth(team=2), "events.jsonl line 4: team and outcome"),
+    "team-negative": (_set_fourth(team=-1), "events.jsonl line 4: team and outcome"),
+    "coord": (_set_fourth(sx=250.0), "events.jsonl line 4: sx, sy, ex, ey"),
+    **{"%s-%s" % (f, v): (_set_fourth(**{f: v}), "events.jsonl line 4: sx, sy, ex, ey")
+       for f in ("sx", "sy", "ex", "ey") for v in (-0.5, 100.5)},
+    "outcome": (_set_fourth(outcome=7), "events.jsonl line 4: team and outcome"),
+    "type": (_set_fourth(type="header"), "events.jsonl line 4: event type 'header'"),
+    "t-negative": (_set_fourth(t=-0.5), "events.jsonl line 4: event time"),
+    "time": (_time_goes_back, "match 'm000', event "),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(EVENT_DEFECTS))
 def test_invalid_event_exits_two(chain, tmp_path, capsys, defect):
-    data = _edited_data(chain, tmp_path, EVENT_DEFECTS[defect])
+    edit, named = EVENT_DEFECTS[defect]
+    data = _edited_data(chain, tmp_path, edit)
     rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(data),
                "--out-dir", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "'m000'" in err and "%s issue" % defect.split("-")[0] in err
-    assert "Traceback" not in err
+    assert named in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -568,6 +578,50 @@ def test_malformed_audio_spec_exits_two(chain, tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "'m000'" in err and "Traceback" not in err
+
+
+def _data_with_audio(chain, tmp_path, kind, rate):
+    """A copy of the chain's dataset whose m000 audio is a synth spec, a raw
+    file or a WAV file at ``rate`` Hz."""
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    manifest = json.loads((data / "dataset.json").read_text())
+    entry = manifest["matches"][0]
+    noise = np.random.default_rng(5).normal(scale=0.1, size=60 * rate)
+    if kind == "synth":
+        entry["audio"]["synth"]["rate"] = rate
+    elif kind == "raw":
+        noise.astype("<f4").tofile(str(tmp_path / "audio.f32"))
+        entry["audio"] = {"file": str(tmp_path / "audio.f32"), "rate": rate}
+    else:
+        from scipy.io import wavfile
+
+        wavfile.write(str(tmp_path / "audio.wav"), rate, (noise * 32767).astype(np.int16))
+        entry["audio"] = str(tmp_path / "audio.wav")
+    (data / "dataset.json").write_text(json.dumps(manifest, indent=1))
+    return data
+
+
+def _extract_audio(chain, data, out):
+    return main(["extract-features", "--config", str(chain.cfg), "--data", str(data),
+                 "--audio", "--matches", "m000", "--out-dir", str(out)])
+
+
+@pytest.mark.parametrize("kind, rate", [("synth", 10), ("synth", 100), ("synth", 199),
+                                        ("raw", 100), ("wav", 100)])
+def test_audio_below_the_rate_floor_exits_two(chain, tmp_path, capsys, kind, rate):
+    data = _data_with_audio(chain, tmp_path, kind, rate)
+    rc = _extract_audio(chain, data, tmp_path / "feats")
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "sample rate %d is not an integer of at least 200 Hz" % rate in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["synth", "raw", "wav"])
+def test_audio_at_the_rate_floor_is_read(chain, tmp_path, kind):
+    data = _data_with_audio(chain, tmp_path, kind, 200)
+    assert _extract_audio(chain, data, tmp_path / "feats") == 0
 
 
 @pytest.mark.parametrize("content", [None, b"RIFF\x00\x00"], ids=["missing", "riff-header-only"])

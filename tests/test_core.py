@@ -1,4 +1,4 @@
-"""Domain model checks: actions, categories, durations, match validation."""
+"""Domain model checks: events, actions, categories, durations."""
 import pickle
 
 import numpy as np
@@ -13,7 +13,6 @@ from soccersum.core import (
     action_duration,
     action_type,
     event_columns,
-    validate_match,
 )
 
 
@@ -99,42 +98,3 @@ def test_summary_total_duration():
 def test_type_sequence():
     m = make_match(["pass", "shot", "save"])
     assert m.type_sequence() == ("pass", "shot", "save")
-
-
-def test_validate_match_accepts_clean_input():
-    m = make_match(["pass", "shot", "save"])
-    assert validate_match(m, ("pass", "shot", "save")) == []
-
-
-def test_validate_match_flags_each_violation():
-    vocab = ("pass", "shot")
-    empty = Match(match_id="e", events=[])
-    assert [i.kind for i in validate_match(empty, vocab)] == ["empty"]
-
-    events = [
-        ev(0, 0.0, "pass"),
-        ev(2, 1.0, "pass"),                       # index not dense
-        ev(2, 0.5, "header"),                     # time decreases + unknown type
-        ev(3, 2.0, "pass", sx=130.0),             # coordinate out of range
-        Event(4, 3.0, "pass", 2, 1, 50, 50, 50, 50, 1, 0),   # bad team
-        Event(5, 4.0, "pass", 0, 1, 50, 50, 50, 50, 3, 0),   # bad outcome
-    ]
-    issues = validate_match(Match(match_id="b", events=events), vocab)
-    kinds = sorted(i.kind for i in issues)
-    assert kinds == ["coord", "index", "outcome", "team", "time", "type"]
-    by_kind = {i.kind: i for i in issues}
-    assert by_kind["time"].index == 2
-    assert by_kind["coord"].index == 3
-
-
-@pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
-def test_validate_match_flags_bad_times(t):
-    m = Match(match_id="n", events=[ev(0, 0.0, "pass"), ev(1, t, "pass")])
-    issues = validate_match(m, ("pass",))
-    assert [(i.kind, i.index) for i in issues] == [("time", 1)]
-
-
-def test_validate_match_reports_all_bad_coordinates():
-    m = Match(match_id="c", events=[ev(0, 0.0, "pass", sx=-1.0, ey=101.0)])
-    issues = validate_match(m, ("pass",))
-    assert sorted(i.message.split("=")[0] for i in issues) == ["ey", "sx"]

@@ -5,6 +5,7 @@ complex exponential basis, quadratic cost) and every cepstral quantity from
 an explicit cosine-transform double loop, so the fast implementations are
 checked against independent arithmetic rather than against themselves.
 """
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -384,6 +385,21 @@ def test_load_audio_formats(tmp_path):
         load_audio(str(tmp_path / "x.f32"))
     with pytest.raises(DataFormatError, match="container"):
         load_audio(str(tmp_path / "x.mp3"))
+
+
+def test_wav_load_makes_one_float_copy(tmp_path):
+    """Loading an int16 WAV holds at most the file's samples and one
+    float64 copy of them at any time."""
+    n = 1_000_000
+    wavfile.write(str(tmp_path / "long.wav"), FS, np.zeros(n, dtype=np.int16))
+    tracemalloc.start()
+    try:
+        samples, _ = load_audio(str(tmp_path / "long.wav"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.dtype == np.float64 and len(samples) == n
+    assert peak <= n * (2 + 8) + (1 << 20)
 
 
 def test_raw_audio_is_mapped_and_gives_the_eager_descriptors(tmp_path):

@@ -1,12 +1,15 @@
-"""Every name a package module imports is read by that module.
+"""Every name a package module imports is read by that module, and every
+top-level function and class of the package is named somewhere else.
 
 An import statement marked ``noqa`` is exempt: the package ``__init__``
 re-exports and the bindings that perfbench wraps by name carry that mark.
 """
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "soccersum"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "soccersum"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -43,3 +46,51 @@ def test_no_module_imports_a_name_it_never_reads():
              for path in sorted(SRC.rglob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every top-level function and class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def names_used(source: str, package_init: bool = False) -> set[str]:
+    """Every name the code reads, takes as an attribute or imports, and
+    every identifier in a string that holds only a (dotted) name, as
+    perfbench names the functions it wraps.  A definition does not name
+    itself, and a ``package_init`` does not name what it imports from the
+    package to re-export."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not (package_init and getattr(node, "level", 0)):
+                used.update(alias.name.split(".")[-1] for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.:]+", node.value)):
+            used.update(re.findall(r"\w+", node.value))
+    return used
+
+
+def test_scan_finds_an_orphaned_definition():
+    source = ("import json\nclass Used:\n    pass\nclass Orphan:\n    pass\n"
+              "def f():\n    return Used, json.dumps('g')\ndef g():\n    return g\n")
+    assert definitions(source) == [(2, "Used"), (4, "Orphan"), (6, "f"), (8, "g")]
+    assert {"Used", "dumps", "g"} <= names_used(source)
+    assert "Orphan" not in names_used(source) and "f" not in names_used(source)
+    init = "from .core import Used  # noqa: F401\nfrom json import dumps\n"
+    assert names_used(init, package_init=True) == {"dumps"}
+
+
+def test_every_definition_is_named_elsewhere():
+    files = [path for tree in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / tree).rglob("*.py"))]
+    used = set().union(*(names_used(path.read_text(), path.name == "__init__.py")
+                         for path in files))
+    orphans = [(str(path.relative_to(SRC)), line, name)
+               for path in sorted(SRC.rglob("*.py"))
+               for line, name in definitions(path.read_text()) if name not in used]
+    assert orphans == []

@@ -162,6 +162,41 @@ def test_summary_must_be_an_array(tmp_path):
         load_dataset(path)
 
 
+# one case per rule of the event data: fields of the third event line, the
+# error the loader raises, and the text that names where the rule broke
+EVENT_RULES = {
+    **{"%s=%s" % (f, v): ({f: v}, DataFormatError, "events.jsonl line 3: sx, sy, ex, ey")
+       for f in ("sx", "sy", "ex", "ey") for v in (-0.5, 100.5)},
+    "team=2": ({"team": 2}, DataFormatError, "events.jsonl line 3: team and outcome"),
+    "outcome=2": ({"outcome": 2}, DataFormatError, "events.jsonl line 3: team and outcome"),
+    "t=-0.5": ({"t": -0.5}, DataFormatError, "events.jsonl line 3: event time"),
+    "t=nan": ({"t": math.nan}, DataFormatError, "events.jsonl line 3: event time"),
+    "t=inf": ({"t": math.inf}, DataFormatError, "events.jsonl line 3: event time"),
+    "type=header": ({"etype": "header"}, VocabularyError, "events.jsonl line 3: event type"),
+    "t-before-previous": ({"t": 0.5}, DataFormatError,
+                          "match 'm0', event 2: event time 0.5 is before"),
+    "index-gap": ({"index": 3}, DataFormatError, "match 'm0', event 2: event indices not dense"),
+}
+
+
+@pytest.mark.parametrize("rule", list(EVENT_RULES))
+def test_event_rule_names_its_line_or_match(tmp_path, rule):
+    fields, error, named = EVENT_RULES[rule]
+    path = _write_minimal(tmp_path, [_line(0), _line(1), _line(2, **fields)])
+    with pytest.raises(error) as info:
+        load_dataset(path)
+    assert type(info.value) is error and str(info.value).startswith(named)
+
+
+def test_event_rule_edges_load(tmp_path):
+    """Each bound of a rule is inside it: a corner of the pitch, both flag
+    values, time 0 and a time equal to the one before."""
+    path = _write_minimal(tmp_path, [
+        _line(0, t=0.0, sx=0.0, sy=100.0, ex=100, ey=-0.0, team=1, outcome=0),
+        _line(1, t=0.0, team=0, outcome=1)])
+    assert len(load_dataset(path).by_id("m0").events) == 2
+
+
 @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
 def test_bad_event_time_names_its_line(tmp_path, t):
     path = _write_minimal(tmp_path, [_line(0), _line(1, t=t)])
@@ -275,7 +310,7 @@ def _mutant(line: bytes, rng) -> bytes:
     """``line`` with one defect, or one unusual value that still loads."""
     rec = json.loads(line)
     field = io._EVENT_FIELDS[int(rng.integers(len(io._EVENT_FIELDS)))]
-    kind = int(rng.integers(16))
+    kind = int(rng.integers(18))
     if kind == 0:
         del rec[field]
     elif kind == 1:
@@ -310,6 +345,11 @@ def _mutant(line: bytes, rng) -> bytes:
     elif kind == 14:  # bytes that are not UTF-8, in a value or a key
         return line.replace(b'"type": "', b'"type": "\xff', 1) if rng.integers(2) \
             else line.replace(b'"team"', b'"te\xc3am"', 1)
+    elif kind == 15:  # a coordinate off the pitch, or on its edge
+        values = [-0.5, 100.5, math.nextafter(100.0, math.inf), math.nan, -0.0, 100]
+        rec[["sx", "sy", "ex", "ey"][int(rng.integers(4))]] = values[int(rng.integers(6))]
+    elif kind == 16:  # a flag that is not 0 or 1
+        rec[["team", "outcome"][int(rng.integers(2))]] = [2, -1, 1][int(rng.integers(3))]
     else:
         rec["match_id"] = [7, "m\u00e9", "m001"][int(rng.integers(3))]
     return json.dumps(rec, sort_keys=True, allow_nan=True).encode()

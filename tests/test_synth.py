@@ -19,9 +19,9 @@ from soccersum.core import (
     DataFormatError,
     PaddingConfig,
     SoccersumError,
-    validate_match,
 )
 from soccersum.features import extract_event_audio_features
+from soccersum.io import load_dataset, save_dataset
 from soccersum.pipeline import event_audio
 from soccersum.stage1 import build_action_vocabulary, label_events_by_vocabulary
 from soccersum.synth import (
@@ -57,9 +57,15 @@ def test_generate_match_deterministic():
     assert m3.events != m1.events
 
 
-def test_generated_match_is_valid(default_match):
-    m, _, _ = default_match
-    assert validate_match(m, set(DEFAULT_EVENT_TYPES)) == []
+def test_generated_dataset_loads_back(tmp_path):
+    """Generated matches keep every rule the loader checks, and a save and
+    load gives them back unchanged."""
+    ds = generate_dataset(GenConfig(matches=2), 7)
+    save_dataset(ds, str(tmp_path))
+    back = load_dataset(str(tmp_path))
+    assert back.vocabulary == DEFAULT_EVENT_TYPES
+    assert [m.events for m in back.matches] == [m.events for m in ds.matches]
+    assert back.summaries == ds.summaries
 
 
 def test_summary_structure(default_match):
