@@ -38,7 +38,7 @@ from .artifacts import (
     write_scores_csv,
     write_theta_csv,
 )
-from .config import load_config
+from .config import UNIT, load_config
 from .core import ConfigError, DataFormatError, SoccersumError
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
@@ -77,11 +77,11 @@ def _add_common(sub):
 
 
 def _threshold(text: str) -> float:
-    """A ``--threshold``: stage-1 scores lie in (0, 1), so a finite number
-    in [0, 1]; ``_Parser.error`` turns the refusal into exit code 1."""
+    """A ``--threshold``, under the rule of a stage-1 threshold
+    (``config.UNIT``); ``_Parser.error`` turns the refusal into exit code 1."""
     value = float(text)
-    if not 0.0 <= value <= 1.0:  # false for NaN
-        raise argparse.ArgumentTypeError("%r is not a finite number in [0, 1]" % text)
+    if not UNIT[1](value):
+        raise argparse.ArgumentTypeError("%r is not %s" % (text, UNIT[0]))
     return value
 
 
@@ -97,6 +97,28 @@ def _config_from(args):
 def _require_current(cfg, tagged):
     """All consumed artifacts must match the active config hash and seed."""
     ensure_same_provenance([("active configuration", Provenance.of(cfg))] + list(tagged))
+
+
+def _load_model(cls, path: str, cfg, inputs: list):
+    """The ``cls`` model (``MilModel`` or ``HmaModel``) of checkpoint
+    ``path``, once its provenance and those of the (path, provenance)
+    ``inputs`` match ``cfg``; a checkpoint the model refuses is a data
+    error naming the file."""
+    ckpt, prov = load_model_checkpoint(path)
+    _require_current(cfg, inputs + [(path, prov)])
+    try:
+        return cls.from_checkpoint(ckpt)
+    except DataFormatError as exc:
+        raise DataFormatError("%s: %s" % (path, exc)) from None
+
+
+def _check_width(model, name: str, path: str, width: int, source: str) -> None:
+    """A data error unless array ``name`` of the model in checkpoint
+    ``path`` takes the ``width`` features per event that ``source`` gives."""
+    takes = model.params[name].shape[1]
+    if takes != width:
+        raise DataFormatError("%d features per event from %s, but array %r of %s takes %d"
+                              % (width, source, name, path, takes))
 
 
 def _match_ids(args, dataset, default) -> list:
@@ -162,16 +184,10 @@ def cmd_train_proposals(args) -> int:
 def cmd_score_events(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
-    ckpt, prov_m = load_model_checkpoint(args.model)
     prov_f, codebook, _vocab = read_features_json(args.features)
-    _require_current(cfg, [(args.model, prov_m), (args.features, prov_f)])
-    model = MilModel.from_checkpoint(ckpt)
+    model = _load_model(MilModel, args.model, cfg, [(args.features, prov_f)])
     encoder = MetadataEncoder(dataset.vocabulary, codebook)
-    W = model.params.get("lstm.W")
-    model_width = W.shape[1] if W is not None and W.ndim == 2 else None
-    if model_width != encoder.width:
-        raise DataFormatError("%s encodes %d features per event, but the model in %s takes %s"
-                              % (args.features, encoder.width, args.model, model_width))
+    _check_width(model, "lstm.W", args.model, encoder.width, args.features)
     ids = _match_ids(args, dataset, dataset.match_ids())
     feats = {i: encoder.encode_match(dataset.by_id(i)) for i in ids}
     scores = score_matches(model, feats)
@@ -185,9 +201,7 @@ def cmd_extract_proposals(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
     prov_s, scores = read_scores_csv(args.scores)
-    ckpt, prov_m = load_model_checkpoint(args.model)
-    _require_current(cfg, [(args.scores, prov_s), (args.model, prov_m)])
-    model = MilModel.from_checkpoint(ckpt)
+    model = _load_model(MilModel, args.model, cfg, [(args.scores, prov_s)])
     threshold = args.threshold if args.threshold is not None else model.threshold
     proposals = typed_proposals(dataset, scores, threshold)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -217,10 +231,10 @@ def cmd_summarize(args) -> int:
     cfg = _config_from(args)
     dataset = load_dataset(args.data)
     prov_p, proposals = read_proposals_json(args.proposals, dataset)
-    ckpt, prov_m = load_model_checkpoint(args.model)
-    _require_current(cfg, [(args.proposals, prov_p), (args.model, prov_m)])
-    model = HmaModel.from_checkpoint(ckpt)
+    model = _load_model(HmaModel, args.model, cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold)
+    _check_width(model, "meta.W", args.model, ctx.encoder.width, "the metadata encoder")
+    _check_width(model, "audio.W", args.model, len(AUDIO_FEATURE_NAMES), "the audio descriptors")
     ids = _match_ids(args, dataset, ctx.test_ids)
     prov = Provenance.of(cfg)
     os.makedirs(os.path.join(args.out_dir, "candidates"), exist_ok=True)

@@ -3,7 +3,9 @@
 Plain-text files with ``key = value`` lines, ``#`` comments, and
 ``include <path>`` directives (relative to the including file).  Keys are
 registered with a type, a default and, for some, a domain of valid values;
-unknown keys and values outside a key's domain are rejected.  Environment
+unknown keys, values that are not of a key's type and values outside its
+domain are rejected.  A model checkpoint's ``_meta.*`` records go through
+the same checks (``stage1.MilModel.from_checkpoint``).  Environment
 variables named ``SOCCERSUM_<KEY>`` (dots become underscores, uppercase)
 override file values; explicit CLI flags override both.
 
@@ -35,7 +37,9 @@ _KFOLD = ("an integer of at least 3", lambda v: v >= 3)
 _AUDIO_RATE = ("an integer of at least %d" % MIN_RATE, lambda v: v >= MIN_RATE)
 _POSITIVE = ("a finite number above 0", lambda v: math.isfinite(v) and v > 0)
 _NON_NEGATIVE = ("a finite number of at least 0", lambda v: math.isfinite(v) and v >= 0)
-_UNIT = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+# also the rule of a stage-1 threshold: ``--threshold`` and a checkpoint's
+# ``_meta.threshold`` (scores lie in (0, 1))
+UNIT = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
 # at 0 every proposal that touches a summary action is a positive, so
 # stage-2 training never sees both classes
 _OVERLAP = ("a number in (0, 1]", lambda v: 0 < v <= 1)
@@ -52,8 +56,8 @@ KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
     "gen.audio_rate": (int, 8000, _AUDIO_RATE),
     "gen.audio_gain": (float, 3.0, _NON_NEGATIVE),
     "gen.audio_base_amp": (float, 0.05, _NON_NEGATIVE),
-    "gen.noise_insert": (float, 0.08, _UNIT),
-    "gen.noise_swap": (float, 0.02, _UNIT),
+    "gen.noise_insert": (float, 0.08, UNIT),
+    "gen.noise_swap": (float, 0.02, UNIT),
     "gen.goals_min": (int, 1, _COUNT),
     "gen.goals_max": (int, 3, _COUNT),
     "features.qualifier_dims": (int, 8, _COUNT),
@@ -112,6 +116,10 @@ class PipelineConfig:
             raise ConfigError("unknown configuration key %r" % key)
         if isinstance(value, str):
             value = _parse_value(key, value)
+        elif KNOWN_KEYS[key][0] is int and not isinstance(value, int):
+            if not float(value).is_integer():  # false for NaN and infinities
+                raise ConfigError("key %r: %r is not an integer" % (key, value))
+            value = int(value)
         domain = KNOWN_KEYS[key][2]
         if domain is not None and not domain[1](value):
             raise ConfigError("key %r: %r is not %s" % (key, value, domain[0]))

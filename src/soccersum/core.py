@@ -167,12 +167,6 @@ class Action:
                 % (self.end_index, self.start_index)
             )
 
-    def length(self) -> int:
-        return self.end_index - self.start_index + 1
-
-    def contains(self, index: int) -> bool:
-        return self.start_index <= index <= self.end_index
-
 
 @dataclass
 class Summary:

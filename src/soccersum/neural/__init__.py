@@ -15,6 +15,7 @@ from .params import (  # noqa: F401
     dense_init,
     load_checkpoint,
     lstm_init,
+    read_layout,
     save_checkpoint,
     uniform_init,
     vector_init,

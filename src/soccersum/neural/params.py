@@ -4,7 +4,8 @@ A parameter set is an ordered dict of named float arrays: float64 as
 initialized, float32 while stage 1 trains.  Checkpoints are a small binary
 format: an 8-byte magic, a format version, then one record per array with
 its name, shape, and row-major little-endian float64 payload; float64 holds
-stage 1's float32 values exactly.
+stage 1's float32 values exactly.  ``read_layout`` is the one check of a
+checkpoint's arrays and records against its model's layout.
 """
 from __future__ import annotations
 
@@ -43,6 +44,46 @@ def dense_init(input_dim: int, rng: np.random.Generator, prefix: str) -> dict:
 
 def vector_init(dim: int, rng: np.random.Generator, name: str) -> dict:
     return {name: uniform_init((dim,), dim, rng)}
+
+
+def _named(name: str) -> str:
+    return "%s %r" % ("record" if name.startswith("_") else "array", name)
+
+
+def _entry(ckpt: dict, name: str, kind: str) -> np.ndarray:
+    if name not in ckpt:
+        raise DataFormatError("no %s: not a %s checkpoint" % (_named(name), kind))
+    return ckpt[name]
+
+
+def read_layout(ckpt: dict, size_arrays: tuple[str, ...], layout, kind: str) -> list[int]:
+    """The model sizes checkpoint ``ckpt`` holds, once its entries match
+    the layout those sizes give.
+
+    Each size is the column count of one matrix of ``size_arrays``.
+    ``layout(*sizes)`` maps the name of each array and record of a
+    ``kind`` checkpoint at those sizes to its shape; each must be in
+    ``ckpt`` with that shape, and ``ckpt`` may hold no other array.
+    Records (names starting with ``_``) outside the layout are left over
+    from earlier versions and are ignored.  A refusal is a
+    ``DataFormatError`` naming the array or record.
+    """
+    sizes = []
+    for name in size_arrays:
+        shape = _entry(ckpt, name, kind).shape
+        if len(shape) != 2 or shape[1] == 0:
+            raise DataFormatError("%s has shape %s, not a matrix of at least one column"
+                                  % (_named(name), shape))
+        sizes.append(shape[1])
+    shapes = layout(*sizes)
+    for name, shape in shapes.items():
+        if _entry(ckpt, name, kind).shape != shape:
+            raise DataFormatError("%s has shape %s, not %s"
+                                  % (_named(name), ckpt[name].shape, shape))
+    extra = [name for name in ckpt if name not in shapes and not name.startswith("_")]
+    if extra:
+        raise DataFormatError("%s is not part of a %s model" % (_named(extra[0]), kind))
+    return sizes
 
 
 def save_checkpoint(params: dict, path: str) -> None:

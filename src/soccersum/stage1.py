@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataFormatError, Match, ShapeError, TrainingError
+from .core import ConfigError, DataFormatError, Match, ShapeError, TrainingError
 from .evaluation import fbeta, overlap_match, precision_recall
 from .neural import (
     bce_loss,
@@ -30,6 +30,7 @@ from .neural import (
     lstm_backward_batch,
     lstm_forward_batch,
     lstm_init,
+    read_layout,
     sigmoid,
 )
 # Unused here: perfbench's tracer (perfbench/tracing.py) wraps these
@@ -359,6 +360,18 @@ def select_threshold(scored, beta: float = 2.0, ratio: float = 0.5) -> tuple[flo
 # ---------------------------------------------------------------------------
 # training
 
+# checkpoint record -> the configuration key whose rule its value obeys
+_RECORD_KEYS = {"_meta.window": "stage1.window", "_meta.stride": "stage1.stride",
+                "_meta.lse_r": "stage1.lse_r"}
+
+
+def _checkpoint_layout(input_dim: int, hidden: int) -> dict:
+    """The shape of each array and record of a stage-1 checkpoint."""
+    params = init_mil_params(input_dim, hidden, np.random.default_rng(0))
+    return dict({name: value.shape for name, value in params.items()},
+                **dict.fromkeys([*_RECORD_KEYS, "_meta.threshold"], (1,)))
+
+
 @dataclass
 class MilModel:
     params: dict
@@ -371,7 +384,6 @@ class MilModel:
 
     def to_checkpoint(self) -> dict:
         out = dict(self.params)
-        out["_meta.hidden"] = np.array([float(self.config.hidden)])
         out["_meta.window"] = np.array([float(self.config.window)])
         out["_meta.stride"] = np.array([float(self.config.stride)])
         out["_meta.lse_r"] = np.array([self.config.lse_r])
@@ -382,27 +394,33 @@ class MilModel:
     def from_checkpoint(cls, ckpt: dict) -> "MilModel":
         """The model a checkpoint holds, with its parameters as float32.
 
-        Checkpoints store float64, which holds every float32 value
-        exactly; a parameter value that is not a float32 value was not
-        written by ``train_mil`` (an earlier version's float64 model, or
-        a damaged file) and is refused."""
+        The sizes are read from the arrays (``read_layout``).  Each
+        ``_meta`` record obeys the rule of its configuration key, and the
+        threshold the rule of ``--threshold``.  Checkpoints store float64,
+        which holds every float32 value exactly; a parameter value that is
+        not a float32 value was not written by ``train_mil`` (an earlier
+        version's float64 model, or a damaged file) and is refused."""
+        from .config import UNIT, PipelineConfig  # config imports this module
+        _input_dim, hidden = read_layout(ckpt, ("lstm.W", "lstm.U"), _checkpoint_layout,
+                                         "stage-1")
+        config = PipelineConfig({"stage1.hidden": hidden})
+        for record, key in _RECORD_KEYS.items():
+            try:
+                config.set(key, float(ckpt[record][0]))
+            except ConfigError as exc:
+                raise DataFormatError("record %r: %s" % (record, exc)) from None
         try:
-            cfg = MilConfig(
-                hidden=int(ckpt["_meta.hidden"][0]),
-                window=int(ckpt["_meta.window"][0]),
-                stride=int(ckpt["_meta.stride"][0]),
-                lse_r=float(ckpt["_meta.lse_r"][0]),
-            )
-            threshold = float(ckpt["_meta.threshold"][0])
-        except KeyError as exc:
-            raise DataFormatError("checkpoint has no record %s: not a stage-1 checkpoint"
-                                  % exc) from None
-        if cfg.stride > cfg.window:
-            raise DataFormatError("checkpoint stride %d is above its window %d: events "
-                                  "between windows would go unscored" % (cfg.stride, cfg.window))
+            mil_config = config.mil_config()
+        except ConfigError as exc:  # a pair of ORDERED_KEYS
+            raise DataFormatError("records %s: %s"
+                                  % (", ".join(map(repr, _RECORD_KEYS)), exc)) from None
+        threshold = float(ckpt["_meta.threshold"][0])
+        if not UNIT[1](threshold):
+            raise DataFormatError("record '_meta.threshold': %r is not %s"
+                                  % (threshold, UNIT[0]))
         params = {}
         for name, value in ckpt.items():
-            if name.startswith("_meta."):
+            if name.startswith("_"):
                 continue
             with np.errstate(over="ignore"):  # an overflow is refused just below
                 params[name] = value.astype(np.float32)
@@ -410,7 +428,7 @@ class MilModel:
                 raise DataFormatError(
                     "checkpoint array %r holds values that are not float32: written by "
                     "an earlier version or damaged; retrain the stage-1 model" % name)
-        return cls(params=params, config=cfg, threshold=threshold)
+        return cls(params=params, config=mil_config, threshold=threshold)
 
 
 def train_mil(bags: list[Bag], features: dict[str, np.ndarray],

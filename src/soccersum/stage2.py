@@ -26,6 +26,7 @@ from .neural import (
     lstm_backward_batch,
     lstm_forward_batch,
     lstm_init,
+    read_layout,
     sigmoid,
     vector_init,
 )
@@ -191,6 +192,11 @@ def _probabilities(params: dict, items) -> np.ndarray:
     return hma_forward_batch(params, *pad_proposals(items))[0]
 
 
+# a training audio column whose standard deviation is below this floor is
+# constant: it gets 1, so it collapses to zero instead of amplifying noise
+SD_FLOOR = 1e-8
+
+
 def label_proposal(span: tuple[int, int], gt_intervals, ratio: float = 0.5) -> int:
     """1 when at least ``ratio`` of the span lies inside one ground-truth
     summary action's event range."""
@@ -213,27 +219,34 @@ class HmaModel:
 
     def to_checkpoint(self) -> dict:
         out = dict(self.params)
-        out["_meta.hidden_modality"] = np.array([float(self.config.hidden_modality)])
-        out["_meta.hidden_fusion"] = np.array([float(self.config.hidden_fusion)])
         out["_norm.audio_mu"] = np.asarray(self.audio_mu, dtype=float)
         out["_norm.audio_sd"] = np.asarray(self.audio_sd, dtype=float)
         return out
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "HmaModel":
-        params = {k: v for k, v in ckpt.items()
-                  if not k.startswith(("_meta.", "_norm."))}
-        try:
-            cfg = HmaConfig(
-                hidden_modality=int(ckpt["_meta.hidden_modality"][0]),
-                hidden_fusion=int(ckpt["_meta.hidden_fusion"][0]),
-            )
-            return cls(params=params, config=cfg,
-                       audio_mu=ckpt["_norm.audio_mu"],
-                       audio_sd=ckpt["_norm.audio_sd"])
-        except KeyError as exc:
-            raise DataFormatError("checkpoint has no record %s: not a stage-2 checkpoint"
-                                  % exc) from None
+        """The model a checkpoint holds.  The sizes are read from the
+        arrays (``read_layout``); the normalizer has one entry per audio
+        column, and no standard deviation below the floor training
+        applies."""
+        _meta_dim, _audio_dim, hm, hf = read_layout(
+            ckpt, ("meta.W", "audio.W", "meta.U", "fuse.U"), _checkpoint_layout, "stage-2")
+        audio_sd = ckpt["_norm.audio_sd"]
+        if not np.all(audio_sd >= SD_FLOOR):
+            raise DataFormatError("record '_norm.audio_sd' holds %r, below the floor %g"
+                                  % (float(audio_sd.min()), SD_FLOOR))
+        return cls(params={k: v for k, v in ckpt.items() if not k.startswith("_")},
+                   config=HmaConfig(hidden_modality=hm, hidden_fusion=hf),
+                   audio_mu=ckpt["_norm.audio_mu"], audio_sd=audio_sd)
+
+
+def _checkpoint_layout(meta_dim: int, audio_dim: int, hidden_modality: int,
+                       hidden_fusion: int) -> dict:
+    """The shape of each array and record of a stage-2 checkpoint."""
+    config = HmaConfig(hidden_modality=hidden_modality, hidden_fusion=hidden_fusion)
+    params = init_hma_params(meta_dim, audio_dim, config, np.random.default_rng(0))
+    return dict({name: value.shape for name, value in params.items()},
+                **dict.fromkeys(["_norm.audio_mu", "_norm.audio_sd"], (audio_dim,)))
 
 
 def _classification_f(params: dict, items, threshold: float = 0.5) -> float:
@@ -261,26 +274,22 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
     audio_dim = train_items[0][1].shape[1]
 
     stacked = np.concatenate([xa for _, xa, _ in train_items], axis=0)
-    audio_mu = stacked.mean(axis=0)
     audio_sd = stacked.std(axis=0)
-    # constant features collapse to zero instead of amplifying noise
-    audio_sd = np.where(audio_sd < 1e-8, 1.0, audio_sd)
-    train_items = [((xm, (xa - audio_mu) / audio_sd, y)) for xm, xa, y in train_items]
-    val_items = [((xm, (xa - audio_mu) / audio_sd, y)) for xm, xa, y in val_items]
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
-    params = init_hma_params(meta_dim, audio_dim, config, rng)
+    model = HmaModel(params=init_hma_params(meta_dim, audio_dim, config, rng), config=config,
+                     audio_mu=stacked.mean(axis=0),
+                     audio_sd=np.where(audio_sd < SD_FLOOR, 1.0, audio_sd))
+    train_items = [(xm, model.normalize_audio(xa), y) for xm, xa, y in train_items]
+    val_items = [(xm, model.normalize_audio(xa), y) for xm, xa, y in val_items]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
 
     def validate(params):
         return {"val_f": _classification_f(params, val_items)}
 
-    params, history, best_epoch, stop = fit(params, train_items, hma_batch_loss_grads,
-                                            validate, config, shuffle_rng)
-    return HmaModel(params=params, config=config, audio_mu=audio_mu, audio_sd=audio_sd,
-                    history=history, best_epoch=best_epoch,
-                    best_val_f=history[best_epoch]["val_f"] if best_epoch >= 0 else -1.0,
-                    stop=stop)
+    model.params, model.history, model.best_epoch, model.stop = fit(
+        model.params, train_items, hma_batch_loss_grads, validate, config, shuffle_rng)
+    model.best_val_f = model.history[model.best_epoch]["val_f"] if model.best_epoch >= 0 else -1.0
+    return model
 
 
 def score_proposals(model: HmaModel, items) -> np.ndarray:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from soccersum.cli import main
-from soccersum.neural import load_checkpoint
+from soccersum.neural import load_checkpoint, save_checkpoint
 
 TINY = """\
 gen.matches = 10
@@ -1039,6 +1040,26 @@ def _without(field):
     return edit
 
 
+def _checkpoint_edit(changes):
+    """An edit that sets each checkpoint array or record ``name`` of
+    ``changes`` to ``changes[name](value)``, or removes it where that is
+    None, and saves the checkpoint with its provenance records.  The
+    edited names are the edit's ``names``: the error must name one."""
+    def edit(raw, rng, path):
+        ckpt = {name: changes[name](value) if name in changes else value
+                for name, value in load_checkpoint(str(path)).items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, path.name)
+            save_checkpoint({k: v for k, v in ckpt.items() if v is not None}, out)
+            return Path(out).read_bytes()
+    edit.names = tuple(changes)
+    return edit
+
+
+def _to(value):
+    return lambda old: np.full_like(old, value)
+
+
 CORRUPTIONS = {"truncate": _truncate, "flip-bytes": _flip_bytes, "drop-line": _drop_line,
                "nan": _inject_nan}
 EDITS = {
@@ -1047,6 +1068,26 @@ EDITS = {
         lambda raw, rng, path: raw.replace(b'"seed": 7', b'"seed": "abc"'),
     ("scores.csv", "seed-x"): lambda raw, rng, path: raw.replace(b" seed=7\n", b" seed=x\n", 1),
     ("stage1_features.json", "no-codebook"): _without("qualifier_codebook"),
+    # one array or record of a checkpoint, provenance intact
+    ("mil.ckpt", "stride-0"): _checkpoint_edit({"_meta.stride": _to(0)}),
+    ("mil.ckpt", "window-0-stride-0"):
+        _checkpoint_edit({"_meta.window": _to(0), "_meta.stride": _to(0)}),
+    ("mil.ckpt", "window-minus-3-stride-minus-5"):
+        _checkpoint_edit({"_meta.window": _to(-3), "_meta.stride": _to(-5)}),
+    ("mil.ckpt", "stride-2.5"): _checkpoint_edit({"_meta.stride": _to(2.5)}),
+    ("mil.ckpt", "lse_r-0"): _checkpoint_edit({"_meta.lse_r": _to(0)}),
+    ("mil.ckpt", "threshold-5"): _checkpoint_edit({"_meta.threshold": _to(5.0)}),
+    ("mil.ckpt", "out.w-cut"): _checkpoint_edit({"out.w": lambda w: w[:3]}),
+    ("mil.ckpt", "no-lstm.U"): _checkpoint_edit({"lstm.U": lambda u: None}),
+    ("mil.ckpt", "lstm.W-width-5"): _checkpoint_edit({"lstm.W": lambda w: w[:, :5]}),
+    ("hma.ckpt", "no-fuse.U"): _checkpoint_edit({"fuse.U": lambda u: None}),
+    ("hma.ckpt", "evatt.u-cut"): _checkpoint_edit({"evatt.u": lambda u: u[:4]}),
+    ("hma.ckpt", "audio_mu-cut"): _checkpoint_edit({"_norm.audio_mu": lambda mu: mu[:5]}),
+    ("hma.ckpt", "audio_sd-0"): _checkpoint_edit({"_norm.audio_sd": _to(0)}),
+    # a consistent checkpoint whose input widths differ from the features
+    ("hma.ckpt", "meta.W-width-cut"): _checkpoint_edit({"meta.W": lambda w: w[:, :-1]}),
+    ("hma.ckpt", "audio-width-cut"): _checkpoint_edit({
+        name: lambda a: a[..., :-1] for name in ("audio.W", "_norm.audio_mu", "_norm.audio_sd")}),
 }
 # corruptions that leave a well-formed artifact: only a payload checksum
 # can tell them from the written file.  (mil.ckpt's flipped bytes are caught
@@ -1073,6 +1114,9 @@ def test_corrupted_artifact_exits_two(chain, tmp_path, capsys, rel, corruption):
     assert "Traceback" not in err
     assert rc == 2, err
     assert err.startswith("error: ")
+    if hasattr(edit, "names"):
+        assert str(tmp_path / rel) in err
+        assert any(repr(name) in err for name in edit.names), err
 
 
 @pytest.mark.parametrize("command,ckpt", [("summarize", "mil.ckpt"),

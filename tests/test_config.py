@@ -27,6 +27,18 @@ def test_set_parses_strings_by_declared_type():
     assert cfg["stage3.sigma"] == 0.5
 
 
+def test_set_takes_a_number_for_an_integer_key_only_if_integral():
+    """A number for an integer key (a checkpoint's ``_meta.window`` record
+    is read as a float) is stored as an int, or refused naming the key."""
+    cfg = PipelineConfig()
+    cfg.set("stage1.window", 10.0)
+    assert type(cfg["stage1.window"]) is int
+    assert cfg.config_hash() == PipelineConfig().config_hash()
+    for value in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="key 'stage1.window': .* is not an integer"):
+            cfg.set("stage1.window", value)
+
+
 def test_bad_values_and_unknown_keys_rejected():
     cfg = PipelineConfig()
     with pytest.raises(ConfigError):

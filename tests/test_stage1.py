@@ -1,5 +1,7 @@
 """Proposal stage: vocabulary harvesting, weak labels, bag sampling,
 window fusion, proposal extraction, threshold pick, and bag training."""
+import re
+
 import numpy as np
 import pytest
 
@@ -527,6 +529,10 @@ def test_reloaded_model_scores_a_match_byte_identically(tmp_path):
     save_checkpoint(model.to_checkpoint(), path)
     back = MilModel.from_checkpoint(load_checkpoint(path))
     assert back.threshold == model.threshold
+    # the sizes are read from the arrays: hidden 8, the toy's input width
+    assert back.config.hidden == cfg.hidden == 8
+    assert back.params["lstm.W"].shape == (32, feats["b"].shape[1])
+    assert (back.config.window, back.config.stride, back.config.lse_r) == (8, 4, cfg.lse_r)
     for name, value in model.params.items():
         assert back.params[name].dtype == np.float32
         assert back.params[name].tobytes() == value.tobytes()
@@ -555,8 +561,43 @@ def test_checkpoint_stride_above_window_is_refused():
     ckpt = MilModel(params=params, config=cfg).to_checkpoint()
     MilModel.from_checkpoint(ckpt)
     ckpt["_meta.stride"][0] = 11
-    with pytest.raises(DataFormatError, match="stride 11 is above its window 10"):
+    with pytest.raises(DataFormatError, match="'_meta.stride'.*'stage1.stride': 11 is above "
+                                              "key 'stage1.window': 10"):
         MilModel.from_checkpoint(ckpt)
+
+
+def test_checkpoint_in_the_earlier_format_loads_to_the_same_model():
+    """Checkpoints written before the sizes came from the arrays carry a
+    ``_meta.hidden`` record: it is ignored, also where it disagrees with
+    the arrays."""
+    params = {k: v.astype(np.float32)
+              for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
+    ckpt = MilModel(params=params, config=MilConfig(hidden=4, window=12, stride=3,
+                                                    lse_r=5.0), threshold=0.37).to_checkpoint()
+    assert not any(name.startswith("_meta.hidden") for name in ckpt)
+    want = MilModel.from_checkpoint(ckpt)
+    for hidden in (4.0, 7.0):
+        back = MilModel.from_checkpoint(dict(ckpt, **{"_meta.hidden": np.array([hidden])}))
+        assert (back.config, back.threshold) == (want.config, want.threshold)
+        assert back.config.hidden == 4
+        for name, value in want.params.items():
+            assert back.params[name].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"extra.w": np.zeros(3)}, "array 'extra.w' is not part of a stage-1 model"),
+    ({"lstm.U": np.zeros(64)}, "array 'lstm.U' has shape (64,), not a matrix"),
+    ({"lstm.W": np.zeros((16, 0))}, "array 'lstm.W' has shape (16, 0), not a matrix"),
+    ({"lstm.b": np.zeros(15)}, "array 'lstm.b' has shape (15,), not (16,)"),
+    ({"_meta.lse_r": np.array([8.0, 8.0])}, "record '_meta.lse_r' has shape (2,), not (1,)"),
+], ids=["extra-array", "1-D-size-array", "no-columns", "short-bias", "two-entry-record"])
+def test_checkpoint_that_breaks_the_layout_is_refused(edit, message):
+    params = {k: v.astype(np.float32)
+              for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
+    ckpt = MilModel(params=params, config=MilConfig(hidden=4)).to_checkpoint()
+    MilModel.from_checkpoint(ckpt)
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        MilModel.from_checkpoint(dict(ckpt, **edit))
 
 
 def test_train_mil_requires_both_classes():

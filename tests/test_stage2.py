@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soccersum.core import ShapeError, TrainingError
+from soccersum.neural import load_checkpoint, save_checkpoint
 from soccersum.stage2 import (
     HmaConfig,
     HmaModel,
@@ -277,7 +278,7 @@ def _toy_items(rng, n, positive_shift=4.0):
     return items
 
 
-def test_train_hma_separates_loud_proposals():
+def test_train_hma_separates_loud_proposals(tmp_path):
     rng = np.random.default_rng(314)
     train_items = _toy_items(rng, 30)
     val_items = _toy_items(rng, 12)
@@ -298,6 +299,36 @@ def test_train_hma_separates_loud_proposals():
     pos = [s for s, (_, _, y) in zip(scores, val_items) if y]
     neg = [s for s, (_, _, y) in zip(scores, val_items) if not y]
     assert min(pos) > max(neg)
+    # a checkpoint round trip reads the trained sizes back from the arrays
+    path = str(tmp_path / "hma.ckpt")
+    save_checkpoint(model.to_checkpoint(), path)
+    back = HmaModel.from_checkpoint(load_checkpoint(path))
+    assert (back.config.hidden_modality, back.config.hidden_fusion) == (6, 4)
+    assert back.params["meta.W"].shape == (24, META_DIM)
+    assert back.params["audio.W"].shape == (24, AUDIO_DIM)
+    assert back.audio_sd.tobytes() == model.audio_sd.tobytes()
+    assert score_proposals(back, pairs).tobytes() == scores.tobytes()
+
+
+def test_checkpoint_in_the_earlier_format_loads_to_the_same_model():
+    """Checkpoints written before the sizes came from the arrays carry
+    ``_meta.hidden_modality`` and ``_meta.hidden_fusion`` records: they are
+    ignored, also where they disagree with the arrays."""
+    model = HmaModel(params=small_params(8, hm=6, hf=5),
+                     config=HmaConfig(hidden_modality=6, hidden_fusion=5), **IDENTITY_NORM)
+    ckpt = model.to_checkpoint()
+    assert not any(name.startswith("_meta.") for name in ckpt)
+    want = HmaModel.from_checkpoint(ckpt)
+    for hm, hf in ((6.0, 5.0), (3.0, 16.0)):
+        old = dict(ckpt, **{"_meta.hidden_modality": np.array([hm]),
+                            "_meta.hidden_fusion": np.array([hf])})
+        back = HmaModel.from_checkpoint(old)
+        assert back.config == want.config == model.config
+        assert set(back.params) == set(want.params)
+        for name, value in want.params.items():
+            assert back.params[name].tobytes() == value.tobytes()
+        assert back.audio_mu.tobytes() == want.audio_mu.tobytes()
+        assert back.audio_sd.tobytes() == want.audio_sd.tobytes()
 
 
 def test_train_hma_requires_both_classes():
