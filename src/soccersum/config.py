@@ -4,8 +4,11 @@ Plain-text files with ``key = value`` lines, ``#`` comments, and
 ``include <path>`` directives (relative to the including file).  Keys are
 registered with a type, a default and, for some, a domain of valid values;
 unknown keys, values that are not of a key's type and values outside its
-domain are rejected.  A model checkpoint's ``_meta.*`` records go through
-the same checks (``stage1.MilModel.from_checkpoint``).  Environment
+domain are rejected.  ``KNOWN_KEYS`` is the one statement of each default:
+the typed sections the pipeline reads (``mil_config``, ``hma_config``,
+``fit_config``, ``gen_config``, ``padding``) declare none.  A model
+checkpoint's ``_meta.*`` records go through the same checks
+(``stage1.MilModel.from_checkpoint``).  Environment
 variables named ``SOCCERSUM_<KEY>`` (dots become underscores, uppercase)
 override file values; explicit CLI flags override both.
 
@@ -20,8 +23,9 @@ import hashlib
 import math
 import os
 
-from .core import ConfigError
+from .core import ConfigError, PaddingConfig
 from .features.audio import MIN_RATE
+from .neural import FitConfig
 from .stage1 import MilConfig
 from .stage2 import HmaConfig
 from .stage3 import BUDGET_MODES
@@ -153,10 +157,9 @@ class PipelineConfig:
     # typed sub-config builders -------------------------------------------
     def _section(self, cls, prefix: str, **fields):
         """``cls`` with each field ``name`` read from key ``<prefix><name>``
-        where that key exists, and with ``fields``; the rest keep their
-        defaults.  Every section refuses a configuration with a pair of
-        ``ORDERED_KEYS`` out of order, naming both keys, so a command
-        fails before it writes anything."""
+        where that key exists, and with ``fields``.  Every section refuses
+        a configuration with a pair of ``ORDERED_KEYS`` out of order,
+        naming both keys, so a command fails before it writes anything."""
         for low, high in ORDERED_KEYS:
             if self[low] > self[high]:
                 raise ConfigError("key %r: %r is above key %r: %r"
@@ -165,15 +168,21 @@ class PipelineConfig:
                  if prefix + f.name in KNOWN_KEYS}
         return cls(**keyed, **fields)
 
+    def padding(self) -> PaddingConfig:
+        return self._section(PaddingConfig, "pad.")
+
     def gen_config(self) -> GenConfig:
-        return self._section(GenConfig, "gen.", pad_pre=self["pad.pre"],
-                             pad_post=self["pad.post"])
+        return self._section(GenConfig, "gen.", padding=self.padding())
 
     def mil_config(self) -> MilConfig:
         return self._section(MilConfig, "stage1.")
 
     def hma_config(self) -> HmaConfig:
         return self._section(HmaConfig, "stage2.")
+
+    def fit_config(self, stage: str) -> FitConfig:
+        """The training loop of ``stage``: "stage1" or "stage2"."""
+        return self._section(FitConfig, stage + ".")
 
 
 def _read_config_file(path: str, seen: set[str], cfg: PipelineConfig) -> None:

@@ -183,8 +183,8 @@ class Summary:
 class PaddingConfig:
     """Seconds of context added around an action when cut into a clip."""
 
-    pre: float = 5.0
-    post: float = 10.0
+    pre: float
+    post: float
 
 
 def action_type(action: Action, match: Match) -> str:

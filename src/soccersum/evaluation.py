@@ -101,7 +101,7 @@ def match_summary_actions(predicted: list[Action], ground_truth: list[Action],
     return tp, fp, fn
 
 
-def kfold_split(ids: list[str], k: int = 10, seed: int = 0):
+def kfold_split(ids: list[str], k: int, seed: int = 0):
     """Shuffled k-fold partition with train/validation/test per fold.
 
     Fold i tests shard i and validates shard (i+1) mod k; the remaining

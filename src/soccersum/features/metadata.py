@@ -49,7 +49,7 @@ class QualifierCodebook:
         self._index = {c: i for i, c in enumerate(self.codes)}
 
     @classmethod
-    def from_events(cls, events: list[Event], dims: int = 8) -> "QualifierCodebook":
+    def from_events(cls, events: list[Event], dims: int) -> "QualifierCodebook":
         counts = Counter(event_columns(events, "qualifier")[0])
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         keep = [code for code, _ in ranked[: dims - 1]]

@@ -10,7 +10,7 @@ from .layers import (  # noqa: F401
     bce_sigmoid_grad,
     sigmoid,
 )
-from .optim import Adam, fit  # noqa: F401
+from .optim import Adam, FitConfig, fit  # noqa: F401
 from .params import (  # noqa: F401
     dense_init,
     load_checkpoint,

@@ -1,6 +1,8 @@
 """Adam over named parameter dicts, and the training loop both stages share."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core import TrainingError
@@ -13,7 +15,7 @@ class Adam:
     p <- p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
@@ -43,12 +45,22 @@ class Adam:
             params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
+@dataclass
+class FitConfig:
+    """One stage's training loop: keys ``<stage>.<field>``."""
+
+    epochs: int
+    patience: int
+    batch: int
+    lr: float
+
+
 # why ``fit`` stopped: ``config.patience`` epochs without a better val_f,
 # ``config.epochs`` epochs run, or a val_f of 1.0
 STOP_REASONS = ("patience", "epoch_limit", "val_f_max")
 
 
-def fit(params: dict, items: list, loss_grads, validate, config, shuffle_rng):
+def fit(params: dict, items: list, loss_grads, validate, config: FitConfig, shuffle_rng):
     """Minibatch Adam over ``items`` with validation-picked early stopping.
 
     Each epoch visits the items in a fresh ``shuffle_rng`` order, in chunks

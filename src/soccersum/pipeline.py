@@ -43,7 +43,6 @@ from .core import (
     Action,
     ConfigError,
     DataFormatError,
-    PaddingConfig,
     action_duration,
     action_type,
 )
@@ -236,7 +235,8 @@ def train_proposal_model(dataset: Dataset, config: PipelineConfig, ctx: FoldCont
                                 config["seed"], config["stage1.neg_min_len"])
     val_inputs = [(i, ctx.gt_intervals[i], dataset.by_id(i).type_sequence())
                   for i in ctx.val_ids]
-    return train_mil(bags, ctx.feats, val_inputs, config.mil_config(), config["seed"])
+    return train_mil(bags, ctx.feats, val_inputs, config.mil_config(),
+                     config.fit_config("stage1"), config["stage1.beta"], config["seed"])
 
 
 def score_matches(model: MilModel, feats: dict) -> dict[str, np.ndarray]:
@@ -290,7 +290,7 @@ def budget_inputs(dataset: Dataset, config: PipelineConfig, match_id: str,
     """Stage-3 inputs of one match: padded proposal durations, proposal
     start times, and the budget (padded length of its reference summary)."""
     match = dataset.by_id(match_id)
-    padding = PaddingConfig(config["pad.pre"], config["pad.post"])
+    padding = config.padding()
     durations = [action_duration(Action(s, e), match, padding) for s, e, _t in proposals]
     starts = [match.events[s].t for s, _e, _t in proposals]
     budget = dataset.summaries[match_id].total_duration(match, padding)
@@ -305,7 +305,7 @@ def train_proposal_scorer(config: PipelineConfig, ctx: FoldContext, proposals: d
     return train_hma(
         stage2_items(proposals, ctx.feats, audio, ctx.train_ids, ctx.gt_intervals, ratio),
         stage2_items(proposals, ctx.feats, audio, ctx.val_ids, ctx.gt_intervals, ratio),
-        config.hma_config(), config["seed"],
+        config.hma_config(), config.fit_config("stage2"), config["seed"],
     )
 
 

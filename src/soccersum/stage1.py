@@ -23,6 +23,7 @@ import numpy as np
 from .core import ConfigError, DataFormatError, Match, ShapeError, TrainingError
 from .evaluation import fbeta, overlap_match, precision_recall
 from .neural import (
+    FitConfig,
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
@@ -40,15 +41,12 @@ from .neural import lstm_backward, lstm_forward  # noqa: F401
 
 @dataclass
 class MilConfig:
-    hidden: int = 16
-    window: int = 10
-    stride: int = 5
-    lse_r: float = 8.0
-    epochs: int = 100
-    patience: int = 20
-    batch: int = 32
-    lr: float = 1e-3
-    beta: float = 2.0  # F-beta used for threshold/epoch selection
+    """The architecture a checkpoint records: keys ``stage1.<field>``."""
+
+    hidden: int
+    window: int
+    stride: int
+    lse_r: float
 
 
 @dataclass(frozen=True)
@@ -108,11 +106,13 @@ def label_events_by_vocabulary(match: Match, vocab: set[tuple[str, ...]]):
 
 
 def sample_training_bags(matches: dict[str, Match], vocab: set[tuple[str, ...]],
-                         seed: int, neg_min_len: int = 4) -> list[Bag]:
+                         seed: int, neg_min_len: int) -> list[Bag]:
     """Positive bags = every vocabulary occurrence; negative bags are random
     runs drawn from outside all labeled events, lengths uniform between
     ``neg_min_len`` and the longest positive span, one negative per
-    positive.  Deterministic for a given seed."""
+    positive.  Deterministic for a given seed.  A ``neg_min_len`` above
+    the longest unlabeled run (when there is one) fits no negative: a
+    configuration error naming key ``stage1.neg_min_len``."""
     positives: list[Bag] = []
     free_runs: list[tuple[str, int, int]] = []  # (match_id, start, length)
     max_pos_len = 0
@@ -124,6 +124,11 @@ def sample_training_bags(matches: dict[str, Match], vocab: set[tuple[str, ...]],
         free_runs += [(match_id, s, e - s + 1) for s, e in _runs(~labels)]
     if not positives:
         raise TrainingError("no positive bags: vocabulary matched nothing")
+    longest_free = max((fr[2] for fr in free_runs), default=0)
+    if 0 < longest_free < neg_min_len:
+        raise ConfigError("key 'stage1.neg_min_len': %d is above %d, the longest run of "
+                          "unlabeled events in the training matches"
+                          % (neg_min_len, longest_free))
     if max_pos_len < neg_min_len:
         max_pos_len = neg_min_len
     # per negative length: the runs that fit it, and their cumulative counts
@@ -325,7 +330,7 @@ def _grid_runs(scores: np.ndarray, goal: np.ndarray):
     return rows, starts, ends
 
 
-def select_threshold(scored, beta: float = 2.0, ratio: float = 0.5) -> tuple[float, float]:
+def select_threshold(scored, beta: float, ratio: float = 0.5) -> tuple[float, float]:
     """Grid-search the score threshold (0.01..0.99, step 0.01) maximizing
     proposal F-beta, micro-averaged over the (event scores, ground-truth
     spans in start order, event types) rows of ``scored``, each span matched
@@ -433,13 +438,13 @@ class MilModel:
 
 def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
               val_scored_inputs: list[tuple[str, list[tuple[int, int]], tuple[str, ...]]],
-              config: MilConfig, seed: int) -> MilModel:
+              config: MilConfig, fit_config: FitConfig, beta: float, seed: int) -> MilModel:
     """Train the bag scorer with ``neural.fit``, in float32.
 
     ``val_scored_inputs`` rows are (match_id, ground-truth spans in start
     order, event types) for validation matches; after each epoch the
     validation matches are scored and a threshold is grid-picked, and the
-    epoch with the best validation F-beta (threshold included) is kept.
+    epoch with the best validation F-``beta`` (threshold included) is kept.
     ``features`` are not copied: each minibatch and scored match is cast
     to float32 as it enters the model.
     """
@@ -460,10 +465,10 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
     def validate(params):
         scored = [(score_events(params, features[match_id], config), spans, types)
                   for match_id, spans, types in val_scored_inputs]
-        threshold, f = select_threshold(scored, config.beta)
+        threshold, f = select_threshold(scored, beta)
         return {"val_f": f, "threshold": threshold}
 
-    params, history, best_epoch, stop = fit(params, bags, loss_grads, validate, config,
+    params, history, best_epoch, stop = fit(params, bags, loss_grads, validate, fit_config,
                                             shuffle_rng)
     best = history[best_epoch] if best_epoch >= 0 else {"val_f": -1.0, "threshold": 0.5}
     return MilModel(params=params, config=config, threshold=best["threshold"],

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DataFormatError, ShapeError, TrainingError
-from .evaluation import covered_by_any, fbeta, precision_recall
+from .evaluation import Counts, covered_by_any
 from .neural import (
+    FitConfig,
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
@@ -37,12 +38,10 @@ from .neural import lstm_backward, lstm_forward  # noqa: F401
 
 @dataclass
 class HmaConfig:
-    hidden_modality: int = 32
-    hidden_fusion: int = 16
-    epochs: int = 100
-    patience: int = 20
-    batch: int = 32
-    lr: float = 1e-3
+    """The architecture a checkpoint records: keys ``stage2.<field>``."""
+
+    hidden_modality: int
+    hidden_fusion: int
 
 
 def init_hma_params(meta_dim: int, audio_dim: int, config: HmaConfig,
@@ -197,7 +196,7 @@ def _probabilities(params: dict, items) -> np.ndarray:
 SD_FLOOR = 1e-8
 
 
-def label_proposal(span: tuple[int, int], gt_intervals, ratio: float = 0.5) -> int:
+def label_proposal(span: tuple[int, int], gt_intervals, ratio: float) -> int:
     """1 when at least ``ratio`` of the span lies inside one ground-truth
     summary action's event range."""
     return 1 if covered_by_any(span, gt_intervals, ratio) else 0
@@ -252,14 +251,12 @@ def _checkpoint_layout(meta_dim: int, audio_dim: int, hidden_modality: int,
 def _classification_f(params: dict, items, threshold: float = 0.5) -> float:
     pred = _probabilities(params, items) >= threshold
     y = np.array([bool(item[2]) for item in items], dtype=bool)
-    tp = int(np.sum(pred & y))
-    fp = int(np.sum(pred & ~y))
-    fn = int(np.sum(~pred & y))
-    p_, r_ = precision_recall(tp, fp, fn)
-    return fbeta(p_, r_, 1.0)
+    counts = Counts(int(np.sum(pred & y)), int(np.sum(pred & ~y)), int(np.sum(~pred & y)))
+    return counts.metrics(beta=1.0)["f"]
 
 
-def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
+def train_hma(train_items, val_items, config: HmaConfig, fit_config: FitConfig,
+              seed: int) -> HmaModel:
     """Train the proposal scorer with ``neural.fit``.  Items are (xm, xa,
     label) triples with raw audio features; a z-score normalization is
     fitted on the training items here and travels with the model.
@@ -287,7 +284,7 @@ def train_hma(train_items, val_items, config: HmaConfig, seed: int) -> HmaModel:
         return {"val_f": _classification_f(params, val_items)}
 
     model.params, model.history, model.best_epoch, model.stop = fit(
-        model.params, train_items, hma_batch_loss_grads, validate, config, shuffle_rng)
+        model.params, train_items, hma_batch_loss_grads, validate, fit_config, shuffle_rng)
     model.best_val_f = model.history[model.best_epoch]["val_f"] if model.best_epoch >= 0 else -1.0
     return model
 

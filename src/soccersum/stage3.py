@@ -56,8 +56,7 @@ class Candidate:
     over_budget: bool = False
 
 
-def assemble_summary(ranking, durations, starts, budget: float,
-                     tol: float = 0.1, mode: str = "stop_first",
+def assemble_summary(ranking, durations, starts, budget: float, tol: float, mode: str,
                      sample_index: int = 0) -> Candidate:
     """Greedy budget cut of a ranking.
 
@@ -96,9 +95,8 @@ def assemble_summary(ranking, durations, starts, budget: float,
     )
 
 
-def generate_candidates(theta, durations, starts, budget: float, k: int = 10,
-                        sigma: float = 0.05, seed_key: tuple = (0,),
-                        tol: float = 0.1, mode: str = "stop_first") -> list[Candidate]:
+def generate_candidates(theta, durations, starts, budget: float, k: int, sigma: float,
+                        seed_key: tuple, tol: float, mode: str) -> list[Candidate]:
     """k budgeted candidates; sample j uses its own seeded Gumbel stream so
     the j-th candidate is reproducible independently of the others."""
     out = []

@@ -44,24 +44,26 @@ class GenerationError(ConfigError):
 
 @dataclass
 class GenConfig:
-    matches: int = 60
-    events_mean: int = 1500
-    events_sd_frac: float = 0.06
-    budget_min: float = 110.0
-    budget_max: float = 270.0
-    audio_rate: int = 8000
-    audio_gain: float = 3.0
-    audio_base_amp: float = 0.05
-    noise_insert: float = 0.08
-    noise_swap: float = 0.02
-    goals_min: int = 1
-    goals_max: int = 3
-    pad_pre: float = 5.0
-    pad_post: float = 10.0
-    min_gap_events: int = 20
+    """Keys ``gen.<field>``; ``padding`` holds keys ``pad.*``."""
 
-    def padding(self) -> PaddingConfig:
-        return PaddingConfig(self.pad_pre, self.pad_post)
+    matches: int
+    events_mean: int
+    budget_min: float
+    budget_max: float
+    audio_rate: int
+    audio_gain: float
+    audio_base_amp: float
+    noise_insert: float
+    noise_swap: float
+    goals_min: int
+    goals_max: int
+    padding: PaddingConfig
+
+
+# a match's event-count target is drawn with sd EVENTS_SD_FRAC x gen.events_mean
+EVENTS_SD_FRAC = 0.06
+# the least background gap between planted actions, and the half-time gap
+MIN_GAP_EVENTS = 20
 
 
 def _suffix_contexts(prefix: tuple[str, ...], lengths: tuple[int, ...]) -> list[tuple[str, ...]]:
@@ -218,7 +220,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, ordinal]))
     match_id = "m%03d" % ordinal
 
-    n_target = int(round(rng.normal(cfg.events_mean, cfg.events_mean * cfg.events_sd_frac)))
+    n_target = int(round(rng.normal(cfg.events_mean, cfg.events_mean * EVENTS_SD_FRAC)))
 
     # planted instance plan: family name per instance, halves assigned at random
     plan: list[str] = []
@@ -246,7 +248,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
         + len(CLOSE_TEMPLATE) * 2
     )
     n_bg = max(n_target - planted_event_total,
-               (len(plan) + 4) * cfg.min_gap_events)
+               (len(plan) + 4) * MIN_GAP_EVENTS)
     bg_half = [n_bg // 2, n_bg - n_bg // 2]
 
     # stitch: open, (gap, instance)*, gap, half-close | half-open, ..., close
@@ -269,14 +271,14 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
 
     emit_instance(list(OPEN_TEMPLATE), "start-period", len(OPEN_TEMPLATE))
     for h in (0, 1):
-        gaps = _gap_sizes(bg_half[h], len(segments[h]) + 1, cfg.min_gap_events, rng)
+        gaps = _gap_sizes(bg_half[h], len(segments[h]) + 1, MIN_GAP_EVENTS, rng)
         for gi, item in enumerate(segments[h]):
             emit_background(gaps[gi])
             emit_instance(*item)
-        emit_background(gaps[len(segments[h])] if gaps else cfg.min_gap_events)
+        emit_background(gaps[len(segments[h])] if gaps else MIN_GAP_EVENTS)
         emit_instance(list(CLOSE_TEMPLATE), "end-period", len(CLOSE_TEMPLATE))
         if h == 0:
-            emit_background(cfg.min_gap_events)
+            emit_background(MIN_GAP_EVENTS)
             emit_instance(list(OPEN_TEMPLATE), "start-period", len(OPEN_TEMPLATE))
 
     # timestamps: quick touches through decisive cores, brisk sustained
@@ -374,7 +376,6 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     # ground-truth summary: match open/close and every goal are mandatory,
     # then shuffled others fill the sampled duration budget
     budget = float(_uniform(rng, cfg.budget_min, cfg.budget_max))
-    padding = cfg.padding()
     open_close = [0, len(planted) - 1]
     mandatory = set(open_close)
     for pid, p in enumerate(planted):
@@ -384,11 +385,11 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     total = 0.0
     for pid in chosen:
         p = planted[pid]
-        total += action_duration(Action(p.start, p.end), match, padding)
+        total += action_duration(Action(p.start, p.end), match, cfg.padding)
     optional = [pid for pid in range(len(planted)) if pid not in chosen]
     for pid in rng.permutation(len(optional)):
         p = planted[optional[pid]]
-        d = action_duration(Action(p.start, p.end), match, padding)
+        d = action_duration(Action(p.start, p.end), match, cfg.padding)
         if total + d <= budget:
             chosen.add(optional[pid])
             total += d
@@ -398,7 +399,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
             "gen.budget_max = %g, is unfillable: all %d planted actions total %.1fs "
             "with pad.pre = %g and pad.post = %g at gen.events_mean = %d"
             % (match_id, budget, cfg.budget_min, cfg.budget_max, len(planted), total,
-               cfg.pad_pre, cfg.pad_post, cfg.events_mean)
+               cfg.padding.pre, cfg.padding.post, cfg.events_mean)
         )
 
     gt_actions = []

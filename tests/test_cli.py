@@ -262,6 +262,21 @@ def test_more_folds_than_matches_exits_one(chain, tmp_path, capsys, command):
     assert not (tmp_path / "run" / "data").exists()
 
 
+def test_negative_length_no_unlabeled_run_fills_exits_one(chain, tmp_path, capsys):
+    """A ``stage1.neg_min_len`` above every run of unlabeled training
+    events is refused before any bag is drawn, naming the key."""
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("include %s\nstage1.neg_min_len = 1000\n" % chain.cfg)
+    rc = main(["train-proposals", "--config", str(cfg), "--data", str(chain.data),
+               "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert re.search(r"configuration error: key 'stage1.neg_min_len': 1000 is above \d+, "
+                     r"the longest run of unlabeled events", err), err
+    assert not (tmp_path / "run").exists()
+
+
 def test_equal_bounds_generate(tmp_path):
     cfg = tmp_path / "equal.cfg"
     cfg.write_text("gen.matches = 2\ngen.events_mean = 250\ngen.goals_min = 2\n"

@@ -4,8 +4,11 @@ import inspect
 
 import pytest
 
+from soccersum import evaluation, stage1, stage2, stage3
 from soccersum.config import KNOWN_KEYS, PipelineConfig, load_config
-from soccersum.core import ConfigError
+from soccersum.core import ConfigError, PaddingConfig
+from soccersum.features import QualifierCodebook
+from soccersum.neural import Adam, FitConfig
 from soccersum.stage1 import MilConfig
 from soccersum.stage2 import HmaConfig
 from soccersum.synth import GenConfig
@@ -148,52 +151,73 @@ def test_default_config_hash_is_pinned():
     assert load_config(use_env=False).config_hash() == "90093f27b1e6"
 
 
-# key prefix -> (builder, dataclass, key of each field the prefix does not name)
-SECTIONS = {
-    "gen.": ("gen_config", GenConfig, {"pad_pre": "pad.pre", "pad_post": "pad.post"}),
-    "stage1.": ("mil_config", MilConfig, {}),
-    "stage2.": ("hma_config", HmaConfig, {}),
-}
+# (key prefix, builder, its arguments, dataclass) of each section
+SECTIONS = [
+    ("gen.", "gen_config", (), GenConfig),
+    ("pad.", "padding", (), PaddingConfig),
+    ("stage1.", "mil_config", (), MilConfig),
+    ("stage2.", "hma_config", (), HmaConfig),
+    ("stage1.", "fit_config", ("stage1",), FitConfig),
+    ("stage2.", "fit_config", ("stage2",), FitConfig),
+]
 # section keys that the pipeline reads itself, not through a dataclass field
-UNFIELDED_KEYS = {"stage1.neg_min_len", "stage2.overlap_ratio"}
-
-
-def _keyed_fields(cls, prefix, extra):
-    """{field name: key} of every field of ``cls`` that a key sets."""
-    keyed = {f.name: prefix + f.name for f in dataclasses.fields(cls)
-             if prefix + f.name in KNOWN_KEYS}
-    return dict(keyed, **extra)
+UNFIELDED_KEYS = {"stage1.neg_min_len", "stage1.beta", "stage2.overlap_ratio"}
 
 
 def test_typed_subconfig_builders():
     cfg = PipelineConfig({"stage1.window": 12, "stage2.lr": 0.01,
                           "gen.audio_gain": 5.0, "pad.pre": 2.0})
     assert cfg.mil_config().window == 12
-    assert cfg.hma_config().lr == 0.01
+    assert cfg.fit_config("stage2").lr == 0.01
+    assert cfg.fit_config("stage1").lr == KNOWN_KEYS["stage1.lr"][1]
     gen = cfg.gen_config()
     assert gen.audio_gain == 5.0
-    assert gen.pad_pre == 2.0
-    assert gen.padding().pre == 2.0
+    assert gen.padding == cfg.padding() == PaddingConfig(2.0, 10.0)
 
     # every section key, set away from its default, reaches its field
     changed = {key: default + 1 if typ is int else default + 0.25
                for key, (typ, default, _domain) in KNOWN_KEYS.items()
-               if key.startswith(tuple(SECTIONS)) or key.startswith("pad.")}
+               if key.startswith(tuple(prefix for prefix, *_ in SECTIONS))}
     cfg = PipelineConfig(changed)
     reached = set()
-    for prefix, (builder, cls, extra) in SECTIONS.items():
-        built = getattr(cfg, builder)()
-        for name, key in _keyed_fields(cls, prefix, extra).items():
-            assert getattr(built, name) == changed[key], key
-            reached.add(key)
+    for prefix, builder, args, cls in SECTIONS:
+        built = getattr(cfg, builder)(*args)
+        for field in dataclasses.fields(cls):
+            key = prefix + field.name
+            if key in KNOWN_KEYS:
+                assert getattr(built, field.name) == changed[key], key
+                reached.add(key)
     assert set(changed) - reached == UNFIELDED_KEYS
+    assert cfg.gen_config().padding == cfg.padding()
 
-    # a keyed field's default and its key's default declare one setting
-    # twice; they must not drift apart
-    for prefix, (_builder, cls, extra) in SECTIONS.items():
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        for name, key in _keyed_fields(cls, prefix, extra).items():
-            assert defaults[name] == KNOWN_KEYS[key][1], key
+
+# the parameters whose value is a configuration key's: each call site
+# passes the key's value
+KEYED_PARAMETERS = {
+    stage3.generate_candidates: ("k", "sigma", "tol", "mode"),
+    stage3.assemble_summary: ("tol", "mode"),
+    stage1.sample_training_bags: ("neg_min_len",),
+    stage1.select_threshold: ("beta",),
+    stage2.label_proposal: ("ratio",),
+    QualifierCodebook.from_events: ("dims",),
+    evaluation.kfold_split: ("k",),
+    Adam: ("lr",),
+}
+
+
+def test_only_the_key_table_states_a_default():
+    """A section field or a keyed parameter with a default of its own
+    would state a key's default a second time."""
+    stated = ["%s.%s" % (cls.__name__, f.name)
+              for cls in {cls for *_, cls in SECTIONS}
+              for f in dataclasses.fields(cls)
+              if f.default is not dataclasses.MISSING
+              or f.default_factory is not dataclasses.MISSING]
+    for func, names in KEYED_PARAMETERS.items():
+        params = inspect.signature(func).parameters
+        stated += ["%s(%s)" % (func.__qualname__, name) for name in names
+                   if params[name].default is not inspect.Parameter.empty]
+    assert stated == []
 
 
 def test_pipeline_takes_no_setting_beside_its_config():

@@ -117,14 +117,16 @@ def test_encode_match_stacks_rows():
 def test_encode_match_equals_linear_scan_definition():
     """A generated match with several periods: the oracle counts the
     end-period events before each event."""
+    from soccersum.config import PipelineConfig
     from soccersum.core import DEFAULT_EVENT_TYPES
-    from soccersum.synth import GenConfig, generate_match
+    from soccersum.synth import generate_match
 
-    match, _, _ = generate_match(GenConfig(events_mean=400), seed=3, ordinal=0)
+    gen = PipelineConfig({"gen.events_mean": 400}).gen_config()
+    match, _, _ = generate_match(gen, seed=3, ordinal=0)
     assert sum(e.type == "end-period" for e in match.events) >= 2
     for first in ((True, False), (False, True)):
         match.attack_right_first = first
-        enc = MetadataEncoder(DEFAULT_EVENT_TYPES, QualifierCodebook.from_events(match.events))
+        enc = MetadataEncoder(DEFAULT_EVENT_TYPES, QualifierCodebook.from_events(match.events, 8))
         want = np.stack([reference.encode_event(enc, match, i)
                          for i in range(len(match.events))])
         assert enc.encode_match(match).tobytes() == want.tobytes()

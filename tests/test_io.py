@@ -8,9 +8,10 @@ import pytest
 
 import reference
 from soccersum import io
+from soccersum.config import PipelineConfig
 from soccersum.core import Action, DataFormatError, Event, Match, Summary, VocabularyError
 from soccersum.io import Dataset, load_dataset, save_dataset
-from soccersum.synth import GenConfig, generate_dataset
+from soccersum.synth import generate_dataset
 
 VOCAB = ("pass", "shot", "goal-shot")
 
@@ -358,7 +359,8 @@ def _mutant(line: bytes, rng) -> bytes:
 def test_fast_loader_fails_and_reads_as_the_reference(tmp_path):
     """Mutated events.jsonl lines: the loader raises the reference's
     exception class and message, or reads the same events."""
-    ds = generate_dataset(GenConfig(matches=2, events_mean=25), 3)
+    cfg = PipelineConfig({"gen.matches": 2, "gen.events_mean": 25})
+    ds = generate_dataset(cfg.gen_config(), 3)
     save_dataset(ds, str(tmp_path / "d"))
     lines = (tmp_path / "d" / "events.jsonl").read_bytes().split(b"\n")[:-1]
     vocab_set = set(ds.vocabulary)

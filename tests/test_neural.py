@@ -15,6 +15,7 @@ import pytest
 from soccersum.core import DataFormatError, TrainingError
 from soccersum.neural import (
     Adam,
+    FitConfig,
     bce_loss,
     bce_sigmoid_grad,
     dense_init,
@@ -351,7 +352,7 @@ def test_adam_keeps_float32_parameters_float32():
 
 def test_adam_rejects_bad_gradients():
     params = {"a": np.ones(2)}
-    opt = Adam(params)
+    opt = Adam(params, lr=1e-3)
     with pytest.raises(TrainingError, match="unknown"):
         opt.step(params, {"zz": np.ones(2)})
     with pytest.raises(TrainingError, match="non-finite"):
@@ -383,7 +384,7 @@ def _scripted_fit(monkeypatch, val_fs, epochs=10):
         return {"val_f": next(scripted), "extra": len(rec.seen)}
 
     params = {"w": np.array([0.5, -0.5])}
-    config = SimpleNamespace(epochs=epochs, patience=3, batch=2, lr=0.1)
+    config = FitConfig(epochs=epochs, patience=3, batch=2, lr=0.1)
     best, history, best_epoch, rec.stop = fit(params, [1.0, 2.0, 3.0, 4.0, 5.0], loss_grads,
                                               validate, config, np.random.default_rng(11))
     return params, best, history, best_epoch, rec

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from soccersum import pipeline, stage1
-from soccersum.config import load_config
+from soccersum.config import PipelineConfig, load_config
 from soccersum.core import (Action, DataFormatError, Event, Match, ShapeError, Summary,
                             TrainingError)
 from soccersum.evaluation import fbeta, overlap_match, precision_recall
 from soccersum.neural import load_checkpoint, save_checkpoint
-from soccersum.synth import GenConfig, generate_dataset
+from soccersum.synth import generate_dataset
 from soccersum.stage1 import (
     Bag,
-    MilConfig,
     MilModel,
     build_action_vocabulary,
     extract_proposals,
@@ -32,6 +31,12 @@ from soccersum.stage1 import (
 )
 
 import reference
+
+
+def _stage1(**settings):
+    """The configuration of the ``stage1.<name>`` ``settings``, every other
+    key at its default."""
+    return PipelineConfig({"stage1." + name: value for name, value in settings.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +205,8 @@ def test_sample_training_bags_structure_and_determinism():
 
 
 def test_sample_training_bags_matches_the_scan_over_runs():
-    ds = generate_dataset(GenConfig(matches=4, events_mean=300), 3)
+    cfg = PipelineConfig({"gen.matches": 4, "gen.events_mean": 300})
+    ds = generate_dataset(cfg.gen_config(), 3)
     matches = {m.match_id: m for m in ds.matches}
     vocab = build_action_vocabulary(matches, ds.summaries)
     for seed in (0, 1, 7):
@@ -221,10 +227,10 @@ def test_sample_training_bags_matches_the_scan_over_runs():
 def test_sample_training_bags_error_paths():
     m = typed_match(["a", "b"] * 10)
     with pytest.raises(TrainingError, match="no positive bags"):
-        sample_training_bags({"m": m}, {("z", "z")}, seed=0)
+        sample_training_bags({"m": m}, {("z", "z")}, seed=0, neg_min_len=4)
     # everything labeled positive leaves no room for negatives
     with pytest.raises(TrainingError, match="negative"):
-        sample_training_bags({"m": m}, {("a", "b")}, seed=0)
+        sample_training_bags({"m": m}, {("a", "b")}, seed=0, neg_min_len=4)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +303,7 @@ def test_select_threshold_prefers_lowest_tie():
     scored = [(scores, [(0, 1), (3, 4)], types)]
     assert proposal_fbeta(scored, 0.5) == pytest.approx(1.0)
     assert proposal_fbeta(scored, 0.05) == pytest.approx(0.0)
-    t, f = select_threshold(scored)
+    t, f = select_threshold(scored, 2.0)
     assert f == pytest.approx(1.0)
     assert t == pytest.approx(0.11)  # first grid point where the split works
 
@@ -310,7 +316,7 @@ def test_adjacent_actions_are_scored_as_evaluation_scores_them():
     gts = [(2, 4), (5, 7)]
     scores = np.where((np.arange(12) >= 2) & (np.arange(12) <= 7), 0.9, 0.1)
     types = ("pass",) * 12
-    t, f = select_threshold([(scores, gts, types)])
+    t, f = select_threshold([(scores, gts, types)], 2.0)
     tp, fp, fn = overlap_match(extract_proposals(scores, t, types), gts)
     assert f == fbeta(*precision_recall(tp, fp, fn), 2.0)
     assert (t, (tp, fp, fn)) == (0.11, (1, 0, 1))
@@ -338,7 +344,7 @@ def test_vectorised_proposals_and_threshold_match_loops():
             want = reference.extract_proposals(scores, t, types)
             assert extract_proposals(scores, t, types) == want
     scored = [random_scored_match(rng, int(rng.integers(40, 200))) for _ in range(6)]
-    assert select_threshold(scored) == reference.select_threshold(scored)
+    assert select_threshold(scored, 2.0) == reference.select_threshold(scored)
     assert (select_threshold(scored, beta=1.0, ratio=0.3)
             == reference.select_threshold(scored, 1.0, 0.3))
 
@@ -358,7 +364,7 @@ def test_one_pass_threshold_search_equals_the_loop():
                    rng.integers(0, 101, size=n) / 100.0,  # on the grid points
                    np.where(rng.uniform(size=n) < 0.5, 0.001, 0.999)):
         scored = [(scores, spans, types)]
-        assert select_threshold(scored) == reference.select_threshold(scored)
+        assert select_threshold(scored, 2.0) == reference.select_threshold(scored)
 
 
 def test_fold_ground_truths_are_in_start_order():
@@ -442,7 +448,7 @@ def test_batched_event_scores_match_per_window_loop():
     rng = np.random.default_rng(6)
     params = init_mil_params(5, 4, rng)
     for n in (3, 10, 57):
-        cfg = MilConfig(hidden=4, window=10, stride=5)
+        cfg = _stage1(hidden=4).mil_config()
         feats = rng.normal(size=(n, 5))
         starts = window_starts(n, cfg.window, cfg.stride)
         wlen = min(cfg.window, n)
@@ -468,11 +474,18 @@ def _toy_problem(seed=31):
     return bags, feats, val
 
 
+def _train_mil(bags, feats, val, seed=3, **settings):
+    """``train_mil`` under ``_stage1(**settings)``."""
+    cfg = _stage1(**settings)
+    return train_mil(bags, feats, val, cfg.mil_config(), cfg.fit_config("stage1"),
+                     cfg["stage1.beta"], seed)
+
+
 def test_train_mil_learns_marked_stretches():
     bags, feats, val = _toy_problem()
-    cfg = MilConfig(hidden=8, window=8, stride=4, epochs=40, patience=40,
-                    batch=8, lr=0.02)
-    model = train_mil(bags, feats, val, cfg, seed=3)
+    model = _train_mil(bags, feats, val, hidden=8, window=8, stride=4, epochs=40, patience=40,
+                       batch=8, lr=0.02)
+    cfg = model.config
     assert model.best_val_f >= 0.8
     assert 0.0 < model.threshold < 1.0
     assert len(model.history) >= 1
@@ -484,8 +497,7 @@ def test_train_mil_learns_marked_stretches():
 
 def test_train_mil_trains_float32_parameters():
     bags, feats, val = _toy_problem()
-    model = train_mil(bags, feats, val, MilConfig(hidden=4, window=8, stride=4, epochs=2,
-                                                  batch=8), seed=3)
+    model = _train_mil(bags, feats, val, hidden=4, window=8, stride=4, epochs=2, batch=8)
     assert {v.dtype for v in model.params.values()} == {np.dtype(np.float32)}
     assert feats["a"].dtype == np.float64  # the caller's features are not touched
 
@@ -494,9 +506,9 @@ def test_train_mil_casts_at_the_batch():
     """Features are cast to float32 where they enter the model, so float64
     features train exactly as their float32 copy does."""
     bags, feats, val = _toy_problem()
-    cfg = MilConfig(hidden=4, window=8, stride=4, epochs=4, batch=4, lr=0.02)
-    a = train_mil(bags, feats, val, cfg, seed=3)
-    b = train_mil(bags, {k: v.astype(np.float32) for k, v in feats.items()}, val, cfg, seed=3)
+    settings = dict(hidden=4, window=8, stride=4, epochs=4, batch=4, lr=0.02)
+    a = _train_mil(bags, feats, val, **settings)
+    b = _train_mil(bags, {k: v.astype(np.float32) for k, v in feats.items()}, val, **settings)
     assert {k: v.tobytes() for k, v in a.params.items()} == {
         k: v.tobytes() for k, v in b.params.items()}
     assert (a.threshold, a.history, a.best_epoch) == (b.threshold, b.history, b.best_epoch)
@@ -515,28 +527,28 @@ def test_validation_scores_are_the_scores_of_the_returned_model(monkeypatch):
         return real(scored, beta)
 
     monkeypatch.setattr(stage1, "select_threshold", recording)
-    cfg = MilConfig(hidden=8, window=8, stride=4, epochs=6, batch=8, lr=0.02)
-    model = train_mil(bags, feats, val, cfg, seed=3)
+    model = _train_mil(bags, feats, val, hidden=8, window=8, stride=4, epochs=6, batch=8,
+                       lr=0.02)
     got = pipeline.score_matches(model, {"b": feats["b"]})["b"]
     assert got.tobytes() == seen[model.best_epoch][0].tobytes()
 
 
 def test_reloaded_model_scores_a_match_byte_identically(tmp_path):
     bags, feats, val = _toy_problem()
-    cfg = MilConfig(hidden=8, window=8, stride=4, epochs=3, batch=8, lr=0.02)
-    model = train_mil(bags, feats, val, cfg, seed=3)
+    settings = dict(hidden=8, window=8, stride=4, epochs=3, batch=8, lr=0.02)
+    model = _train_mil(bags, feats, val, **settings)
     path = str(tmp_path / "mil.ckpt")
     save_checkpoint(model.to_checkpoint(), path)
     back = MilModel.from_checkpoint(load_checkpoint(path))
     assert back.threshold == model.threshold
-    # the sizes are read from the arrays: hidden 8, the toy's input width
-    assert back.config.hidden == cfg.hidden == 8
+    # the loaded model holds the architecture it was trained with, and no
+    # training setting; its sizes are read from the arrays
+    assert back.config == model.config == _stage1(**settings).mil_config()
     assert back.params["lstm.W"].shape == (32, feats["b"].shape[1])
-    assert (back.config.window, back.config.stride, back.config.lse_r) == (8, 4, cfg.lse_r)
     for name, value in model.params.items():
         assert back.params[name].dtype == np.float32
         assert back.params[name].tobytes() == value.tobytes()
-    want = score_events(model.params, feats["b"], cfg)
+    want = score_events(model.params, feats["b"], model.config)
     assert score_events(back.params, feats["b"], back.config).tobytes() == want.tobytes()
 
 
@@ -546,7 +558,7 @@ def test_checkpoint_values_that_are_not_float32_are_refused(value):
     earlier version, a damaged file) is a data error, not a cast."""
     params = {k: v.astype(np.float32)
               for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
-    ckpt = MilModel(params=params, config=MilConfig(hidden=4)).to_checkpoint()
+    ckpt = MilModel(params=params, config=_stage1(hidden=4).mil_config()).to_checkpoint()
     ckpt["lstm.U"] = ckpt["lstm.U"].astype(np.float64)
     ckpt["lstm.U"][1, 2] = value
     with pytest.raises(DataFormatError, match="'lstm.U'.*retrain"):
@@ -557,7 +569,7 @@ def test_checkpoint_stride_above_window_is_refused():
     """A stride above the window leaves events that no window scores."""
     params = {k: v.astype(np.float32)
               for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
-    cfg = MilConfig(hidden=4, window=10, stride=10)
+    cfg = _stage1(hidden=4, stride=10).mil_config()
     ckpt = MilModel(params=params, config=cfg).to_checkpoint()
     MilModel.from_checkpoint(ckpt)
     ckpt["_meta.stride"][0] = 11
@@ -572,8 +584,8 @@ def test_checkpoint_in_the_earlier_format_loads_to_the_same_model():
     the arrays."""
     params = {k: v.astype(np.float32)
               for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
-    ckpt = MilModel(params=params, config=MilConfig(hidden=4, window=12, stride=3,
-                                                    lse_r=5.0), threshold=0.37).to_checkpoint()
+    cfg = _stage1(hidden=4, window=12, stride=3, lse_r=5.0).mil_config()
+    ckpt = MilModel(params=params, config=cfg, threshold=0.37).to_checkpoint()
     assert not any(name.startswith("_meta.hidden") for name in ckpt)
     want = MilModel.from_checkpoint(ckpt)
     for hidden in (4.0, 7.0):
@@ -594,7 +606,7 @@ def test_checkpoint_in_the_earlier_format_loads_to_the_same_model():
 def test_checkpoint_that_breaks_the_layout_is_refused(edit, message):
     params = {k: v.astype(np.float32)
               for k, v in init_mil_params(5, 4, np.random.default_rng(8)).items()}
-    ckpt = MilModel(params=params, config=MilConfig(hidden=4)).to_checkpoint()
+    ckpt = MilModel(params=params, config=_stage1(hidden=4).mil_config()).to_checkpoint()
     MilModel.from_checkpoint(ckpt)
     with pytest.raises(DataFormatError, match=re.escape(message)):
         MilModel.from_checkpoint(dict(ckpt, **edit))
@@ -604,12 +616,12 @@ def test_train_mil_requires_both_classes():
     bags, feats, val = _toy_problem()
     only_pos = [b for b in bags if b.label == 1]
     with pytest.raises(TrainingError, match="both classes"):
-        train_mil(only_pos, feats, val, MilConfig(epochs=1), seed=0)
+        _train_mil(only_pos, feats, val, seed=0, epochs=1)
 
 
 def test_mil_model_checkpoint_round_trip():
     rng = np.random.default_rng(8)
-    cfg = MilConfig(hidden=4, window=12, stride=3, lse_r=5.0)
+    cfg = _stage1(hidden=4, window=12, stride=3, lse_r=5.0).mil_config()
     # train_mil's parameters are float32
     params = {k: v.astype(np.float32) for k, v in init_mil_params(5, 4, rng).items()}
     model = MilModel(params=params, config=cfg, threshold=0.37)

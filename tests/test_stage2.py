@@ -3,6 +3,7 @@ checkpointing, and training on a separable toy problem."""
 import numpy as np
 import pytest
 
+from soccersum.config import PipelineConfig
 from soccersum.core import ShapeError, TrainingError
 from soccersum.neural import load_checkpoint, save_checkpoint
 from soccersum.stage2 import (
@@ -25,6 +26,18 @@ import reference
 META_DIM, AUDIO_DIM = 4, 3
 # audio statistics under which normalization leaves features as they are
 IDENTITY_NORM = {"audio_mu": np.zeros(AUDIO_DIM), "audio_sd": np.ones(AUDIO_DIM)}
+
+
+def _stage2(**settings):
+    """The configuration of the ``stage2.<name>`` ``settings``, every other
+    key at its default."""
+    return PipelineConfig({"stage2." + name: value for name, value in settings.items()})
+
+
+def _train_hma(train_items, val_items, seed, **settings):
+    """``train_hma`` under ``_stage2(**settings)``."""
+    cfg = _stage2(**settings)
+    return train_hma(train_items, val_items, cfg.hma_config(), cfg.fit_config("stage2"), seed)
 
 
 def small_params(seed=0, hm=5, hf=4):
@@ -218,7 +231,8 @@ def test_padded_steps_get_exactly_zero_input_gradient():
 
 def test_batched_paths_reject_bad_items():
     params = small_params()
-    model = HmaModel(params=params, config=HmaConfig(), **IDENTITY_NORM)
+    model = HmaModel(params=params, config=HmaConfig(hidden_modality=5, hidden_fusion=4),
+                     **IDENTITY_NORM)
     good = (np.zeros((2, META_DIM)), np.zeros((2, AUDIO_DIM)))
     mismatched = (np.zeros((3, META_DIM)), np.zeros((2, AUDIO_DIM)))
     empty = (np.zeros((0, META_DIM)), np.zeros((0, AUDIO_DIM)))
@@ -230,18 +244,19 @@ def test_batched_paths_reject_bad_items():
 
 
 def test_score_proposals_of_nothing_is_empty():
-    model = HmaModel(params=small_params(), config=HmaConfig(), **IDENTITY_NORM)
+    model = HmaModel(params=small_params(),
+                     config=HmaConfig(hidden_modality=5, hidden_fusion=4), **IDENTITY_NORM)
     out = score_proposals(model, [])
     assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_label_proposal_coverage_rule():
     # span of 10 events, need half inside one ground-truth action
-    assert label_proposal((0, 9), [(0, 4)]) == 1
-    assert label_proposal((0, 9), [(5, 14)]) == 1
-    assert label_proposal((0, 9), [(6, 14)]) == 0
-    assert label_proposal((0, 9), [(0, 1), (6, 14)]) == 0  # no single one suffices
-    assert label_proposal((3, 3), [(0, 9)]) == 1
+    assert label_proposal((0, 9), [(0, 4)], 0.5) == 1
+    assert label_proposal((0, 9), [(5, 14)], 0.5) == 1
+    assert label_proposal((0, 9), [(6, 14)], 0.5) == 0
+    assert label_proposal((0, 9), [(0, 1), (6, 14)], 0.5) == 0  # no single one suffices
+    assert label_proposal((3, 3), [(0, 9)], 0.5) == 1
     assert label_proposal((0, 9), [], 0.5) == 0
     assert label_proposal((0, 9), [(3, 6)], 0.4) == 1
     assert label_proposal((0, 9), [(3, 6)], 0.5) == 0
@@ -282,9 +297,9 @@ def test_train_hma_separates_loud_proposals(tmp_path):
     rng = np.random.default_rng(314)
     train_items = _toy_items(rng, 30)
     val_items = _toy_items(rng, 12)
-    cfg = HmaConfig(hidden_modality=6, hidden_fusion=4, epochs=30, patience=30,
-                    batch=8, lr=0.02)
-    model = train_hma(train_items, val_items, cfg, seed=2)
+    settings = dict(hidden_modality=6, hidden_fusion=4, epochs=30, patience=30, batch=8,
+                    lr=0.02)
+    model = _train_hma(train_items, val_items, 2, **settings)
     assert model.best_val_f >= 0.9
     assert model.best_epoch >= 0
     assert len(model.history) >= 1
@@ -299,11 +314,12 @@ def test_train_hma_separates_loud_proposals(tmp_path):
     pos = [s for s, (_, _, y) in zip(scores, val_items) if y]
     neg = [s for s, (_, _, y) in zip(scores, val_items) if not y]
     assert min(pos) > max(neg)
-    # a checkpoint round trip reads the trained sizes back from the arrays
+    # a checkpoint round trip reads the trained sizes back from the arrays,
+    # and the loaded model holds the architecture and no training setting
     path = str(tmp_path / "hma.ckpt")
     save_checkpoint(model.to_checkpoint(), path)
     back = HmaModel.from_checkpoint(load_checkpoint(path))
-    assert (back.config.hidden_modality, back.config.hidden_fusion) == (6, 4)
+    assert back.config == model.config == _stage2(**settings).hma_config()
     assert back.params["meta.W"].shape == (24, META_DIM)
     assert back.params["audio.W"].shape == (24, AUDIO_DIM)
     assert back.audio_sd.tobytes() == model.audio_sd.tobytes()
@@ -335,4 +351,4 @@ def test_train_hma_requires_both_classes():
     rng = np.random.default_rng(6)
     items = [(xm, xa, 1) for xm, xa, _ in _toy_items(rng, 6)]
     with pytest.raises(TrainingError, match="both classes"):
-        train_hma(items, items, HmaConfig(epochs=1), seed=0)
+        _train_hma(items, items, 0, epochs=1)

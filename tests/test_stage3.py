@@ -115,7 +115,7 @@ def test_sample_ranking_is_permutation():
 
 def test_assembly_stop_first_and_chronology():
     cand = assemble_summary([0, 1, 2], [50.0, 30.0, 40.0],
-                            [100.0, 0.0, 200.0], budget=100.0)
+                            [100.0, 0.0, 200.0], 100.0, 0.1, "stop_first")
     assert cand.chosen == [1, 0]  # reordered by start time
     assert cand.total_duration == pytest.approx(80.0)
     assert cand.over_budget is False
@@ -125,22 +125,22 @@ def test_assembly_skip_continue_takes_later_fits():
     ranking = [0, 1, 2]
     durations = [60.0, 50.0, 35.0]
     starts = [0.0, 10.0, 20.0]
-    stop = assemble_summary(ranking, durations, starts, 100.0, mode="stop_first")
-    skip = assemble_summary(ranking, durations, starts, 100.0, mode="skip_continue")
+    stop = assemble_summary(ranking, durations, starts, 100.0, 0.1, "stop_first")
+    skip = assemble_summary(ranking, durations, starts, 100.0, 0.1, "skip_continue")
     assert stop.chosen == [0]
     assert skip.chosen == [0, 2]
     assert skip.total_duration == pytest.approx(95.0)
 
 
 def test_assembly_first_pick_gets_tolerance():
-    cand = assemble_summary([0, 1], [105.0, 10.0], [0.0, 1.0], budget=100.0)
+    cand = assemble_summary([0, 1], [105.0, 10.0], [0.0, 1.0], 100.0, 0.1, "stop_first")
     assert cand.chosen == [0]
     assert cand.over_budget is False
     assert cand.total_duration == pytest.approx(105.0)
 
 
 def test_assembly_lone_oversized_pick_is_flagged():
-    cand = assemble_summary([0, 1], [120.0, 5.0], [0.0, 1.0], budget=100.0)
+    cand = assemble_summary([0, 1], [120.0, 5.0], [0.0, 1.0], 100.0, 0.1, "stop_first")
     assert cand.chosen == [0]
     assert cand.over_budget is True
     assert cand.total_duration == pytest.approx(120.0)
@@ -149,12 +149,12 @@ def test_assembly_lone_oversized_pick_is_flagged():
 def test_assembly_rejects_an_unknown_mode():
     # "stop-first" once ran as skip_continue and chose [0, 2]
     with pytest.raises(ValueError, match="unknown budget mode 'stop-first'"):
-        assemble_summary([0, 1, 2], [50.0, 60.0, 40.0], [0.0, 1.0, 2.0], 100.0,
-                         mode="stop-first")
+        assemble_summary([0, 1, 2], [50.0, 60.0, 40.0], [0.0, 1.0, 2.0], 100.0, 0.1,
+                         "stop-first")
 
 
 def test_assembly_empty_ranking():
-    cand = assemble_summary([], [], [], budget=100.0)
+    cand = assemble_summary([], [], [], 100.0, 0.1, "stop_first")
     assert cand.chosen == []
     assert cand.total_duration == 0.0
     assert cand.over_budget is False
@@ -169,7 +169,7 @@ def test_assembly_fuzz_against_replay():
         budget = float(rng.uniform(80.0, 300.0))
         ranking = rng.permutation(n).tolist()
         for mode in ("stop_first", "skip_continue"):
-            cand = assemble_summary(ranking, durations, starts, budget, mode=mode)
+            cand = assemble_summary(ranking, durations, starts, budget, 0.1, mode)
             picked, total, over = replay_assembly(ranking, durations, budget, mode=mode)
             assert sorted(cand.chosen) == sorted(picked)
             assert cand.total_duration == pytest.approx(total)
@@ -192,17 +192,21 @@ def test_generate_candidates_deterministic_and_prefix_stable():
     durations = [40.0, 30.0, 50.0, 20.0, 60.0]
     starts = [10.0, 20.0, 30.0, 40.0, 50.0]
     a = generate_candidates(theta, durations, starts, 100.0, k=10,
-                            sigma=0.5, seed_key=(7, 9, 0))
+                            sigma=0.5, seed_key=(7, 9, 0), tol=0.1,
+                            mode="stop_first")
     b = generate_candidates(theta, durations, starts, 100.0, k=10,
-                            sigma=0.5, seed_key=(7, 9, 0))
+                            sigma=0.5, seed_key=(7, 9, 0), tol=0.1,
+                            mode="stop_first")
     assert a == b
     assert [c.sample_index for c in a] == list(range(10))
     # candidate j does not depend on how many candidates were requested
     short = generate_candidates(theta, durations, starts, 100.0, k=3,
-                                sigma=0.5, seed_key=(7, 9, 0))
+                                sigma=0.5, seed_key=(7, 9, 0), tol=0.1,
+                                mode="stop_first")
     assert short == a[:3]
     other = generate_candidates(theta, durations, starts, 100.0, k=10,
-                                sigma=0.5, seed_key=(7, 9, 1))
+                                sigma=0.5, seed_key=(7, 9, 1), tol=0.1,
+                                mode="stop_first")
     assert other != a
     for c in a:
         assert isinstance(c, Candidate)

@@ -13,11 +13,10 @@ import pytest
 
 from soccersum import synth
 from soccersum.cli import main
-
+from soccersum.config import PipelineConfig
 from soccersum.core import (
     DEFAULT_EVENT_TYPES,
     DataFormatError,
-    PaddingConfig,
     SoccersumError,
 )
 from soccersum.features import extract_event_audio_features
@@ -25,8 +24,8 @@ from soccersum.io import load_dataset, save_dataset
 from soccersum.pipeline import event_audio
 from soccersum.stage1 import build_action_vocabulary, label_events_by_vocabulary
 from soccersum.synth import (
+    MIN_GAP_EVENTS,
     RENDER_CHUNK,
-    GenConfig,
     GenerationError,
     generate_dataset,
     generate_match,
@@ -37,12 +36,18 @@ from soccersum.synth import (
 
 import reference
 
-SMALL = GenConfig(matches=3, events_mean=400)
+def _gen(**settings):
+    """The generator section of the ``gen.<name>`` ``settings``, every
+    other key at its default."""
+    return PipelineConfig({"gen." + name: value for name, value in settings.items()}).gen_config()
+
+
+SMALL = _gen(matches=3, events_mean=400)
 
 
 @pytest.fixture(scope="module")
 def default_match():
-    return generate_match(GenConfig(), 7, 0)
+    return generate_match(_gen(), 7, 0)
 
 
 def test_generate_match_deterministic():
@@ -60,7 +65,7 @@ def test_generate_match_deterministic():
 def test_generated_dataset_loads_back(tmp_path):
     """Generated matches keep every rule the loader checks, and a save and
     load gives them back unchanged."""
-    ds = generate_dataset(GenConfig(matches=2), 7)
+    ds = generate_dataset(_gen(matches=2), 7)
     save_dataset(ds, str(tmp_path))
     back = load_dataset(str(tmp_path))
     assert back.vocabulary == DEFAULT_EVENT_TYPES
@@ -85,18 +90,17 @@ def test_summary_structure(default_match):
 
 
 def test_goal_count_in_configured_range(default_match):
-    cfg = GenConfig()
+    cfg = _gen()
     _, s, _ = default_match
     goals = sum(1 for a in s.actions if a.type == "goal")
     assert cfg.goals_min <= goals <= cfg.goals_max
 
 
 def test_planted_instances_keep_clear_spacing(default_match):
-    cfg = GenConfig()
     _, _, planted = default_match
     pl = sorted(planted, key=lambda p: p.start)
     for a, b in zip(pl, pl[1:]):
-        assert b.start - a.end > cfg.min_gap_events
+        assert b.start - a.end > MIN_GAP_EVENTS
 
 
 def test_half_time_break_appears_once(default_match):
@@ -110,16 +114,16 @@ def test_half_time_break_appears_once(default_match):
 
 
 def test_summary_duration_near_budget_window(default_match):
-    cfg = GenConfig()
+    cfg = _gen()
     m, s, _ = default_match
-    total = s.total_duration(m, PaddingConfig(cfg.pad_pre, cfg.pad_post))
+    total = s.total_duration(m, cfg.padding)
     assert cfg.budget_min - 40.0 <= total <= cfg.budget_max + 40.0
 
 
 def test_vocabulary_learned_elsewhere_covers_new_matches():
     """Sequences harvested from some matches label the summary actions of
     unseen matches: the weak-label route the proposal stage depends on."""
-    cfg = GenConfig()
+    cfg = _gen()
     data = [generate_match(cfg, 7, i) for i in range(15)]
     vocab = build_action_vocabulary(
         {m.match_id: m for m, _, _ in data[:10]},
@@ -138,7 +142,7 @@ def test_vocabulary_learned_elsewhere_covers_new_matches():
 
 def test_unfillable_budget_raises():
     with pytest.raises(GenerationError, match="unfillable"):
-        generate_match(GenConfig(budget_min=100000.0, budget_max=100000.0), 7, 0)
+        generate_match(_gen(budget_min=100000.0, budget_max=100000.0), 7, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +319,7 @@ def test_a_read_that_reaches_back_draws_again():
 
 
 def test_event_audio_equals_descriptors_of_the_full_track():
-    ds = generate_dataset(GenConfig(matches=1, events_mean=150), 5)
+    ds = generate_dataset(_gen(matches=1, events_mean=150), 5)
     match = ds.matches[0]
     events = list(range(0, len(match.events), 3))
     rows = event_audio(ds, {match.match_id: events}, jobs=1)[match.match_id]
@@ -441,7 +445,7 @@ def _literal_uniform_pairs():
 def test_uniform_equals_generator_uniform():
     pairs = _literal_uniform_pairs()
     assert len(pairs) == 12
-    cfg = GenConfig()
+    cfg = _gen()
     pairs.append((cfg.budget_min, cfg.budget_max))
     rng, twin = _twins(202)
     lows = rng.uniform(-1e3, 1e3, 20)
