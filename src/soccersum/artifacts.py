@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SUMMARY_ACTION_TYPES, DataFormatError, SoccersumError
+from .core import Action, DataFormatError, SoccersumError
 from .evaluation import format_csv
 from .features import QualifierCodebook
 from .io import Dataset, _read_json as _read_json_file
@@ -165,52 +165,40 @@ def write_features_csv(path: str, prov: Provenance, names, rows) -> None:
 
 
 def write_proposals_json(path: str, prov: Provenance,
-                         proposals: dict[str, list[tuple[int, int, str]]]) -> None:
-    _write_json(path, prov, {"matches": {
-        match_id: [{"start_index": s, "end_index": e, "type": t} for s, e, t in items]
-        for match_id, items in sorted(proposals.items())
-    }})
+                         proposals: dict[str, list[Action]]) -> None:
+    _write_json(path, prov, {"matches": {match_id: [a.record() for a in actions]
+                                         for match_id, actions in sorted(proposals.items())}})
 
 
 def read_proposals_json(path: str, dataset: Dataset
-                        ) -> tuple[Provenance, dict[str, list[tuple[int, int, str]]]]:
-    """Provenance and per-match proposals of a proposals file.  Every
-    proposal must be an event span of its match in ``dataset`` with integer
-    indices and a summary action type."""
+                        ) -> tuple[Provenance, dict[str, list[Action]]]:
+    """Provenance and per-match proposals of a proposals file."""
     prov, payload = _read_json(path, ("matches",))
     matches = payload["matches"]
     if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
         raise DataFormatError("%s: \"matches\" must map match ids to lists" % path)
     known = set(dataset.match_ids())
     out = {}
-    for match_id, items in matches.items():
+    for match_id, recs in matches.items():
         if match_id not in known:
             raise DataFormatError("%s: unknown match id %r" % (path, match_id))
         n = len(dataset.by_id(match_id).events)
-        out[match_id] = []
-        for d in items:
-            s, e, t = (d.get(k) for k in ("start_index", "end_index", "type")) \
-                if isinstance(d, dict) else (None, None, None)
-            if not (type(s) is int and type(e) is int and 0 <= s <= e < n
-                    and t in SUMMARY_ACTION_TYPES):
-                raise DataFormatError(
-                    "%s: match %s: proposal %r is not an event span within 0..%d "
-                    "with a summary action type" % (path, match_id, d, n - 1))
-            out[match_id].append((s, e, t))
+        try:
+            out[match_id] = [Action.from_record(r, n) for r in recs]
+        except DataFormatError as exc:
+            raise DataFormatError("%s: match %s: %s" % (path, match_id, exc)) from None
     return prov, out
 
 
 def write_candidates_json(path: str, prov: Provenance, match_id: str, budget: float,
-                          candidates, proposals: list[tuple[int, int, str]]) -> None:
+                          candidates, proposals: list[Action]) -> None:
     _write_json(path, prov, {
         "match_id": match_id,
         "budget": round(budget, 6),
         "candidates": [{
             "sample_index": c.sample_index,
             "ranking": [int(i) for i in c.ranking],
-            "chosen": [{"proposal_index": int(i), "start_index": proposals[i][0],
-                        "end_index": proposals[i][1], "type": proposals[i][2]}
-                       for i in c.chosen],
+            "chosen": [dict(proposals[i].record(), proposal_index=int(i)) for i in c.chosen],
             "total_duration": round(c.total_duration, 6),
             "over_budget": c.over_budget,
         } for c in candidates],

@@ -261,8 +261,9 @@ def cmd_e2e(args) -> int:
     cfg = _config_from(args)
     check_fold_count(cfg, cfg["gen.matches"])  # before anything is generated or written
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
-    save_dataset(dataset, os.path.join(args.out_dir, "data"))
     result = run_protocol(dataset, cfg, out_dir=args.out_dir)
+    # after the run, so a configuration error leaves no directory behind
+    save_dataset(dataset, os.path.join(args.out_dir, "data"))
     print(result.text, end="")
     return 0
 

@@ -139,8 +139,9 @@ class Match:
 
     ``attack_right_first`` says, per team, whether that team attacks the
     right-hand goal (x = 100) during the first period.  Directions swap each
-    period.  ``audio`` is either None, a path string to a WAV/raw file, or a
-    dict describing a synthesized track (see synth.resolve_audio).
+    period.  ``audio`` (see ``synth.resolve_audio``) is None, a ``.wav``
+    path, ``{"file": path, "rate": r}`` (the one form that gives a raw
+    ``.f32``/``.raw`` file its rate) or ``{"synth": spec}``, a synth track.
     """
 
     match_id: str
@@ -154,7 +155,8 @@ class Match:
 
 @dataclass(frozen=True)
 class Action:
-    """A contiguous run of events, [start_index, end_index] inclusive."""
+    """A contiguous run of events, [start_index, end_index] inclusive, with
+    its summary category; ``record`` and ``from_record`` are its JSON form."""
 
     start_index: int
     end_index: int
@@ -162,10 +164,35 @@ class Action:
 
     def __post_init__(self):
         if self.end_index < self.start_index:
-            raise ValueError(
-                "action end_index %d < start_index %d"
-                % (self.end_index, self.start_index)
-            )
+            raise ValueError("action end_index %d < start_index %d"
+                             % (self.end_index, self.start_index))
+
+    def record(self) -> dict:
+        return {"start_index": self.start_index, "end_index": self.end_index, "type": self.type}
+
+    @classmethod
+    def from_record(cls, rec, n_events: int) -> Action:
+        """The action of a parsed JSON record in a match of ``n_events``
+        events: JSON-integer indices with 0 <= start_index <= end_index <
+        ``n_events``, and a type in ``SUMMARY_ACTION_TYPES``.  Raises
+        ``DataFormatError`` naming the record and the field at fault."""
+        if not isinstance(rec, dict):
+            raise DataFormatError("action %r is not a JSON object" % (rec,))
+        for f in ("start_index", "end_index", "type"):
+            if f not in rec:
+                raise DataFormatError("action %r: %s is missing" % (rec, f))
+        start, end, kind = rec["start_index"], rec["end_index"], rec["type"]
+        for f, v in (("start_index", start), ("end_index", end)):
+            if type(v) is not int:
+                raise DataFormatError("action %r: %s %r is not a JSON integer" % (rec, f, v))
+        for f, broken, fault in (
+                ("start_index", start < 0, "is negative"),
+                ("end_index", end < start, "is before start_index %d" % start),
+                ("end_index", end >= n_events, "is past the last event %d" % (n_events - 1)),
+                ("type", kind not in SUMMARY_ACTION_TYPES, "is not a summary action type")):
+            if broken:
+                raise DataFormatError("action %r: %s %r %s" % (rec, f, rec[f], fault))
+        return cls(start, end, kind)
 
 
 @dataclass

@@ -4,7 +4,7 @@ Layout of a dataset directory::
 
     dataset.json          manifest: vocabulary + per-match side info
     events.jsonl          one JSON object per event, all matches
-    summaries/<id>.json   ground-truth summary, JSON array of actions
+    summaries/<id>.json   ground-truth summary, JSON array of ``Action`` records
 
 Event lines carry {match_id, index, t, type, team, player, sx, sy, ex, ey,
 outcome, qualifier}.  Numeric fields are written rounded to 6 decimals so a
@@ -181,13 +181,9 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
 
     written = set()
     for match_id, summary in dataset.summaries.items():
-        recs = [
-            {"start_index": a.start_index, "end_index": a.end_index, "type": a.type}
-            for a in summary.actions
-        ]
         name = "%s.json" % match_id
         with open(os.path.join(out_dir, "summaries", name), "w") as fh:
-            json.dump(recs, fh, indent=2, sort_keys=True)
+            json.dump([a.record() for a in summary.actions], fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.add(name)
     # a summary left by an earlier save into this directory would be read
@@ -319,22 +315,10 @@ def load_dataset(path: str) -> Dataset:
             if not isinstance(recs, list):
                 raise DataFormatError("summary %r: top level must be a JSON array" % name)
             n = len(by_id[match_id].events)
-            actions = []
-            for r in recs:
-                for f in ("start_index", "end_index"):
-                    if isinstance(r, dict) and f in r and type(r[f]) is not int:
-                        raise DataFormatError("summary %r: action %r: %s %r is not a JSON "
-                                              "integer" % (name, r, f, r[f]))
-                try:
-                    a = Action(r["start_index"], r["end_index"], str(r["type"]))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataFormatError("summary %r: malformed action %r (%s)"
-                                          % (name, r, exc)) from None
-                if not 0 <= a.start_index <= a.end_index < n:
-                    raise DataFormatError("summary %r: action %d..%d outside the match's "
-                                          "events 0..%d" % (name, a.start_index, a.end_index,
-                                                            n - 1))
-                actions.append(a)
+            try:
+                actions = [Action.from_record(r, n) for r in recs]
+            except DataFormatError as exc:
+                raise DataFormatError("summary %r: %s" % (name, exc)) from None
             summaries[match_id] = Summary(match_id=match_id, actions=actions)
 
     return Dataset(vocabulary=vocabulary, matches=matches, summaries=summaries, meta=meta)

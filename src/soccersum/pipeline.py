@@ -245,19 +245,20 @@ def score_matches(model: MilModel, feats: dict) -> dict[str, np.ndarray]:
 
 
 def typed_proposals(dataset: Dataset, scores: dict,
-                    threshold: float) -> dict[str, list[tuple[int, int, str]]]:
+                    threshold: float) -> dict[str, list[Action]]:
     """Threshold per-event scores into spans; each span gets its action type."""
     out = {}
     for match_id, s in scores.items():
         match = dataset.by_id(match_id)
         spans = extract_proposals(s, threshold, match.type_sequence())
-        out[match_id] = [(a, b, action_type(Action(a, b), match)) for a, b in spans]
+        out[match_id] = [Action(a, b, action_type(Action(a, b), match)) for a, b in spans]
     return out
 
 
 def proposal_events(proposals: dict, ids) -> dict[str, list[int]]:
     """Sorted indices of the events inside any proposal, per match of ``ids``."""
-    return {i: sorted({k for s, e, _t in proposals.get(i, ()) for k in range(s, e + 1)})
+    return {i: sorted({k for a in proposals.get(i, ())
+                       for k in range(a.start_index, a.end_index + 1)})
             for i in ids}
 
 
@@ -275,7 +276,8 @@ def stage2_items(proposals: dict, feats: dict, audio: dict, ids,
     audio) pairs, or (metadata, audio, label) with ``gt_intervals``."""
     items = []
     for i in ids:
-        for s, e, _t in proposals.get(i, ()):
+        for a in proposals.get(i, ()):
+            s, e = a.start_index, a.end_index
             xm = feats[i][s : e + 1]
             xa = np.stack([audio[i][k] for k in range(s, e + 1)])
             if gt_intervals is None:
@@ -286,13 +288,13 @@ def stage2_items(proposals: dict, feats: dict, audio: dict, ids,
 
 
 def budget_inputs(dataset: Dataset, config: PipelineConfig, match_id: str,
-                  proposals: list) -> tuple[list, list, float]:
+                  proposals: list[Action]) -> tuple[list, list, float]:
     """Stage-3 inputs of one match: padded proposal durations, proposal
     start times, and the budget (padded length of its reference summary)."""
     match = dataset.by_id(match_id)
     padding = config.padding()
-    durations = [action_duration(Action(s, e), match, padding) for s, e, _t in proposals]
-    starts = [match.events[s].t for s, _e, _t in proposals]
+    durations = [action_duration(a, match, padding) for a in proposals]
+    starts = [match.events[a.start_index].t for a in proposals]
     budget = dataset.summaries[match_id].total_duration(match, padding)
     return durations, starts, budget
 
@@ -379,7 +381,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
 
     # evaluation: validation matches pick the sample index, test matches score
     def summary_counts(i, chosen):
-        preds = [Action(*proposals[i][j]) for j in chosen]
+        preds = [proposals[i][j] for j in chosen]
         return match_summary_actions(preds, dataset.summaries[i].actions, dataset.by_id(i))
 
     f_matrix = np.zeros((len(val_ids), config["stage3.samples"]))
@@ -396,9 +398,10 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
         gt = ctx.gt_intervals[i]
         template = find_vocabulary_spans(dataset.by_id(i).type_sequence(), ctx.vocab)
         stage1["template-matching"].add(*overlap_match(template, gt))
-        stage1["learned-model"].add(*overlap_match([(s, e) for s, e, _t in proposals[i]], gt))
+        stage1["learned-model"].add(*overlap_match(
+            [(a.start_index, a.end_index) for a in proposals[i]], gt))
 
-        ptypes = [t for _s, _e, t in proposals[i]]
+        ptypes = [a.type for a in proposals[i]]
         picks = {
             "random-selector": soccer_baseline("random", ptypes,
                                                _derived_seed(config["seed"], 8, ctx.ordinals[i])),

@@ -382,14 +382,11 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
         if p.family == "goal":
             mandatory.add(pid)
     chosen = set(mandatory)
-    total = 0.0
-    for pid in chosen:
-        p = planted[pid]
-        total += action_duration(Action(p.start, p.end), match, cfg.padding)
+    durations = [action_duration(Action(p.start, p.end), match, cfg.padding) for p in planted]
+    total = sum(durations[pid] for pid in chosen)
     optional = [pid for pid in range(len(planted)) if pid not in chosen]
     for pid in rng.permutation(len(optional)):
-        p = planted[optional[pid]]
-        d = action_duration(Action(p.start, p.end), match, cfg.padding)
+        d = durations[optional[pid]]
         if total + d <= budget:
             chosen.add(optional[pid])
             total += d
@@ -406,8 +403,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     for pid in sorted(chosen, key=lambda q: planted[q].start):
         p = planted[pid]
         p.in_summary = True
-        act = Action(p.start, p.end)
-        gt_actions.append(Action(p.start, p.end, action_type(act, match)))
+        gt_actions.append(Action(p.start, p.end, action_type(Action(p.start, p.end), match)))
     summary = Summary(match_id=match_id, actions=gt_actions)
 
     match.audio = {

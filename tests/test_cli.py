@@ -277,6 +277,38 @@ def test_negative_length_no_unlabeled_run_fills_exits_one(chain, tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
+def test_e2e_configuration_error_writes_nothing(chain, tmp_path, capsys):
+    """A configuration error found once the run has started, as the
+    ``stage1.neg_min_len`` refusal is, leaves no output directory: e2e
+    saves its dataset only after the run."""
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("include %s\nstage1.neg_min_len = 1000\n" % chain.cfg)
+    rc = main(["e2e", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert "configuration error: key 'stage1.neg_min_len'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_summary_action_of_an_unknown_type_exits_two(chain, tmp_path, capsys):
+    """A ground-truth action no prediction could ever match is refused at
+    load, naming its file and record."""
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    path = sorted((data / "summaries").iterdir())[0]
+    actions = json.loads(path.read_text())
+    actions[0]["type"] = "penalty"
+    path.write_text(json.dumps(actions))
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(data),
+               "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert repr(path.name) in err and repr(actions[0]) in err and "'penalty'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_equal_bounds_generate(tmp_path):
     cfg = tmp_path / "equal.cfg"
     cfg.write_text("gen.matches = 2\ngen.events_mean = 250\ngen.goals_min = 2\n"

@@ -1,5 +1,6 @@
-"""Every name a package module imports is read by that module, and every
-top-level function and class of the package is named somewhere else.
+"""Every name a package module imports is read by that module, every
+top-level function and class of the package is named somewhere else, and
+only ``core`` names the fields of an action span's JSON record.
 
 An import statement marked ``noqa`` is exempt: the package ``__init__``
 re-exports and the bindings that perfbench wraps by name carry that mark.
@@ -94,3 +95,27 @@ def test_every_definition_is_named_elsewhere():
                for path in sorted(SRC.rglob("*.py"))
                for line, name in definitions(path.read_text()) if name not in used]
     assert orphans == []
+
+
+# the index fields of an action span's JSON record; ``core.Action.record``
+# and ``core.Action.from_record`` are the one codec that spells them
+SPAN_FIELDS = ("start_index", "end_index")
+
+
+def span_field_literals(source: str) -> list[tuple[int, str]]:
+    """(line, text) of every string literal that is a span field's name."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value in SPAN_FIELDS)
+
+
+def test_scan_finds_a_span_field_literal():
+    source = ("def f(a, rec):\n    return a.start_index, rec['end_index']\n"
+              "def g(a):\n    return {\"start_index\": a.start_index}\n")
+    assert span_field_literals(source) == [(2, "end_index"), (4, "start_index")]
+
+
+def test_only_core_spells_a_span_record():
+    found = [(str(path.relative_to(SRC)), line, text)
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "core.py"
+             for line, text in span_field_literals(path.read_text())]
+    assert found == []

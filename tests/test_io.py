@@ -281,6 +281,72 @@ def test_save_load_save_is_byte_identical_on_awkward_values(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# one table of span-record defects, each fed to both span readers: a
+# summary file and a proposals file (in a match of 2 events); the text
+# that names the field at fault
+_SPAN = {"start_index": 0, "end_index": 1, "type": "goal"}
+SPAN_DEFECTS = {
+    "not-an-object": ([0, 1, "goal"], "is not a JSON object"),
+    **{"%s-missing" % f: ({k: v for k, v in _SPAN.items() if k != f}, "%s is missing" % f)
+       for f in _SPAN},
+    **{"%s=%r" % (f, v): (dict(_SPAN, **{f: v}), "%s %r is not a JSON integer" % (f, v))
+       for f in ("start_index", "end_index") for v in (1.4, True, "1")},
+    "negative": (dict(_SPAN, start_index=-1), "start_index -1 is negative"),
+    "reversed": (dict(_SPAN, start_index=1, end_index=0), "end_index 0 is before start_index 1"),
+    "past-the-end": (dict(_SPAN, end_index=2), "end_index 2 is past the last event 1"),
+    "unknown-type": (dict(_SPAN, type="penalty"), "type 'penalty' is not a summary action type"),
+    "type-not-a-string": (dict(_SPAN, type=5), "type 5 is not a summary action type"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SPAN_DEFECTS))
+def test_both_span_readers_refuse_a_defect_naming_the_file_and_field(tmp_path, defect):
+    from soccersum.artifacts import read_proposals_json
+    rec, fault = SPAN_DEFECTS[defect]
+    path = _write_minimal(tmp_path, [_line(0), _line(1)], summary=("m0.json", [rec]))
+    with pytest.raises(DataFormatError) as summary_exc:
+        load_dataset(path)
+    os.remove(os.path.join(path, "summaries", "m0.json"))
+    proposals = tmp_path / "proposals.json"
+    proposals.write_text(json.dumps({"config_hash": "abc", "seed": 7, "matches": {"m0": [rec]}}))
+    with pytest.raises(DataFormatError) as proposals_exc:
+        read_proposals_json(str(proposals), load_dataset(path))
+    assert "m0.json" in str(summary_exc.value) and fault in str(summary_exc.value)
+    assert str(proposals) in str(proposals_exc.value) and fault in str(proposals_exc.value)
+
+
+def test_every_written_span_record_reads_back_to_its_action(tmp_path):
+    """Summaries, proposals and candidate files all write ``Action.record``,
+    and ``Action.from_record`` reads each record back to its action."""
+    from types import SimpleNamespace
+
+    from soccersum.artifacts import Provenance, write_candidates_json, write_proposals_json
+    from soccersum.core import SUMMARY_ACTION_TYPES
+    events = [_event(i, float(i), "pass") for i in range(12)]
+    actions = [Action(i, i + (i % 3), t) for i, t in enumerate(SUMMARY_ACTION_TYPES)]
+    save_dataset(Dataset(vocabulary=VOCAB, matches=[Match("m0", events)],
+                         summaries={"m0": Summary("m0", actions)}), str(tmp_path / "d"))
+    prov = Provenance("abc", 7)
+    write_proposals_json(str(tmp_path / "proposals.json"), prov, {"m0": actions})
+    chosen = [[0, 4, 9], [2, 3]]
+    write_candidates_json(str(tmp_path / "m0.json"), prov, "m0", 30.0, [
+        SimpleNamespace(sample_index=j, ranking=list(range(10)), chosen=c,
+                        total_duration=1.0, over_budget=False) for j, c in enumerate(chosen)
+    ], actions)
+
+    def read(name):
+        return json.loads((tmp_path / name).read_text())
+
+    def back(recs):
+        return [Action.from_record(r, len(events)) for r in recs]
+
+    assert back(read("d/summaries/m0.json")) == actions
+    assert back(read("proposals.json")["matches"]["m0"]) == actions
+    for c, indices in zip(read("m0.json")["candidates"], chosen):
+        assert [r.pop("proposal_index") for r in c["chosen"]] == indices
+        assert back(c["chosen"]) == [actions[i] for i in indices]
+
+
 def test_save_removes_summaries_of_an_earlier_dataset(tmp_path):
     out = str(tmp_path / "d")
     save_dataset(_dataset(), out)
