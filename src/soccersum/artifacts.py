@@ -4,7 +4,8 @@ Each carries its provenance (short config hash and run seed) in one envelope
 per container kind: a first line ``# config_hash=<hash> seed=<seed>`` in CSV
 and text files, ``config_hash``/``seed`` fields in JSON objects, and
 ``_prov.*`` records in checkpoints.  Readers raise ``DataFormatError`` naming
-the file for anything else; ``ensure_same_provenance`` refuses to mix runs.
+the file (``core.naming``) for anything else; ``ensure_same_provenance``
+refuses to mix runs.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Action, DataFormatError, SoccersumError
+from .config import UNIT
+from .core import Action, DataFormatError, SoccersumError, naming
 from .evaluation import format_csv
 from .features import QualifierCodebook
 from .io import Dataset, _read_json as _read_json_file
@@ -61,14 +63,14 @@ def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
+        raise DataFormatError("cannot read (%s)" % exc.strerror) from None
     except UnicodeDecodeError as exc:
-        raise DataFormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+        raise DataFormatError("not UTF-8 text (%s)" % exc) from None
     head = re.fullmatch(r"# config_hash=(\S+) seed=(-?\d+)", lines[0]) if lines else None
     if head is None:
-        raise DataFormatError("%s: first line is not a provenance header" % path)
+        raise DataFormatError("first line is not a provenance header")
     if lines[1:2] != [columns]:
-        raise DataFormatError("%s: second line is not the column line %r" % (path, columns))
+        raise DataFormatError("second line is not the column line %r" % columns)
     return Provenance(head.group(1), int(head.group(2))), lines[2:]
 
 
@@ -81,16 +83,16 @@ def _write_json(path: str, prov: Provenance, payload: dict) -> None:
 
 def _read_json(path: str, fields: tuple[str, ...]) -> tuple[Provenance, dict]:
     """Provenance and payload of a JSON artifact that must hold ``fields``."""
-    payload = _read_json_file(path, path)
+    payload = _read_json_file(path)
     if not isinstance(payload, dict):
-        raise DataFormatError("%s: top level is not a JSON object" % path)
+        raise DataFormatError("top level is not a JSON object")
     config_hash, seed = payload.get("config_hash"), payload.get("seed")
     if not (isinstance(config_hash, str) and type(seed) is int):
-        raise DataFormatError("%s: malformed provenance (config_hash %r, seed %r)"
-                              % (path, config_hash, seed))
+        raise DataFormatError("malformed provenance (config_hash %r, seed %r)"
+                              % (config_hash, seed))
     missing = [f for f in fields if f not in payload]
     if missing:
-        raise DataFormatError("%s: missing field(s) %s" % (path, ", ".join(missing)))
+        raise DataFormatError("missing field(s) %s" % ", ".join(missing))
     return Provenance(config_hash, seed), payload
 
 
@@ -104,11 +106,12 @@ def save_model_checkpoint(path: str, ckpt: dict, prov: Provenance) -> None:
 def load_model_checkpoint(path: str) -> tuple[dict, Provenance]:
     ckpt = load_checkpoint(path)
     seed, code = ckpt.pop("_prov.seed", None), ckpt.pop("_prov.hash", None)
-    if seed is None or code is None:
-        raise DataFormatError("%s: checkpoint missing provenance records" % path)
-    if (seed.shape != (1,) or not seed[0].is_integer()
-            or not np.all((code >= 0) & (code < 0x110000))):  # Unicode code points
-        raise DataFormatError("%s: malformed provenance records" % path)
+    with naming(path):
+        if seed is None or code is None:
+            raise DataFormatError("checkpoint missing provenance records")
+        if (seed.shape != (1,) or not seed[0].is_integer()
+                or not np.all((code >= 0) & (code < 0x110000))):  # Unicode code points
+            raise DataFormatError("malformed provenance records")
     return ckpt, Provenance("".join(chr(int(v)) for v in code.ravel()), int(seed[0]))
 
 
@@ -130,29 +133,30 @@ def write_theta_csv(path: str, prov: Provenance, theta: dict[str, np.ndarray]) -
 
 
 def read_scores_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
-    prov, lines = _read_csv(path, _SCORES_COLUMNS)
-    rows: dict[str, list[tuple[int, float]]] = {}
-    for lineno, line in enumerate(lines, start=3):
-        if not line:
-            continue
-        try:
-            match_id, idx, score = line.split(",")
-            pair = (int(idx), float(score))
-        except ValueError:
-            raise DataFormatError("%s:%d: bad scores row %r" % (path, lineno, line))
-        if pair[0] < 0 or not np.isfinite(pair[1]):
-            raise DataFormatError("%s:%d: negative index or non-finite score in %r"
-                                  % (path, lineno, line))
-        rows.setdefault(match_id, []).append(pair)
-    out = {}
-    for match_id, pairs in rows.items():
-        pairs.sort()
-        # the indices of a match must be 0..n-1, each once
-        for j, (k, _s) in enumerate(pairs):
-            if k != j:
-                raise DataFormatError("%s: match %s: %s event index %d" % (
-                    path, match_id, "duplicate" if k < j else "missing", min(j, k)))
-        out[match_id] = np.array([s for _, s in pairs])
+    """Provenance and per-match scores: indices 0..n-1, scores in ``UNIT``."""
+    with naming(path):
+        prov, lines = _read_csv(path, _SCORES_COLUMNS)
+        rows: dict[str, list[tuple[int, float]]] = {}
+        for lineno, line in enumerate(lines, start=3):
+            if not line:
+                continue
+            try:
+                match_id, idx, score = line.split(",")
+                pair = (int(idx), float(score))
+            except ValueError:
+                raise DataFormatError("line %d: bad scores row %r" % (lineno, line)) from None
+            if pair[0] < 0 or not UNIT[1](pair[1]):
+                raise DataFormatError("line %d: negative index or a score that is not %s in %r"
+                                      % (lineno, UNIT[0], line))
+            rows.setdefault(match_id, []).append(pair)
+        out = {}
+        for match_id, pairs in rows.items():
+            pairs.sort()
+            for j, (k, _s) in enumerate(pairs):
+                if k != j:
+                    raise DataFormatError("match %r: %s event index %d" % (
+                        match_id, "duplicate" if k < j else "missing", min(j, k)))
+            out[match_id] = np.array([s for _, s in pairs])
     return prov, out
 
 
@@ -173,20 +177,16 @@ def write_proposals_json(path: str, prov: Provenance,
 def read_proposals_json(path: str, dataset: Dataset
                         ) -> tuple[Provenance, dict[str, list[Action]]]:
     """Provenance and per-match proposals of a proposals file."""
-    prov, payload = _read_json(path, ("matches",))
-    matches = payload["matches"]
-    if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
-        raise DataFormatError("%s: \"matches\" must map match ids to lists" % path)
-    known = set(dataset.match_ids())
-    out = {}
-    for match_id, recs in matches.items():
-        if match_id not in known:
-            raise DataFormatError("%s: unknown match id %r" % (path, match_id))
-        n = len(dataset.by_id(match_id).events)
-        try:
-            out[match_id] = [Action.from_record(r, n) for r in recs]
-        except DataFormatError as exc:
-            raise DataFormatError("%s: match %s: %s" % (path, match_id, exc)) from None
+    with naming(path):
+        prov, payload = _read_json(path, ("matches",))
+        matches = payload["matches"]
+        if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
+            raise DataFormatError("\"matches\" must map match ids to lists")
+        out = {}
+        for match_id, recs in matches.items():
+            n = len(dataset.by_id(match_id).events)
+            with naming("match %r", match_id):
+                out[match_id] = [Action.from_record(r, n) for r in recs]
     return prov, out
 
 
@@ -216,17 +216,16 @@ def write_features_json(path: str, prov: Provenance, codebook: QualifierCodebook
 def read_features_json(path: str):
     """Provenance, qualifier codebook and action vocabulary of a stage-1
     features file."""
-    prov, payload = _read_json(path, ("qualifier_codebook", "action_vocabulary"))
-    book, vocab = payload["qualifier_codebook"], payload["action_vocabulary"]
-    dims, codes = (book.get("dims"), book.get("codes")) if isinstance(book, dict) else (0, 0)
-    if not (type(dims) is int and isinstance(codes, list) and len(codes) < dims
-            and all(type(c) is int for c in codes)):
-        raise DataFormatError("%s: qualifier_codebook is not fewer than \"dims\" "
-                              "integer codes" % path)
-    if not (isinstance(vocab, list) and all(isinstance(seq, list) and seq and all(
-            isinstance(t, str) for t in seq) for seq in vocab)):
-        raise DataFormatError("%s: action_vocabulary is not a list of event-type "
-                              "sequences" % path)
+    with naming(path):
+        prov, payload = _read_json(path, ("qualifier_codebook", "action_vocabulary"))
+        book, vocab = payload["qualifier_codebook"], payload["action_vocabulary"]
+        dims, codes = (book.get("dims"), book.get("codes")) if isinstance(book, dict) else (0, 0)
+        if not (type(dims) is int and isinstance(codes, list) and len(codes) < dims
+                and all(type(c) is int for c in codes)):
+            raise DataFormatError("qualifier_codebook is not fewer than \"dims\" integer codes")
+        if not (isinstance(vocab, list) and all(isinstance(seq, list) and seq and all(
+                isinstance(t, str) for t in seq) for seq in vocab)):
+            raise DataFormatError("action_vocabulary is not a list of event-type sequences")
     return prov, QualifierCodebook.from_dict(book), {tuple(seq) for seq in vocab}
 
 

@@ -39,7 +39,7 @@ from .artifacts import (
     write_theta_csv,
 )
 from .config import UNIT, load_config
-from .core import ConfigError, DataFormatError, SoccersumError
+from .core import ConfigError, DataFormatError, SoccersumError, naming
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
@@ -102,14 +102,11 @@ def _require_current(cfg, tagged):
 def _load_model(cls, path: str, cfg, inputs: list):
     """The ``cls`` model (``MilModel`` or ``HmaModel``) of checkpoint
     ``path``, once its provenance and those of the (path, provenance)
-    ``inputs`` match ``cfg``; a checkpoint the model refuses is a data
-    error naming the file."""
+    ``inputs`` match ``cfg``; a refusal is a data error naming the file."""
     ckpt, prov = load_model_checkpoint(path)
     _require_current(cfg, inputs + [(path, prov)])
-    try:
+    with naming(path):
         return cls.from_checkpoint(ckpt)
-    except DataFormatError as exc:
-        raise DataFormatError("%s: %s" % (path, exc)) from None
 
 
 def _check_width(model, name: str, path: str, width: int, source: str) -> None:
@@ -203,7 +200,8 @@ def cmd_extract_proposals(args) -> int:
     prov_s, scores = read_scores_csv(args.scores)
     model = _load_model(MilModel, args.model, cfg, [(args.scores, prov_s)])
     threshold = args.threshold if args.threshold is not None else model.threshold
-    proposals = typed_proposals(dataset, scores, threshold)
+    with naming(args.scores):
+        proposals = typed_proposals(dataset, scores, threshold)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_proposals_json(args.out, Provenance.of(cfg), proposals)
     n = sum(len(v) for v in proposals.values())

@@ -23,7 +23,7 @@ import hashlib
 import math
 import os
 
-from .core import ConfigError, PaddingConfig
+from .core import ConfigError, PaddingConfig, naming
 from .features.audio import MIN_RATE
 from .neural import FitConfig
 from .stage1 import MilConfig
@@ -41,8 +41,8 @@ _KFOLD = ("an integer of at least 3", lambda v: v >= 3)
 _AUDIO_RATE = ("an integer of at least %d" % MIN_RATE, lambda v: v >= MIN_RATE)
 _POSITIVE = ("a finite number above 0", lambda v: math.isfinite(v) and v > 0)
 _NON_NEGATIVE = ("a finite number of at least 0", lambda v: math.isfinite(v) and v >= 0)
-# also the rule of a stage-1 threshold: ``--threshold`` and a checkpoint's
-# ``_meta.threshold`` (scores lie in (0, 1))
+# also the rule of a stage-1 score (a ``scores.csv`` row) and threshold
+# (``--threshold`` and a checkpoint's ``_meta.threshold``)
 UNIT = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
 # at 0 every proposal that touches a summary action is a positive, so
 # stage-2 training never sees both classes
@@ -197,19 +197,16 @@ def _read_config_file(path: str, seen: set[str], cfg: PipelineConfig) -> None:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("include "):
-                target = line[len("include ") :].strip()
-                if not os.path.isabs(target):
-                    target = os.path.join(os.path.dirname(path), target)
-                _read_config_file(target, seen, cfg)
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected 'key = value', got %r" % (path, lineno, line))
-            key, _, raw = line.partition("=")
-            try:
-                cfg.set(key.strip(), raw.strip())
-            except ConfigError as exc:
-                raise ConfigError("%s:%d: %s" % (path, lineno, exc))
+            with naming("%s:%d", path, lineno):
+                if line.startswith("include "):
+                    # relative to this file; an absolute target stays as it is
+                    target = os.path.join(os.path.dirname(path), line[len("include ") :].strip())
+                    _read_config_file(target, seen, cfg)
+                elif "=" not in line:
+                    raise ConfigError("expected 'key = value', got %r" % line)
+                else:
+                    key, _, raw = line.partition("=")
+                    cfg.set(key.strip(), raw.strip())
 
 
 def load_config(path: str | None = None, overrides: dict | None = None,

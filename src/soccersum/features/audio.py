@@ -14,7 +14,7 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..core import DataFormatError
+from ..core import DataFormatError, naming
 
 AUDIO_FEATURE_NAMES = [
     "zcr",
@@ -226,10 +226,8 @@ def extract_event_audio_features(track: np.ndarray, fs: int, event_time: float) 
     start = int(round(event_time * fs))
     want = int(round(WINDOW_SECONDS * fs))
     seg = np.asarray(track[max(start, 0) : start + want], dtype=float)
-    try:
+    with naming("event at t=%r s", event_time):
         return window_features(seg, fs)
-    except DataFormatError as exc:
-        raise DataFormatError("event at t=%r s: %s" % (event_time, exc)) from None
 
 
 def load_audio(path: str, rate: int | None = None) -> tuple[np.ndarray, int]:

@@ -11,11 +11,11 @@ outcome, qualifier}.  Numeric fields are written rounded to 6 decimals so a
 read/write cycle is byte-stable for data already at that precision.  A line
 whose fields have the types written here becomes an ``Event`` with no
 per-field type check or conversion; any other line goes through
-``record_to_event``, whose errors name the line and field.
+``record_to_event``, whose errors name the field.
 
-The loader checks every rule of the event data once, where it can name the
-input that breaks it.  Rules of one event name its events.jsonl line: a
-finite time of at least 0, a type in the vocabulary, ``sx``, ``sy``,
+The loader checks every rule of the event data once, and names the input
+it reads (``core.naming``).  Rules of one event name its events.jsonl line:
+a finite time of at least 0, a type in the vocabulary, ``sx``, ``sy``,
 ``ex`` and ``ey`` on the ``PITCH`` square, and ``team`` and ``outcome``
 each 0 or 1.  Rules of a whole match name the match and the event index:
 indices 0..n-1 and times that never decrease in index order.
@@ -36,8 +36,11 @@ from .core import (
     DataFormatError,
     Event,
     Match,
+    SoccersumError,
     Summary,
     VocabularyError,
+    named,
+    naming,
 )
 
 _EVENT_FIELDS = ("match_id", *Event._fields)
@@ -65,22 +68,25 @@ def _r6(x: float) -> float:
 
 @dataclass
 class Dataset:
+    """A dataset in memory; its match ids are distinct (``by_id``'s index)."""
+
     vocabulary: tuple[str, ...]
     matches: list[Match] = field(default_factory=list)
     summaries: dict[str, Summary] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    _index: dict[str, Match] = field(default_factory=dict, init=False, repr=False,
-                                     compare=False)
+
+    def __post_init__(self):
+        self._index: dict[str, Match] = {}
+        for m in self.matches:
+            if m.match_id in self._index:
+                raise DataFormatError("match id %r is listed more than once" % m.match_id)
+            self._index[m.match_id] = m
 
     def match_ids(self) -> list[str]:
         return [m.match_id for m in self.matches]
 
     def by_id(self, match_id: str) -> Match:
         m = self._index.get(match_id)
-        if m is None or len(self._index) != len(self.matches):
-            # first lookup, or ``matches`` changed since the index was built
-            self._index = {m.match_id: m for m in reversed(self.matches)}
-            m = self._index.get(match_id)
         if m is None:
             raise DataFormatError("unknown match id %r" % match_id)
         return m
@@ -103,24 +109,20 @@ def event_to_record(ev: Event, match_id: str) -> dict:
     }
 
 
-def record_to_event(rec: dict, lineno: int = -1) -> tuple[str, Event]:
+def record_to_event(rec: dict) -> tuple[str, Event]:
     """The match id and event of a parsed events.jsonl line; raises
-    ``DataFormatError`` naming line ``lineno`` and the field at fault."""
+    ``DataFormatError`` naming the field at fault."""
     if not isinstance(rec, dict):
-        raise DataFormatError("events.jsonl line %d: not a JSON object" % lineno)
+        raise DataFormatError("not a JSON object")
     missing = [f for f in _EVENT_FIELDS if f not in rec]
     if missing:
-        raise DataFormatError(
-            "events.jsonl line %d: missing fields %s" % (lineno, ", ".join(missing))
-        )
+        raise DataFormatError("missing fields %s" % ", ".join(missing))
     for f in _INT_FIELDS:
         if type(rec[f]) is not int:
-            raise DataFormatError("events.jsonl line %d: %s %r is not a JSON integer"
-                                  % (lineno, f, rec[f]))
+            raise DataFormatError("%s %r is not a JSON integer" % (f, rec[f]))
     for f in _NUMBER_FIELDS:
         if type(rec[f]) not in (int, float):
-            raise DataFormatError("events.jsonl line %d: %s %r is not a JSON number"
-                                  % (lineno, f, rec[f]))
+            raise DataFormatError("%s %r is not a JSON number" % (f, rec[f]))
     try:
         ev = Event(
             index=rec["index"],
@@ -136,22 +138,21 @@ def record_to_event(rec: dict, lineno: int = -1) -> tuple[str, Event]:
             qualifier=rec["qualifier"],
         )
     except OverflowError as exc:  # an integer too large for a float field
-        raise DataFormatError("events.jsonl line %d: malformed field (%s)"
-                              % (lineno, exc)) from None
+        raise DataFormatError("malformed field (%s)" % exc) from None
     return str(rec["match_id"]), ev
 
 
-def _read_json(path: str, name: str):
-    """The parsed JSON file at ``path``; ``name`` labels it in errors."""
+def _read_json(path: str):
+    """The parsed JSON file at ``path``; the caller names it in errors."""
     try:
         with open(path, "rb") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
+        raise DataFormatError("cannot read (%s)" % exc.strerror) from None
     # JSONDecodeError, bytes that are not UTF-8, an integer too long to
     # convert, or nesting deeper than the recursion limit
     except (ValueError, RecursionError) as exc:
-        raise DataFormatError("%s: not valid JSON (%s)" % (name, exc)) from None
+        raise DataFormatError("not valid JSON (%s)" % exc) from None
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> None:
@@ -202,49 +203,48 @@ def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
     match_id, events = None, []
     # bytes that are not UTF-8 read as U+FFFD, which no field accepts
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(line):  # not one JSON value: json.loads names the fault
+        # one ``try`` names the line: a block per line would cost every line
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    rec = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # as in _read_json
-                    raise DataFormatError("events.jsonl line %d: %s" % (lineno, exc)) from None
-            try:
-                fields = _get_fields(rec)
-            except (KeyError, TypeError):  # not an object, or a field missing
-                fields = ()
-            if [*map(type, fields)] == _PLAIN_TYPES:
-                # nothing to check or convert: ``Event``'s fields follow
-                # ``match_id``, so build it as ``Event._make`` does
-                mid, ev = fields[0], tuple.__new__(Event, fields[1:])
-            else:
-                mid, ev = record_to_event(rec, lineno)
-            _, t, etype, team, _, sx, sy, ex, ey, outcome, _ = ev
-            if not 0.0 <= t < math.inf:
-                raise DataFormatError(
-                    "events.jsonl line %d: event time %r is negative or not finite" % (lineno, t)
-                )
-            if etype not in vocab_set:
-                raise VocabularyError(
-                    "events.jsonl line %d: event type %r not in vocabulary" % (lineno, etype)
-                )
-            if not (0.0 <= sx <= PITCH and 0.0 <= sy <= PITCH
-                    and 0.0 <= ex <= PITCH and 0.0 <= ey <= PITCH):
-                raise DataFormatError("events.jsonl line %d: sx, sy, ex, ey must each be in "
-                                      "[0, %g], got %r, %r, %r, %r"
-                                      % (lineno, PITCH, sx, sy, ex, ey))
-            if team not in (0, 1) or outcome not in (0, 1):
-                raise DataFormatError("events.jsonl line %d: team and outcome must each be 0 "
-                                      "or 1, got %r, %r" % (lineno, team, outcome))
-            if mid != match_id:
-                match_id, events = mid, events_by_match.setdefault(mid, [])
-            events.append(ev)
+                    rec, end = _scan_once(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = -1
+                if end != len(line):  # not one JSON value: json.loads names the fault
+                    try:
+                        rec = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # as in _read_json
+                        raise DataFormatError(str(exc)) from None
+                try:
+                    fields = _get_fields(rec)
+                except (KeyError, TypeError):  # not an object, or a field missing
+                    fields = ()
+                if [*map(type, fields)] == _PLAIN_TYPES:
+                    # nothing to check or convert: ``Event``'s fields follow
+                    # ``match_id``, so build it as ``Event._make`` does
+                    mid, ev = fields[0], tuple.__new__(Event, fields[1:])
+                else:
+                    mid, ev = record_to_event(rec)
+                _, t, etype, team, _, sx, sy, ex, ey, outcome, _ = ev
+                if not 0.0 <= t < math.inf:
+                    raise DataFormatError("event time %r is negative or not finite" % t)
+                if etype not in vocab_set:
+                    raise VocabularyError("event type %r not in vocabulary" % etype)
+                if not (0.0 <= sx <= PITCH and 0.0 <= sy <= PITCH
+                        and 0.0 <= ex <= PITCH and 0.0 <= ey <= PITCH):
+                    raise DataFormatError("sx, sy, ex, ey must each be in [0, %g], got %r, %r, "
+                                          "%r, %r" % (PITCH, sx, sy, ex, ey))
+                if team not in (0, 1) or outcome not in (0, 1):
+                    raise DataFormatError("team and outcome must each be 0 or 1, got %r, %r"
+                                          % (team, outcome))
+                if mid != match_id:
+                    match_id, events = mid, events_by_match.setdefault(mid, [])
+                events.append(ev)
+        except SoccersumError as exc:
+            raise named("events.jsonl line %d" % lineno, exc) from None
     return events_by_match
 
 
@@ -256,69 +256,55 @@ def load_dataset(path: str) -> Dataset:
     manifest_path = os.path.join(path, "dataset.json")
     if not os.path.exists(manifest_path):
         raise DataFormatError("no dataset.json under %r" % path)
-    manifest = _read_json(manifest_path, "dataset.json")
-    try:
-        vocabulary = tuple(manifest["vocabulary"])
-        vocab_set = set(vocabulary)
-        entries = [(str(e["match_id"]), tuple(e.get("attack_right_first", (True, False))),
-                    e.get("audio")) for e in manifest["matches"]]
-        meta = manifest.get("meta", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError("dataset.json: malformed manifest (%s: %s)"
-                              % (type(exc).__name__, exc)) from None
+    with naming("dataset.json"):
+        manifest = _read_json(manifest_path)
+        try:
+            # each match's events are filled in from events.jsonl below
+            dataset = Dataset(tuple(manifest["vocabulary"]), [
+                Match(str(e["match_id"]), [], tuple(e.get("attack_right_first", (True, False))),
+                      e.get("audio")) for e in manifest["matches"]], meta=manifest.get("meta", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError("malformed manifest (%s: %s)"
+                                  % (type(exc).__name__, exc)) from None
+        for m in dataset.matches:
+            if len(m.attack_right_first) != 2:
+                raise DataFormatError("match %r: attack_right_first has %d entries, not one "
+                                      "per team" % (m.match_id, len(m.attack_right_first)))
 
     events_path = os.path.join(path, "events.jsonl")
     if not os.path.exists(events_path):
         raise DataFormatError("no events.jsonl under %r" % path)
-    events_by_match = _read_events(events_path, vocab_set)
-
-    matches: list[Match] = []
-    for match_id, attack_right_first, audio in entries:
-        if len(attack_right_first) != 2:
-            raise DataFormatError("dataset.json: match %r: attack_right_first has %d entries, "
-                                  "not one per team" % (match_id, len(attack_right_first)))
-        events = events_by_match.get(match_id, [])
+    events_by_match = _read_events(events_path, set(dataset.vocabulary))
+    for m in dataset.matches:
+        m.events = events = events_by_match.get(m.match_id, [])
         if not events:
-            raise DataFormatError(
-                "match %r has no events (every match needs at least one)" % match_id
-            )
+            raise DataFormatError("match %r has no events (every match needs at least one)"
+                                  % m.match_id)
         events.sort(key=lambda e: e.index)
         prev_t = 0.0
         for pos, (index, t) in enumerate(map(_get_index_t, events)):
             if index != pos:
                 raise DataFormatError("match %r, event %d: event indices not dense (index %d "
-                                      "found there)" % (match_id, pos, index))
+                                      "found there)" % (m.match_id, pos, index))
             if t < prev_t:
                 raise DataFormatError("match %r, event %d: event time %r is before the "
-                                      "previous event's %r" % (match_id, pos, t, prev_t))
+                                      "previous event's %r" % (m.match_id, pos, t, prev_t))
             prev_t = t
-        matches.append(Match(match_id=match_id, events=events,
-                             attack_right_first=attack_right_first, audio=audio))
-
-    by_id = {m.match_id: m for m in matches}
-    if len(by_id) != len(matches):
-        raise DataFormatError("dataset.json lists a match id more than once")
-    extra = sorted(set(events_by_match) - set(by_id))
+    extra = sorted(set(events_by_match).difference(dataset.match_ids()))
     if extra:
         raise DataFormatError("events.jsonl has matches absent from manifest: %s" % extra)
 
-    summaries: dict[str, Summary] = {}
     sdir = os.path.join(path, "summaries")
     if os.path.isdir(sdir):
         for name in sorted(os.listdir(sdir)):
             if not name.endswith(".json"):
                 continue
             match_id = name[: -len(".json")]
-            if match_id not in by_id:
-                raise DataFormatError("summary file for unknown match %r" % match_id)
-            recs = _read_json(os.path.join(sdir, name), "summary %r" % name)
-            if not isinstance(recs, list):
-                raise DataFormatError("summary %r: top level must be a JSON array" % name)
-            n = len(by_id[match_id].events)
-            try:
-                actions = [Action.from_record(r, n) for r in recs]
-            except DataFormatError as exc:
-                raise DataFormatError("summary %r: %s" % (name, exc)) from None
-            summaries[match_id] = Summary(match_id=match_id, actions=actions)
-
-    return Dataset(vocabulary=vocabulary, matches=matches, summaries=summaries, meta=meta)
+            with naming("summary %r", name):
+                n = len(dataset.by_id(match_id).events)
+                recs = _read_json(os.path.join(sdir, name))
+                if not isinstance(recs, list):
+                    raise DataFormatError("top level must be a JSON array")
+                dataset.summaries[match_id] = Summary(
+                    match_id, [Action.from_record(r, n) for r in recs])
+    return dataset

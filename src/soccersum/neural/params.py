@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from ..core import DataFormatError
+from ..core import DataFormatError, naming
 
 MAGIC = b"SSUMCKPT"
 VERSION = 1
@@ -102,43 +102,43 @@ def save_checkpoint(params: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataFormatError("cannot read %s (%s)" % (path, exc.strerror)) from None
-    if data[: len(MAGIC)] != MAGIC:
-        raise DataFormatError("%r is not a checkpoint file (bad magic)" % path)
-    off = len(MAGIC)
-
-    def take(size: int) -> int:
-        """Claim the next ``size`` bytes; returns their offset."""
-        nonlocal off
-        if off + size > len(data):
-            raise DataFormatError("checkpoint %r is truncated (%d bytes)" % (path, len(data)))
-        off += size
-        return off - size
-
-    version, count = struct.unpack_from("<II", data, take(8))
-    if version != VERSION:
-        raise DataFormatError("checkpoint version %d unsupported" % version)
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, take(2))
-        start = take(name_len)
+    with naming(path):
         try:
-            name = data[start : start + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataFormatError("checkpoint %r has a malformed array name" % path) from None
-        (ndim,) = struct.unpack_from("<B", data, take(1))
-        shape = [struct.unpack_from("<I", data, take(4))[0] for _ in range(ndim)]
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=take(n * 8)).copy()
-        # training aborts on a non-finite gradient, so no valid checkpoint holds one
-        if not np.all(np.isfinite(arr)):
-            raise DataFormatError("checkpoint %r: array %r holds non-finite values"
-                                  % (path, name))
-        params[name] = arr.reshape(shape)
-    if off != len(data):
-        raise DataFormatError("checkpoint has %d trailing bytes" % (len(data) - off))
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise DataFormatError("cannot read (%s)" % exc.strerror) from None
+        if data[: len(MAGIC)] != MAGIC:
+            raise DataFormatError("not a checkpoint file (bad magic)")
+        off = len(MAGIC)
+
+        def take(size: int) -> int:
+            """Claim the next ``size`` bytes; returns their offset."""
+            nonlocal off
+            if off + size > len(data):
+                raise DataFormatError("checkpoint is truncated (%d bytes)" % len(data))
+            off += size
+            return off - size
+
+        version, count = struct.unpack_from("<II", data, take(8))
+        if version != VERSION:
+            raise DataFormatError("checkpoint version %d unsupported" % version)
+        params: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, take(2))
+            start = take(name_len)
+            try:
+                name = data[start : start + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataFormatError("malformed array name") from None
+            (ndim,) = struct.unpack_from("<B", data, take(1))
+            shape = [struct.unpack_from("<I", data, take(4))[0] for _ in range(ndim)]
+            n = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(data, dtype="<f8", count=n, offset=take(n * 8)).copy()
+            # training aborts on a non-finite gradient, so no valid checkpoint holds one
+            if not np.all(np.isfinite(arr)):
+                raise DataFormatError("array %r holds non-finite values" % name)
+            params[name] = arr.reshape(shape)
+        if off != len(data):
+            raise DataFormatError("checkpoint has %d trailing bytes" % (len(data) - off))
     return params

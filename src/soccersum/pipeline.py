@@ -45,6 +45,7 @@ from .core import (
     DataFormatError,
     action_duration,
     action_type,
+    naming,
 )
 from .evaluation import (
     Counts,
@@ -66,7 +67,7 @@ from .stage1 import (
     score_events,
     train_mil,
 )
-from .stage2 import HmaModel, label_proposal, score_proposals, train_hma
+from .stage2 import SELECT_THRESHOLD, HmaModel, label_proposal, score_proposals, train_hma
 from .stage3 import (
     assemble_summary,
     baseline_ranking,
@@ -97,15 +98,11 @@ _DATASET: Dataset | None = None  # set by an open WorkerPool, before any worker 
 
 def _audio_task(args):
     match_id, event_indices = args
-    match = _DATASET.by_id(match_id)
+    events = _DATASET.by_id(match_id).events
     samples, rate = resolve_audio(_DATASET, match_id)
-    rows = {}
-    try:
-        for idx in event_indices:
-            rows[idx] = extract_event_audio_features(samples, rate, match.events[idx].t)
-    except DataFormatError as exc:
-        raise DataFormatError("match %r: %s" % (match_id, exc)) from None
-    return match_id, rows
+    with naming("match %r", match_id):
+        return match_id, {idx: extract_event_audio_features(samples, rate, events[idx].t)
+                          for idx in event_indices}
 
 
 def _propose_task(args):
@@ -250,7 +247,8 @@ def typed_proposals(dataset: Dataset, scores: dict,
     out = {}
     for match_id, s in scores.items():
         match = dataset.by_id(match_id)
-        spans = extract_proposals(s, threshold, match.type_sequence())
+        with naming("match %r", match_id):
+            spans = extract_proposals(s, threshold, match.type_sequence())
         out[match_id] = [Action(a, b, action_type(Action(a, b), match)) for a, b in spans]
     return out
 
@@ -407,7 +405,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
                                                _derived_seed(config["seed"], 8, ctx.ordinals[i])),
             "only-goals": soccer_baseline("goals", ptypes),
             "shots-on-target": soccer_baseline("shots_on_target", ptypes),
-            "attention-classifier": [j for j, v in enumerate(theta[i]) if v >= 0.5],
+            "attention-classifier": [j for j, v in enumerate(theta[i]) if v >= SELECT_THRESHOLD],
         }
         for name, chosen in picks.items():
             selection[name].add(*summary_counts(i, chosen))

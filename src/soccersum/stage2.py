@@ -194,6 +194,8 @@ def _probabilities(params: dict, items) -> np.ndarray:
 # a training audio column whose standard deviation is below this floor is
 # constant: it gets 1, so it collapses to zero instead of amplifying noise
 SD_FLOOR = 1e-8
+# a proposal of theta >= this is selected (stage 2's epoch F, selection table)
+SELECT_THRESHOLD = 0.5
 
 
 def label_proposal(span: tuple[int, int], gt_intervals, ratio: float) -> int:
@@ -248,8 +250,8 @@ def _checkpoint_layout(meta_dim: int, audio_dim: int, hidden_modality: int,
                 **dict.fromkeys(["_norm.audio_mu", "_norm.audio_sd"], (audio_dim,)))
 
 
-def _classification_f(params: dict, items, threshold: float = 0.5) -> float:
-    pred = _probabilities(params, items) >= threshold
+def _classification_f(params: dict, items) -> float:
+    pred = _probabilities(params, items) >= SELECT_THRESHOLD
     y = np.array([bool(item[2]) for item in items], dtype=bool)
     counts = Counts(int(np.sum(pred & y)), int(np.sum(pred & ~y)), int(np.sum(~pred & y)))
     return counts.metrics(beta=1.0)["f"]
@@ -261,8 +263,8 @@ def train_hma(train_items, val_items, config: HmaConfig, fit_config: FitConfig,
     label) triples with raw audio features; a z-score normalization is
     fitted on the training items here and travels with the model.
 
-    Epoch selection: F1 of thresholded (0.5) classification on the
-    validation items.
+    Epoch selection: F1 of the classification at ``SELECT_THRESHOLD`` on
+    the validation items.
     """
     labels = {int(y) for _, _, y in train_items}
     if labels != {0, 1}:

@@ -33,6 +33,7 @@ from .core import (
     Summary,
     action_duration,
     action_type,
+    naming,
 )
 from .features.audio import check_rate, load_audio
 from .io import Dataset
@@ -564,20 +565,18 @@ def resolve_audio(dataset: Dataset, match_id: str) -> tuple[np.ndarray | SynthTr
     track of a synth spec.  Either is read through ``len`` and slices."""
     match = dataset.by_id(match_id)
     audio = match.audio
-    if audio is None:
-        raise SoccersumError("match %r has no audio reference" % match_id)
-    if isinstance(audio, str):
-        return load_audio(audio)
-    if isinstance(audio, dict) and "file" in audio:
-        return load_audio(audio["file"], audio.get("rate"))
-    if isinstance(audio, dict) and "synth" in audio:
-        summary = dataset.summaries.get(match_id)
-        bursts = summary_event_times(match, summary) if summary else []
-        try:
+    with naming("match %r", match_id):
+        if audio is None:
+            raise SoccersumError("no audio reference")
+        if isinstance(audio, str):
+            return load_audio(audio)
+        if isinstance(audio, dict) and "file" in audio:
+            return load_audio(audio["file"], audio.get("rate"))
+        if isinstance(audio, dict) and "synth" in audio:
+            summary = dataset.summaries.get(match_id)
+            bursts = summary_event_times(match, summary) if summary else []
             return synth_audio_track(audio["synth"], bursts)
-        except DataFormatError as exc:
-            raise DataFormatError("match %r: %s" % (match_id, exc)) from None
-    raise SoccersumError("unrecognized audio reference %r" % (audio,))
+        raise SoccersumError("unrecognized audio reference %r" % (audio,))
 
 
 def generate_dataset(cfg: GenConfig, seed: int) -> Dataset:

@@ -447,7 +447,8 @@ def test_truncated_checkpoint_exits_two(chain, tmp_path, capsys, keep):
     assert not (tmp_path / "scores.csv").exists()
 
 
-@pytest.mark.parametrize("fault", ["nan", "inf", "duplicate", "missing", "negative"])
+@pytest.mark.parametrize("fault", ["nan", "inf", "duplicate", "missing", "negative",
+                                   "unknown-match", "short", "score-5", "score-minus-3"])
 def test_malformed_scores_exit_two(chain, tmp_path, capsys, fault):
     lines = (chain.run / "scores.csv").read_text().splitlines()
     match_id, idx, score = lines[5].split(",")  # event 3 of the first match
@@ -457,7 +458,14 @@ def test_malformed_scores_exit_two(chain, tmp_path, capsys, fault):
         "duplicate": "%s,2,%s" % (match_id, score),
         "missing": None,
         "negative": "%s,-3,%s" % (match_id, score),
+        # a row of a match the dataset does not hold, after the kept row
+        "unknown-match": "%s\nzzz,0,%s" % (lines[5], score),
+        "short": lines[5],
+        "score-5": "%s,%s,5.0" % (match_id, idx),
+        "score-minus-3": "%s,%s,-3.0" % (match_id, idx),
     }[fault]
+    if fault == "short":  # the match's last row: its indices still run 0..n-2
+        lines[max(i for i, line in enumerate(lines) if line.startswith(match_id + ","))] = None
     scores = tmp_path / "scores.csv"
     scores.write_text("\n".join(line for line in lines if line is not None) + "\n")
     out = tmp_path / "proposals.json"
@@ -468,6 +476,25 @@ def test_malformed_scores_exit_two(chain, tmp_path, capsys, fault):
     assert rc == 2
     assert str(scores) in err and "Traceback" not in err
     assert not out.exists()
+    if fault == "short":
+        assert repr(match_id) in err
+
+
+@pytest.mark.parametrize("fault", ["version-2", "trailing-bytes"])
+def test_checkpoint_header_fault_names_the_file(chain, tmp_path, capsys, fault):
+    raw = (chain.run / "mil.ckpt").read_bytes()
+    ckpt = tmp_path / "mil.ckpt"
+    # the format version is the 4 bytes after the 8-byte magic
+    ckpt.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:] if fault == "version-2"
+                     else raw + bytes(8))
+    rc = main(["score-events", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--model", str(ckpt),
+               "--features", str(chain.run / "stage1_features.json"),
+               "--out", str(tmp_path / "scores.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert str(ckpt) in err and "Traceback" not in err
+    assert ("version 2" if fault == "version-2" else "8 trailing bytes") in err
 
 
 def _extract_at(chain, threshold, out):

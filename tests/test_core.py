@@ -6,13 +6,18 @@ import pytest
 
 from soccersum.core import (
     Action,
+    ConfigError,
+    DataFormatError,
     Event,
     Match,
     PaddingConfig,
+    ShapeError,
     Summary,
     action_duration,
     action_type,
     event_columns,
+    named,
+    naming,
 )
 
 
@@ -95,3 +100,27 @@ def test_summary_total_duration():
 def test_type_sequence():
     m = make_match(["pass", "shot", "save"])
     assert m.type_sequence() == ("pass", "shot", "save")
+
+
+def test_naming_leads_a_package_error_with_where_outer_to_inner():
+    with pytest.raises(ShapeError, match="^run/scores.csv: match 'm0': 3 scores$") as info:
+        with naming("run/scores.csv"):
+            with naming("match %r", "m0"):
+                raise ShapeError("3 scores")
+    assert type(info.value) is ShapeError and info.value.__suppress_context__
+    # ``where`` is formatted only with arguments, so a path may hold "%"
+    with pytest.raises(ConfigError, match="^50%/a.cfg:2: bad$"):
+        with naming("%s:%d", "50%/a.cfg", 2):
+            raise ConfigError("bad")
+    with pytest.raises(DataFormatError, match="^100%: bad$"):
+        with naming("100%"):
+            raise DataFormatError("bad")
+    # errors that are not the package's pass through untouched
+    with pytest.raises(ValueError, match="^plain$"):
+        with naming("anywhere"):
+            raise ValueError("plain")
+    with naming("anywhere"):
+        pass
+    err = named("events.jsonl line 4", DataFormatError("event time -1.0 is negative"))
+    assert type(err) is DataFormatError
+    assert str(err) == "events.jsonl line 4: event time -1.0 is negative"

@@ -1,6 +1,8 @@
 """Every name a package module imports is read by that module, every
-top-level function and class of the package is named somewhere else, and
-only ``core`` names the fields of an action span's JSON record.
+top-level function and class of the package is named somewhere else, only
+``core`` names the fields of an action span's JSON record, and no handler
+re-raises the error it caught with a location written in front
+(``core.naming`` is the one way a location gets into a message).
 
 An import statement marked ``noqa`` is exempt: the package ``__init__``
 re-exports and the bindings that perfbench wraps by name carry that mark.
@@ -118,4 +120,48 @@ def test_only_core_spells_a_span_record():
     found = [(str(path.relative_to(SRC)), line, text)
              for path in sorted(SRC.rglob("*.py")) if path != SRC / "core.py"
              for line, text in span_field_literals(path.read_text())]
+    assert found == []
+
+
+def rewraps(source: str) -> list[tuple[int, str]]:
+    """(line, class) of every ``raise X(...)`` inside an ``except X as exc``
+    handler (``X`` alone or in a tuple) whose arguments read ``exc``: an
+    error re-raised as its own class with its message written into a new
+    one.  A handler that turns ``exc`` into another class is not one."""
+    found = []
+    for handler in ast.walk(ast.parse(source)):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+            continue
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        caught = {ast.unparse(t) for t in caught}
+        for node in ast.walk(handler):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) in caught
+                    and any(isinstance(n, ast.Name) and n.id == handler.name
+                            for n in ast.walk(node.exc))):
+                found.append((node.lineno, ast.unparse(node.exc.func)))
+    return sorted(found)
+
+
+def test_scan_finds_a_rewrap():
+    source = ("def f(path):\n"
+              "    try:\n        g()\n"
+              "    except DataFormatError as exc:\n"
+              "        raise DataFormatError('%s: %s' % (path, exc)) from None\n"
+              "    try:\n        g()\n"
+              "    except (KeyError, ConfigError) as exc:\n"
+              "        raise ConfigError(str(exc))\n"
+              "    try:\n        g()\n"
+              "    except ConfigError as exc:  # another class: allowed\n"
+              "        raise DataFormatError('record: %s' % exc) from None\n"
+              "    except ValueError as exc:  # through the helper, or re-raised as is\n"
+              "        if path:\n            raise named(path, exc)\n"
+              "        raise ValueError('plain')\n")
+    assert rewraps(source) == [(5, "DataFormatError"), (9, "ConfigError")]
+
+
+def test_no_handler_rewraps_the_error_it_caught():
+    found = [(str(path.relative_to(SRC)), line, name)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in rewraps(path.read_text())]
     assert found == []

@@ -259,6 +259,18 @@ def test_summary_action_outside_the_match(tmp_path, action):
         load_dataset(path)
 
 
+def test_a_repeated_match_id_is_refused_naming_it(tmp_path):
+    entry = {"match_id": "m0", "attack_right_first": [True, False], "audio": None}
+    path = _write_minimal(tmp_path, [_line(0)],
+                          manifest={"vocabulary": list(VOCAB), "matches": [entry, entry]})
+    with pytest.raises(DataFormatError,
+                       match="^dataset.json: match id 'm0' is listed more than once$"):
+        load_dataset(path)
+    m = Match(match_id="m0", events=[_event(0, 0.0, "pass")])
+    with pytest.raises(DataFormatError, match="^match id 'm0' is listed more than once$"):
+        Dataset(vocabulary=VOCAB, matches=[m, Match(match_id="m0", events=[])])
+
+
 def test_by_id_names_an_unknown_match():
     ds = _dataset()
     assert ds.by_id("m001").match_id == "m001"
