@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import UNIT
-from .core import Action, DataFormatError, SoccersumError, naming
+from .core import Action, DataFormatError, SoccersumError, naming, open_input, open_output
 from .evaluation import format_csv
 from .features import QualifierCodebook
 from .io import Dataset, _read_json as _read_json_file
@@ -51,7 +51,7 @@ def ensure_same_provenance(tagged: list[tuple[str, Provenance]]) -> Provenance:
 
 
 def _write_csv(path: str, prov: Provenance, body: str) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("# config_hash=%s seed=%d\n" % (prov.config_hash, prov.seed))
         fh.write(body)
 
@@ -60,10 +60,8 @@ def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
     """Provenance and data lines (line 3 on) of a CSV artifact whose column
     line is ``columns``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError("cannot read (%s)" % exc.strerror) from None
     except UnicodeDecodeError as exc:
         raise DataFormatError("not UTF-8 text (%s)" % exc) from None
     head = re.fullmatch(r"# config_hash=(\S+) seed=(-?\d+)", lines[0]) if lines else None
@@ -75,7 +73,7 @@ def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
 
 
 def _write_json(path: str, prov: Provenance, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(dict(payload, config_hash=prov.config_hash, seed=prov.seed), fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
@@ -244,7 +242,7 @@ def write_train_log(path: str, prov: Provenance, models: dict) -> None:
     for stage, model in models.items():
         lines += [dict(row, stage=stage) for row in model.history]
         lines.append({"stage": stage, "best_epoch": model.best_epoch, "stop": model.stop})
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         # float32 losses are not JSON floats: default= widens them exactly
         fh.writelines(json.dumps(line, sort_keys=True, default=float) + "\n" for line in lines)
 
@@ -252,7 +250,6 @@ def write_train_log(path: str, prov: Provenance, models: dict) -> None:
 def write_results(out_dir: str, prov: Provenance, result) -> None:
     """The report tables of a ``pipeline.ProtocolResult`` under ``out_dir/results``."""
     res_dir = os.path.join(out_dir, "results")
-    os.makedirs(res_dir, exist_ok=True)
     for name, table in result.tables.items():
         _write_csv(os.path.join(res_dir, "%s.csv" % name), prov, format_csv(*table))
     _write_csv(os.path.join(res_dir, "results.txt"), prov, "\n" + result.text)

@@ -9,7 +9,8 @@ The piecewise commands call the same stage functions of ``pipeline`` as the
 protocol, so they write the same artifacts as its folds.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems
-(malformed files, provenance mismatches, training failures).
+(malformed files, files that cannot be read or written, provenance
+mismatches, training failures).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .artifacts import (
     write_theta_csv,
 )
 from .config import UNIT, load_config
-from .core import ConfigError, DataFormatError, SoccersumError, naming
+from .core import ConfigError, DataFormatError, SoccersumError, named, naming
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
@@ -66,14 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-        raise SystemExit(1)
-
-
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="configuration file")
-    sub.add_argument("--seed", type=int, default=None, help="override the run seed")
-    sub.add_argument("--jobs", type=int, default=None, help="worker processes")
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 def _threshold(text: str) -> float:
@@ -83,15 +77,6 @@ def _threshold(text: str) -> float:
     if not UNIT[1](value):
         raise argparse.ArgumentTypeError("%r is not %s" % (text, UNIT[0]))
     return value
-
-
-def _config_from(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
-    return load_config(args.config, overrides)
 
 
 def _require_current(cfg, tagged):
@@ -130,11 +115,18 @@ def _match_ids(args, dataset, default) -> list:
     return ids
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _proposal_events(path: str, proposals: dict, ids) -> dict:
+    """``proposal_events`` of ``ids``, once the proposals file ``path`` lists each."""
+    missing = [i for i in ids if i not in proposals]
+    if missing:
+        raise named(path, DataFormatError("match %r is not listed" % missing[0]))
+    return proposal_events(proposals, ids)
 
-def cmd_gen_data(args) -> int:
-    cfg = _config_from(args)
+
+# ---------------------------------------------------------------------------
+# subcommands, each called as (args, configuration, ``--data`` dataset or None)
+
+def cmd_gen_data(args, cfg, _dataset) -> int:
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
     save_dataset(dataset, args.out_dir)
     n_events = sum(len(m.events) for m in dataset.matches)
@@ -142,17 +134,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_extract_features(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_extract_features(args, cfg, dataset) -> int:
     ctx = prepare_fold(dataset, cfg, args.fold)
     prov = Provenance.of(cfg)
     feat_dir = os.path.join(args.out_dir, "features")
-    os.makedirs(feat_dir, exist_ok=True)
     ids = _match_ids(args, dataset, dataset.match_ids())
     if args.audio:
-        every_event = {i: list(range(len(ctx.feats[i]))) for i in ids}
-        audio = event_audio(dataset, every_event, cfg["jobs"])
+        audio = event_audio(dataset, {i: list(range(len(ctx.feats[i]))) for i in ids}, cfg["jobs"])
     for match_id in ids:
         write_features_csv(os.path.join(feat_dir, "%s_metadata.csv" % match_id), prov,
                            ctx.encoder.feature_names(), ctx.feats[match_id])
@@ -163,12 +151,9 @@ def cmd_extract_features(args) -> int:
     return 0
 
 
-def cmd_train_proposals(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_train_proposals(args, cfg, dataset) -> int:
     ctx = prepare_fold(dataset, cfg, args.fold)
     model = train_proposal_model(dataset, cfg, ctx)
-    os.makedirs(args.out_dir, exist_ok=True)
     prov = Provenance.of(cfg)
     save_model_checkpoint(os.path.join(args.out_dir, "mil.ckpt"), model.to_checkpoint(), prov)
     write_features_json(os.path.join(args.out_dir, "stage1_features.json"), prov,
@@ -178,56 +163,44 @@ def cmd_train_proposals(args) -> int:
     return 0
 
 
-def cmd_score_events(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_score_events(args, cfg, dataset) -> int:
     prov_f, codebook, _vocab = read_features_json(args.features)
     model = _load_model(MilModel, args.model, cfg, [(args.features, prov_f)])
     encoder = MetadataEncoder(dataset.vocabulary, codebook)
     _check_width(model, "lstm.W", args.model, encoder.width, args.features)
     ids = _match_ids(args, dataset, dataset.match_ids())
-    feats = {i: encoder.encode_match(dataset.by_id(i)) for i in ids}
-    scores = score_matches(model, feats)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    scores = score_matches(model, {i: encoder.encode_match(dataset.by_id(i)) for i in ids})
     write_scores_csv(args.out, Provenance.of(cfg), scores)
     print("scored %d matches -> %s" % (len(ids), args.out))
     return 0
 
 
-def cmd_extract_proposals(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_extract_proposals(args, cfg, dataset) -> int:
     prov_s, scores = read_scores_csv(args.scores)
     model = _load_model(MilModel, args.model, cfg, [(args.scores, prov_s)])
     threshold = args.threshold if args.threshold is not None else model.threshold
     with naming(args.scores):
         proposals = typed_proposals(dataset, scores, threshold)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_proposals_json(args.out, Provenance.of(cfg), proposals)
     n = sum(len(v) for v in proposals.values())
     print("extracted %d proposals (threshold %.2f) -> %s" % (n, threshold, args.out))
     return 0
 
 
-def cmd_train_hma(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_train_hma(args, cfg, dataset) -> int:
     prov_p, proposals = read_proposals_json(args.proposals, dataset)
     _require_current(cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold)
-    events = proposal_events(proposals, ctx.train_ids + ctx.val_ids)
+    events = _proposal_events(args.proposals, proposals, ctx.train_ids + ctx.val_ids)
     audio = event_audio(dataset, events, cfg["jobs"])
     model = train_proposal_scorer(cfg, ctx, proposals, audio)
-    os.makedirs(args.out_dir, exist_ok=True)
     save_model_checkpoint(os.path.join(args.out_dir, "hma.ckpt"),
                           model.to_checkpoint(), Provenance.of(cfg))
     print("trained proposal scorer: validation F1 %.4f" % model.best_val_f)
     return 0
 
 
-def cmd_summarize(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_summarize(args, cfg, dataset) -> int:
     prov_p, proposals = read_proposals_json(args.proposals, dataset)
     model = _load_model(HmaModel, args.model, cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold)
@@ -235,28 +208,23 @@ def cmd_summarize(args) -> int:
     _check_width(model, "audio.W", args.model, len(AUDIO_FEATURE_NAMES), "the audio descriptors")
     ids = _match_ids(args, dataset, ctx.test_ids)
     prov = Provenance.of(cfg)
-    os.makedirs(os.path.join(args.out_dir, "candidates"), exist_ok=True)
-
-    audio = event_audio(dataset, proposal_events(proposals, ids), cfg["jobs"])
+    audio = event_audio(dataset, _proposal_events(args.proposals, proposals, ids), cfg["jobs"])
     theta, inputs, candidates = rank_and_sample(dataset, cfg, ctx, model, proposals, audio, ids)
     write_theta_csv(os.path.join(args.out_dir, "theta.csv"), prov, theta)
     for i in ids:
         write_candidates_json(os.path.join(args.out_dir, "candidates", "%s.json" % i), prov,
-                              i, inputs[i][2], candidates[i], proposals.get(i, []))
+                              i, inputs[i][2], candidates[i], proposals[i])
     print("wrote rankings and %d candidate files to %s" % (len(ids), args.out_dir))
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from(args)
-    dataset = load_dataset(args.data)
+def cmd_evaluate(args, cfg, dataset) -> int:
     result = run_protocol(dataset, cfg, out_dir=args.out_dir)
     print(result.text, end="")
     return 0
 
 
-def cmd_e2e(args) -> int:
-    cfg = _config_from(args)
+def cmd_e2e(args, cfg, _dataset) -> int:
     check_fold_count(cfg, cfg["gen.matches"])  # before anything is generated or written
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
     result = run_protocol(dataset, cfg, out_dir=args.out_dir)
@@ -267,90 +235,66 @@ def cmd_e2e(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# every option of every subcommand: flag -> ``add_argument`` keywords
+OPTIONS = {
+    "--config": {"help": "configuration file"},
+    "--seed": {"type": int, "help": "override the run seed"},
+    "--jobs": {"type": int, "help": "worker processes"},
+    "--data": {"required": True},
+    "--out-dir": {"required": True},
+    "--fold": {"type": int, "default": 0},
+    "--matches": {"help": "comma-separated match ids"},
+    "--audio": {"action": "store_true", "help": "also extract audio features"},
+    "--model": {"required": True, "help": "mil.ckpt path, or hma.ckpt for summarize"},
+    "--features": {"required": True, "help": "stage1_features.json path"},
+    "--scores": {"required": True},
+    "--proposals": {"required": True},
+    "--threshold": {"type": _threshold},
+    "--out": {"required": True, "help": "scores CSV, or proposals JSON for extract-proposals"},
+}
+
+# subcommand -> (function, help, its options after --config, --seed and --jobs)
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic dataset", ["--out-dir"]),
+    "extract-features": (cmd_extract_features, "dump per-event feature vectors",
+                         ["--data", "--out-dir", "--fold", "--matches", "--audio"]),
+    "train-proposals": (cmd_train_proposals, "train the stage-1 proposal model",
+                        ["--data", "--out-dir", "--fold"]),
+    "score-events": (cmd_score_events, "per-event scores from a trained model",
+                     ["--data", "--model", "--features", "--out", "--matches"]),
+    "extract-proposals": (cmd_extract_proposals, "threshold scores into proposals",
+                          ["--data", "--scores", "--model", "--threshold", "--out"]),
+    "train-hma": (cmd_train_hma, "train the attention proposal scorer",
+                  ["--data", "--proposals", "--out-dir", "--fold"]),
+    "summarize": (cmd_summarize, "rank proposals and emit budgeted candidates",
+                  ["--data", "--proposals", "--model", "--out-dir", "--fold", "--matches"]),
+    "evaluate": (cmd_evaluate, "run the cross-validation protocol", ["--data", "--out-dir"]),
+    "e2e": (cmd_e2e, "generate data, then run the full protocol", ["--out-dir"]),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="soccersum", description="soccer match summarization pipeline")
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = subs.add_parser("gen-data", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = subs.add_parser("extract-features", help="dump per-event feature vectors")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--matches", default=None, help="comma-separated match ids")
-    p.add_argument("--audio", action="store_true", help="also extract audio features")
-    p.set_defaults(func=cmd_extract_features)
-
-    p = subs.add_parser("train-proposals", help="train the stage-1 proposal model")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--fold", type=int, default=0)
-    p.set_defaults(func=cmd_train_proposals)
-
-    p = subs.add_parser("score-events", help="per-event scores from a trained model")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, help="mil.ckpt path")
-    p.add_argument("--features", required=True, help="stage1_features.json path")
-    p.add_argument("--out", required=True, help="scores CSV to write")
-    p.add_argument("--matches", default=None)
-    p.set_defaults(func=cmd_score_events)
-
-    p = subs.add_parser("extract-proposals", help="threshold scores into proposals")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=_threshold, default=None)
-    p.add_argument("--out", required=True, help="proposals JSON to write")
-    p.set_defaults(func=cmd_extract_proposals)
-
-    p = subs.add_parser("train-hma", help="train the attention proposal scorer")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--proposals", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--fold", type=int, default=0)
-    p.set_defaults(func=cmd_train_hma)
-
-    p = subs.add_parser("summarize", help="rank proposals and emit budgeted candidates")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--proposals", required=True)
-    p.add_argument("--model", required=True, help="hma.ckpt path")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--matches", default=None)
-    p.set_defaults(func=cmd_summarize)
-
-    p = subs.add_parser("evaluate", help="run the cross-validation protocol")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = subs.add_parser("e2e", help="generate data, then run the full protocol")
-    _add_common(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_e2e)
-
+    for name, (_func, text, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for flag in ("--config", "--seed", "--jobs", *options):
+            sub.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def main(argv=None) -> int:
+    """Resolve the configuration, then load any ``--data``, then run the command."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        cfg = load_config(args.config, {key: getattr(args, key) for key in ("seed", "jobs")
+                                        if getattr(args, key) is not None})
+        dataset = load_dataset(args.data) if "data" in vars(args) else None
+        return COMMANDS[args.command][0](args, cfg, dataset)
     except ConfigError as exc:
         sys.stderr.write("configuration error: %s\n" % exc)
         return 1

@@ -23,7 +23,7 @@ import hashlib
 import math
 import os
 
-from .core import ConfigError, PaddingConfig, naming
+from .core import ConfigError, PaddingConfig, naming, open_input
 from .features.audio import MIN_RATE
 from .neural import FitConfig
 from .stage1 import MilConfig
@@ -36,6 +36,7 @@ ENV_PREFIX = "SOCCERSUM_"
 # A domain is (description, predicate): a value the predicate rejects is a
 # configuration error, "key 'k': <value> is not <description>".
 _COUNT = ("an integer of at least 1", lambda v: v >= 1)
+_SEED = ("an integer of at least 0", lambda v: v >= 0)  # numpy's ``SeedSequence`` rule
 # test, validation and training shards must be distinct
 _KFOLD = ("an integer of at least 3", lambda v: v >= 3)
 _AUDIO_RATE = ("an integer of at least %d" % MIN_RATE, lambda v: v >= MIN_RATE)
@@ -51,7 +52,7 @@ _BUDGET_MODE = ("one of " + ", ".join(BUDGET_MODES), lambda v: v in BUDGET_MODES
 
 # key -> (type, default, domain or None)
 KNOWN_KEYS: dict[str, tuple[type, object, tuple | None]] = {
-    "seed": (int, 7, None),
+    "seed": (int, 7, _SEED),
     "jobs": (int, 1, _COUNT),
     "gen.matches": (int, 60, _COUNT),
     "gen.events_mean": (int, 1500, _COUNT),
@@ -192,7 +193,9 @@ def _read_config_file(path: str, seen: set[str], cfg: PipelineConfig) -> None:
     seen.add(real)
     if not os.path.exists(path):
         raise ConfigError("config file %r does not exist" % path)
-    with open(path) as fh:
+    with naming(path):
+        fh = open_input(path, "r", ConfigError)
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -8,6 +8,7 @@ a set of actions chosen to be shown to a viewer.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -109,6 +110,25 @@ class naming:
     def __exit__(self, kind, exc, tb) -> None:
         if isinstance(exc, SoccersumError):
             raise named(self.where % self.args if self.args else self.where, exc) from None
+
+
+def open_input(path: str, mode: str = "rb", error: type = DataFormatError, **kwargs):
+    """``open(path, mode, **kwargs)``; an ``OSError`` is an ``error``
+    "cannot read (<strerror>)", which the caller names."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise error("cannot read (%s)" % exc.strerror) from None
+
+
+def open_output(path: str, mode: str = "w"):
+    """``path`` opened to write once its directory is made; an ``OSError``
+    is a ``SoccersumError`` "<path>: cannot write (<strerror>)"."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        return open(path, mode)
+    except OSError as exc:
+        raise named(path, SoccersumError("cannot write (%s)" % exc.strerror)) from None
 
 
 # side of the square pitch every event coordinate lies on; the goals sit at

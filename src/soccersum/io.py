@@ -41,6 +41,8 @@ from .core import (
     VocabularyError,
     named,
     naming,
+    open_input,
+    open_output,
 )
 
 _EVENT_FIELDS = ("match_id", *Event._fields)
@@ -145,10 +147,8 @@ def record_to_event(rec: dict) -> tuple[str, Event]:
 def _read_json(path: str):
     """The parsed JSON file at ``path``; the caller names it in errors."""
     try:
-        with open(path, "rb") as fh:
+        with open_input(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise DataFormatError("cannot read (%s)" % exc.strerror) from None
     # JSONDecodeError, bytes that are not UTF-8, an integer too long to
     # convert, or nesting deeper than the recursion limit
     except (ValueError, RecursionError) as exc:
@@ -156,9 +156,6 @@ def _read_json(path: str):
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "summaries"), exist_ok=True)
-
     manifest = {
         "vocabulary": list(dataset.vocabulary),
         "matches": [
@@ -171,27 +168,28 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
         ],
         "meta": dataset.meta,
     }
-    with open(os.path.join(out_dir, "dataset.json"), "w") as fh:
+    with open_output(os.path.join(out_dir, "dataset.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
+    with open_output(os.path.join(out_dir, "events.jsonl")) as fh:
         for m in dataset.matches:
             fh.write("".join([_ENCODER.encode(event_to_record(ev, m.match_id)) + "\n"
                               for ev in m.events]))
 
+    sdir = os.path.join(out_dir, "summaries")
     written = set()
     for match_id, summary in dataset.summaries.items():
         name = "%s.json" % match_id
-        with open(os.path.join(out_dir, "summaries", name), "w") as fh:
+        with open_output(os.path.join(sdir, name)) as fh:
             json.dump([a.record() for a in summary.actions], fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.add(name)
     # a summary left by an earlier save into this directory would be read
     # as this dataset's
-    for name in os.listdir(os.path.join(out_dir, "summaries")):
+    for name in os.listdir(sdir) if os.path.isdir(sdir) else ():
         if name.endswith(".json") and name not in written:
-            os.remove(os.path.join(out_dir, "summaries", name))
+            os.remove(os.path.join(sdir, name))
 
 
 def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
@@ -202,7 +200,9 @@ def _read_events(path: str, vocab_set: set) -> dict[str, list[Event]]:
     events_by_match: dict[str, list[Event]] = {}
     match_id, events = None, []
     # bytes that are not UTF-8 read as U+FFFD, which no field accepts
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with naming("events.jsonl"):
+        fh = open_input(path, "r", encoding="utf-8", errors="replace")
+    with fh:
         # one ``try`` names the line: a block per line would cost every line
         try:
             for lineno, line in enumerate(fh, start=1):

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from ..core import DataFormatError, naming
+from ..core import DataFormatError, naming, open_input, open_output
 
 MAGIC = b"SSUMCKPT"
 VERSION = 1
@@ -87,7 +87,7 @@ def read_layout(ckpt: dict, size_arrays: tuple[str, ...], layout, kind: str) -> 
 
 
 def save_checkpoint(params: dict, path: str) -> None:
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, arr in params.items():
@@ -103,11 +103,8 @@ def save_checkpoint(params: dict, path: str) -> None:
 
 def load_checkpoint(path: str) -> dict:
     with naming(path):
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise DataFormatError("cannot read (%s)" % exc.strerror) from None
+        with open_input(path) as fh:
+            data = fh.read()
         if data[: len(MAGIC)] != MAGIC:
             raise DataFormatError("not a checkpoint file (bad magic)")
         off = len(MAGIC)

@@ -255,7 +255,7 @@ def typed_proposals(dataset: Dataset, scores: dict,
 
 def proposal_events(proposals: dict, ids) -> dict[str, list[int]]:
     """Sorted indices of the events inside any proposal, per match of ``ids``."""
-    return {i: sorted({k for a in proposals.get(i, ())
+    return {i: sorted({k for a in proposals[i]
                        for k in range(a.start_index, a.end_index + 1)})
             for i in ids}
 
@@ -274,7 +274,7 @@ def stage2_items(proposals: dict, feats: dict, audio: dict, ids,
     audio) pairs, or (metadata, audio, label) with ``gt_intervals``."""
     items = []
     for i in ids:
-        for a in proposals.get(i, ()):
+        for a in proposals[i]:
             s, e = a.start_index, a.end_index
             xm = feats[i][s : e + 1]
             xa = np.stack([audio[i][k] for k in range(s, e + 1)])
@@ -317,7 +317,7 @@ def rank_and_sample(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
     match's ordinal keys its sampling stream."""
     theta = {i: score_proposals(hma, stage2_items(proposals, ctx.feats, audio, [i]))
              for i in ids}
-    inputs = {i: budget_inputs(dataset, config, i, proposals.get(i, [])) for i in ids}
+    inputs = {i: budget_inputs(dataset, config, i, proposals[i]) for i in ids}
     candidates = {
         i: generate_candidates(
             theta[i], *inputs[i], k=config["stage3.samples"], sigma=config["stage3.sigma"],
@@ -434,7 +434,6 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
     if out_dir is not None:
         prov = Provenance.of(config)
         fold_dir = os.path.join(out_dir, "fold_%03d" % fold.index)
-        os.makedirs(os.path.join(fold_dir, "candidates"), exist_ok=True)
         save_model_checkpoint(os.path.join(fold_dir, "mil.ckpt"), mil.to_checkpoint(), prov)
         save_model_checkpoint(os.path.join(fold_dir, "hma.ckpt"), hma.to_checkpoint(), prov)
         write_features_json(os.path.join(fold_dir, "stage1_features.json"), prov,

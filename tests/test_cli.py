@@ -190,9 +190,10 @@ OUT_OF_DOMAIN = {
     **{key: ["-1", "nan", "inf", "-1e-9", "1.5", "2"] for key in [
         "gen.noise_insert", "gen.noise_swap"]},
     "stage2.overlap_ratio": ["0", "-1", "nan", "inf", "1.5", "2"],
+    "seed": ["-1"],
 }
 # the lowest value inside each domain
-DOMAIN_FLOOR = {"eval.kfold": "3", "gen.audio_rate": "200", "stage2.lr": "1e-300",
+DOMAIN_FLOOR = {"seed": "0", "eval.kfold": "3", "gen.audio_rate": "200", "stage2.lr": "1e-300",
                 "eval.beta": "1e-300", "stage2.overlap_ratio": "1e-300", **dict.fromkeys([
                     "pad.pre", "pad.post", "stage3.sigma", "stage3.budget_tol",
                     "gen.budget_min", "gen.budget_max", "gen.audio_gain",
@@ -331,6 +332,36 @@ def test_unfillable_budget_exits_one_naming_its_keys(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "environment"])
+def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, how):
+    argv = ["gen-data", "--out-dir", str(tmp_path / "d")]
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("SOCCERSUM_SEED", "-1")
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err and "configuration error: key 'seed'" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("how", ["config", "include"])
+def test_config_path_that_cannot_be_read_exits_one(chain, tmp_path, capsys, how):
+    folder = tmp_path / "folder.cfg"
+    folder.mkdir()
+    cfg = folder
+    if how == "include":
+        cfg = tmp_path / "top.cfg"
+        cfg.write_text("include %s\n" % folder)
+    rc = main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert "configuration error" in err and "%s: cannot read" % folder in err
+    assert not (tmp_path / "d").exists()
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -431,6 +462,66 @@ def test_match_without_summary_exits_two(chain, tmp_path, capsys):
                "--out-dir", str(tmp_path / "run")])
     assert rc == 2
     assert "m009" in capsys.readouterr().err
+
+
+def test_events_file_that_cannot_be_read_exits_two(chain, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(chain.data, data)
+    (data / "events.jsonl").unlink()
+    (data / "events.jsonl").mkdir()
+    rc = main(["train-proposals", "--config", str(chain.cfg), "--data", str(data),
+               "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err and "error: events.jsonl: cannot read" in err
+    assert not (tmp_path / "run").exists()
+
+
+def _fold_ids(chain):
+    """The (train, validation, test) match ids of fold 0 of the chain."""
+    from soccersum.config import load_config
+    from soccersum.io import load_dataset
+    from soccersum.pipeline import prepare_fold
+    ctx = prepare_fold(load_dataset(str(chain.data)), load_config(str(chain.cfg)), 0)
+    return ctx.train_ids, ctx.val_ids, ctx.test_ids
+
+
+def _proposals_without(chain, tmp_path, match_id):
+    """A copy of the chain's proposals file that lists no ``match_id``."""
+    payload = json.loads((chain.run / "proposals.json").read_text())
+    del payload["matches"][match_id]
+    path = tmp_path / "proposals.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("command", ["train-hma", "summarize"])
+def test_proposals_without_a_needed_match_exit_two(chain, tmp_path, capsys, command):
+    train_ids, _val_ids, test_ids = _fold_ids(chain)
+    dropped = train_ids[0] if command == "train-hma" else test_ids[0]
+    proposals = _proposals_without(chain, tmp_path, dropped)
+    model = ["--model", str(chain.run / "hma.ckpt")] if command == "summarize" else []
+    rc = main([command, "--config", str(chain.cfg), "--data", str(chain.data),
+               "--proposals", str(proposals), *model, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err == "error: %s: match %r is not listed\n" % (proposals, dropped)
+    assert not (tmp_path / "out").exists()
+
+
+def test_summarize_needs_only_the_matches_it_ranks(chain, tmp_path):
+    """A proposals file need not list the matches a command does not read,
+    as after ``score-events --matches``."""
+    train_ids, _val_ids, test_ids = _fold_ids(chain)
+    proposals = _proposals_without(chain, tmp_path, train_ids[0])
+    rc = main(["summarize", "--config", str(chain.cfg), "--data", str(chain.data),
+               "--proposals", str(proposals), "--model", str(chain.run / "hma.ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    for i in test_ids:
+        assert ((tmp_path / "out" / "candidates" / ("%s.json" % i)).read_bytes()
+                == (chain.run / "candidates" / ("%s.json" % i)).read_bytes())
 
 
 @pytest.mark.parametrize("keep", [12, -5])  # cut inside the header / the last payload
@@ -1238,3 +1329,25 @@ def test_features_that_disagree_with_the_model_exit_two(chain, tmp_path, capsys)
     assert rc == 2, err
     assert str(features) in err and str(model) in err
     assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-proposals", "score-events"])
+def test_output_that_cannot_be_written_exits_two(chain, tmp_path, capsys, command):
+    """An output path under a regular file: the writer names the file it
+    could not open."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out"
+    run = chain.run
+    argv = {
+        "gen-data": ["--out-dir", str(out)],
+        "train-proposals": ["--data", str(chain.data), "--out-dir", str(out)],
+        "score-events": ["--data", str(chain.data), "--model", str(run / "mil.ckpt"),
+                         "--features", str(run / "stage1_features.json"),
+                         "--out", str(out / "scores.csv")],
+    }[command]
+    rc = main([command, "--config", str(chain.cfg), *argv])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: %s" % out) and ": cannot write (" in err

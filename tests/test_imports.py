@@ -1,8 +1,9 @@
 """Every name a package module imports is read by that module, every
 top-level function and class of the package is named somewhere else, only
-``core`` names the fields of an action span's JSON record, and no handler
+``core`` names the fields of an action span's JSON record, no handler
 re-raises the error it caught with a location written in front
-(``core.naming`` is the one way a location gets into a message).
+(``core.naming`` is the one way a location gets into a message), and only
+``core``'s two openers open a file or make a directory.
 
 An import statement marked ``noqa`` is exempt: the package ``__init__``
 re-exports and the bindings that perfbench wraps by name carry that mark.
@@ -164,4 +165,39 @@ def test_no_handler_rewraps_the_error_it_caught():
     found = [(str(path.relative_to(SRC)), line, name)
              for path in sorted(SRC.rglob("*.py"))
              for line, name in rewraps(path.read_text())]
+    assert found == []
+
+
+# the one reader and the one writer of a file: each turns an ``OSError``
+# into a typed error, and the writer makes the file's directory
+OPENERS = ("open_input", "open_output")
+
+
+def file_openings(source: str, allowed: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+    """(line, call) of every call to builtin ``open`` or ``os.makedirs``
+    outside the functions named in ``allowed``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name in allowed for node in ast.walk(f)}
+    return sorted((node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and ast.unparse(node.func) in ("open", "os.makedirs"))
+
+
+def test_scan_finds_a_file_opening():
+    source = ("import os\n"
+              "def open_output(path):\n    os.makedirs(path)\n    return open(path, 'w')\n"
+              "def save(path, fh):\n    with open(path) as out:\n"
+              "        os.makedirs(path, exist_ok=True)\n"
+              "    return fh.open(), np.memmap(path), wavfile.read(path)\n")
+    assert file_openings(source, ("open_output",)) == [(6, "open"), (7, "os.makedirs")]
+    assert file_openings(source) == [(3, "os.makedirs"), (4, "open"), (6, "open"),
+                                     (7, "os.makedirs")]
+
+
+def test_only_the_core_openers_open_a_file():
+    found = [(str(path.relative_to(SRC)), line, call)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, call in file_openings(path.read_text(),
+                                             OPENERS if path == SRC / "core.py" else ())]
     assert found == []
