@@ -1,11 +1,14 @@
 """Run artifacts: the files the stages hand each other.
 
-Each carries its provenance (short config hash and run seed) in one envelope
-per container kind: a first line ``# config_hash=<hash> seed=<seed>`` in CSV
-and text files, ``config_hash``/``seed`` fields in JSON objects, and
-``_prov.*`` records in checkpoints.  Readers raise ``DataFormatError`` naming
-the file (``core.naming``) for anything else; ``ensure_same_provenance``
-refuses to mix runs.
+``ARTIFACTS`` is the one statement of each kind: its name, built only by
+``artifact_path``, and what its reader requires.  Each file carries its
+provenance (short config hash and run seed) in its container's envelope,
+which one pair of functions writes and reads: ``_write_csv``/``_read_csv``
+(a first line ``# config_hash=<hash> seed=<seed>``), ``_write_json``/
+``_read_json`` (``config_hash`` and ``seed`` fields), and for checkpoints
+``save_model_checkpoint``/``load_model_checkpoint`` (``_prov.*`` records).
+Readers raise ``DataFormatError`` naming the file for anything else;
+``ensure_current`` refuses another run's files.
 """
 from __future__ import annotations
 
@@ -23,7 +26,30 @@ from .features import QualifierCodebook
 from .io import Dataset, _read_json as _read_json_file
 from .neural import load_checkpoint, save_checkpoint
 
-_SCORES_COLUMNS = "match_id,event_index,score"
+# kind -> (path under its directory, a pattern ``artifact_path`` fills; the
+# CSV column line or JSON fields its file holds, None if they vary or go unread)
+ARTIFACTS = {
+    "dataset": ("data", None),  # the dataset ``e2e`` generates
+    "fold": ("fold_%03d", None),  # by fold index; holds mil to fold_result
+    "mil": ("mil.ckpt", None),
+    "hma": ("hma.ckpt", None),
+    "stage1_features": ("stage1_features.json", ("qualifier_codebook", "action_vocabulary")),
+    "scores": ("scores.csv", "match_id,event_index,score"),
+    "proposals": ("proposals.json", ("matches",)),
+    "theta": ("theta.csv", "match_id,proposal_index,theta"),
+    "match_candidates": ("candidates/%s.json", None),  # by match id
+    "train_log": ("train_log.jsonl", None),
+    "fold_result": ("fold_result.json", None),
+    "results_table": ("results/%s.csv", None),  # by ``pipeline.REPORT`` table
+    "results_text": ("results/results.txt", None),
+    "metadata_features": ("features/%s_metadata.csv", None),  # by match id
+    "audio_features": ("features/%s_audio.csv", None),
+}
+
+
+def artifact_path(directory: str, kind: str, *names) -> str:
+    """The path of a ``kind`` file under ``directory``, its pattern filled with ``names``."""
+    return os.path.join(directory, ARTIFACTS[kind][0] % names)
 
 
 @dataclass(frozen=True)
@@ -37,28 +63,28 @@ class Provenance:
         return cls(config.config_hash(), config["seed"])
 
 
-def ensure_same_provenance(tagged: list[tuple[str, Provenance]]) -> Provenance:
-    """Accept a non-empty list of (path, provenance); all entries must agree."""
-    first_path, first = tagged[0]
-    for path, prov in tagged[1:]:
-        if prov != first:
+def ensure_current(config, tagged: list[tuple[str, Provenance]]) -> None:
+    """Refuse any of the (path, provenance) pairs ``tagged`` whose
+    provenance is not that of a run under ``config``."""
+    want = Provenance.of(config)
+    for path, prov in tagged:
+        if prov != want:
             raise SoccersumError(
-                "artifact provenance mismatch: %s has %s seed %d but %s has %s seed %d"
-                % (first_path, first.config_hash, first.seed, path,
-                   prov.config_hash, prov.seed)
-            )
-    return first
+                "artifact provenance mismatch: active configuration has %s seed %d but %s has "
+                "%s seed %d" % (want.config_hash, want.seed, path, prov.config_hash, prov.seed))
 
 
-def _write_csv(path: str, prov: Provenance, body: str) -> None:
+def _write_csv(path: str, kind: str, prov: Provenance, body: str) -> None:
+    """The provenance line, the column line of ``kind`` if it has one, then ``body``."""
+    columns = ARTIFACTS[kind][1]
     with open_output(path) as fh:
         fh.write("# config_hash=%s seed=%d\n" % (prov.config_hash, prov.seed))
-        fh.write(body)
+        fh.write(body if columns is None else columns + "\n" + body)
 
 
-def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
-    """Provenance and data lines (line 3 on) of a CSV artifact whose column
-    line is ``columns``."""
+def _read_csv(path: str, kind: str) -> tuple[Provenance, list[str]]:
+    """Provenance and data lines (line 3 on) of a CSV artifact of ``kind``."""
+    columns = ARTIFACTS[kind][1]
     try:
         with open_input(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -72,15 +98,21 @@ def _read_csv(path: str, columns: str) -> tuple[Provenance, list[str]]:
     return Provenance(head.group(1), int(head.group(2))), lines[2:]
 
 
-def _write_json(path: str, prov: Provenance, payload: dict) -> None:
+def _write_json(path: str, prov: Provenance, payload) -> None:
+    """A dict as one JSON object with the provenance fields, or a list of
+    dicts as JSON lines after a line of those fields."""
+    head = {"config_hash": prov.config_hash, "seed": prov.seed}
     with open_output(path) as fh:
-        json.dump(dict(payload, config_hash=prov.config_hash, seed=prov.seed), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+        if isinstance(payload, dict):
+            fh.write(json.dumps(dict(payload, **head), indent=2, sort_keys=True) + "\n")
+        else:  # float32 losses are not JSON floats: default= widens them exactly
+            fh.writelines(json.dumps(line, sort_keys=True, default=float) + "\n"
+                          for line in [head] + payload)
 
 
-def _read_json(path: str, fields: tuple[str, ...]) -> tuple[Provenance, dict]:
-    """Provenance and payload of a JSON artifact that must hold ``fields``."""
+def _read_json(path: str, kind: str) -> tuple[Provenance, dict]:
+    """Provenance and payload of a JSON artifact of ``kind``."""
+    fields = ARTIFACTS[kind][1]
     payload = _read_json_file(path)
     if not isinstance(payload, dict):
         raise DataFormatError("top level is not a JSON object")
@@ -113,27 +145,26 @@ def load_model_checkpoint(path: str) -> tuple[dict, Provenance]:
     return ckpt, Provenance("".join(chr(int(v)) for v in code.ravel()), int(seed[0]))
 
 
-def _write_series(path: str, prov: Provenance, columns: str,
+def _write_series(path: str, kind: str, prov: Provenance,
                   series: dict[str, np.ndarray]) -> None:
     """One ``match_id,index,value`` row per element of each match's array."""
-    rows = [columns + "\n"]
-    for match_id in sorted(series):
-        rows += ["%s,%d,%.10f\n" % (match_id, i, v) for i, v in enumerate(series[match_id])]
-    _write_csv(path, prov, "".join(rows))
+    rows = ["%s,%d,%.10f\n" % (match_id, i, v)
+            for match_id in sorted(series) for i, v in enumerate(series[match_id])]
+    _write_csv(path, kind, prov, "".join(rows))
 
 
 def write_scores_csv(path: str, prov: Provenance, scores: dict[str, np.ndarray]) -> None:
-    _write_series(path, prov, _SCORES_COLUMNS, scores)
+    _write_series(path, "scores", prov, scores)
 
 
 def write_theta_csv(path: str, prov: Provenance, theta: dict[str, np.ndarray]) -> None:
-    _write_series(path, prov, "match_id,proposal_index,theta", theta)
+    _write_series(path, "theta", prov, theta)
 
 
 def read_scores_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
     """Provenance and per-match scores: indices 0..n-1, scores in ``UNIT``."""
     with naming(path):
-        prov, lines = _read_csv(path, _SCORES_COLUMNS)
+        prov, lines = _read_csv(path, "scores")
         rows: dict[str, list[tuple[int, float]]] = {}
         for lineno, line in enumerate(lines, start=3):
             if not line:
@@ -158,12 +189,12 @@ def read_scores_csv(path: str) -> tuple[Provenance, dict[str, np.ndarray]]:
     return prov, out
 
 
-def write_features_csv(path: str, prov: Provenance, names, rows) -> None:
+def write_features_csv(path: str, kind: str, prov: Provenance, names, rows) -> None:
     """Per-event feature vectors of one match, one row per event."""
     lines = ["event_index," + ",".join(names) + "\n"]
     lines += ["%d," % i + ",".join("%.6f" % v for v in row) + "\n"
               for i, row in enumerate(rows)]
-    _write_csv(path, prov, "".join(lines))
+    _write_csv(path, kind, prov, "".join(lines))
 
 
 def write_proposals_json(path: str, prov: Provenance,
@@ -176,7 +207,7 @@ def read_proposals_json(path: str, dataset: Dataset
                         ) -> tuple[Provenance, dict[str, list[Action]]]:
     """Provenance and per-match proposals of a proposals file."""
     with naming(path):
-        prov, payload = _read_json(path, ("matches",))
+        prov, payload = _read_json(path, "proposals")
         matches = payload["matches"]
         if not isinstance(matches, dict) or not all(isinstance(v, list) for v in matches.values()):
             raise DataFormatError("\"matches\" must map match ids to lists")
@@ -215,7 +246,7 @@ def read_features_json(path: str):
     """Provenance, qualifier codebook and action vocabulary of a stage-1
     features file."""
     with naming(path):
-        prov, payload = _read_json(path, ("qualifier_codebook", "action_vocabulary"))
+        prov, payload = _read_json(path, "stage1_features")
         book, vocab = payload["qualifier_codebook"], payload["action_vocabulary"]
         dims, codes = (book.get("dims"), book.get("codes")) if isinstance(book, dict) else (0, 0)
         if not (type(dims) is int and isinstance(codes, list) and len(codes) < dims
@@ -238,18 +269,16 @@ def write_train_log(path: str, prov: Provenance, models: dict) -> None:
     line per row of its history and a last line with its best epoch and
     stop reason.  No line holds a wall time, so reruns and every ``--jobs``
     value write the same bytes."""
-    lines = [{"config_hash": prov.config_hash, "seed": prov.seed}]
+    lines = []
     for stage, model in models.items():
         lines += [dict(row, stage=stage) for row in model.history]
         lines.append({"stage": stage, "best_epoch": model.best_epoch, "stop": model.stop})
-    with open_output(path) as fh:
-        # float32 losses are not JSON floats: default= widens them exactly
-        fh.writelines(json.dumps(line, sort_keys=True, default=float) + "\n" for line in lines)
+    _write_json(path, prov, lines)
 
 
 def write_results(out_dir: str, prov: Provenance, result) -> None:
-    """The report tables of a ``pipeline.ProtocolResult`` under ``out_dir/results``."""
-    res_dir = os.path.join(out_dir, "results")
+    """The report tables and text of a ``pipeline.ProtocolResult`` under ``out_dir``."""
     for name, table in result.tables.items():
-        _write_csv(os.path.join(res_dir, "%s.csv" % name), prov, format_csv(*table))
-    _write_csv(os.path.join(res_dir, "results.txt"), prov, "\n" + result.text)
+        _write_csv(artifact_path(out_dir, "results_table", name), "results_table", prov,
+                   format_csv(*table))
+    _write_csv(artifact_path(out_dir, "results_text"), "results_text", prov, "\n" + result.text)

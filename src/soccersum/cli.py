@@ -6,7 +6,9 @@ Subcommands cover the full flow: ``gen-data`` builds a synthetic dataset,
 stages piecewise against saved artifacts, ``evaluate`` runs the
 cross-validation protocol, and ``e2e`` chains generation plus evaluation.
 The piecewise commands call the same stage functions of ``pipeline`` as the
-protocol, so they write the same artifacts as its folds.
+protocol, and ``train-proposals`` and ``summarize`` write through the fold's
+own write calls (``pipeline.write_proposal_model``,
+``pipeline.write_rankings``), so they write the same artifacts as its folds.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems
 (malformed files, files that cannot be read or written, provenance
@@ -26,21 +28,20 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .artifacts import (
     Provenance,
-    ensure_same_provenance,
+    artifact_path,
+    ensure_current,
     load_model_checkpoint,
     read_features_json,
     read_proposals_json,
     read_scores_csv,
     save_model_checkpoint,
-    write_candidates_json,
     write_features_csv,
-    write_features_json,
     write_proposals_json,
     write_scores_csv,
-    write_theta_csv,
 )
+from .artifacts import write_features_json  # noqa: F401 (perfbench/tracing.py wraps it)
 from .config import UNIT, load_config
-from .core import ConfigError, DataFormatError, SoccersumError, named, naming
+from .core import ConfigError, DataFormatError, SoccersumError, check_output, named, naming
 from .features import AUDIO_FEATURE_NAMES, MetadataEncoder
 from .io import load_dataset, save_dataset
 from .pipeline import (
@@ -54,6 +55,8 @@ from .pipeline import (
     train_proposal_model,
     train_proposal_scorer,
     typed_proposals,
+    write_proposal_model,
+    write_rankings,
 )
 from .stage1 import MilModel
 from .stage1 import sample_training_bags, train_mil  # noqa: F401 (perfbench/tracing.py wraps them)
@@ -79,17 +82,12 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _require_current(cfg, tagged):
-    """All consumed artifacts must match the active config hash and seed."""
-    ensure_same_provenance([("active configuration", Provenance.of(cfg))] + list(tagged))
-
-
 def _load_model(cls, path: str, cfg, inputs: list):
     """The ``cls`` model (``MilModel`` or ``HmaModel``) of checkpoint
     ``path``, once its provenance and those of the (path, provenance)
     ``inputs`` match ``cfg``; a refusal is a data error naming the file."""
     ckpt, prov = load_model_checkpoint(path)
-    _require_current(cfg, inputs + [(path, prov)])
+    ensure_current(cfg, inputs + [(path, prov)])
     with naming(path):
         return cls.from_checkpoint(ckpt)
 
@@ -137,27 +135,25 @@ def cmd_gen_data(args, cfg, _dataset) -> int:
 def cmd_extract_features(args, cfg, dataset) -> int:
     ctx = prepare_fold(dataset, cfg, args.fold)
     prov = Provenance.of(cfg)
-    feat_dir = os.path.join(args.out_dir, "features")
     ids = _match_ids(args, dataset, dataset.match_ids())
     if args.audio:
         audio = event_audio(dataset, {i: list(range(len(ctx.feats[i]))) for i in ids}, cfg["jobs"])
     for match_id in ids:
-        write_features_csv(os.path.join(feat_dir, "%s_metadata.csv" % match_id), prov,
-                           ctx.encoder.feature_names(), ctx.feats[match_id])
+        path = artifact_path(args.out_dir, "metadata_features", match_id)
+        write_features_csv(path, "metadata_features", prov, ctx.encoder.feature_names(),
+                           ctx.feats[match_id])
         if args.audio:
-            write_features_csv(os.path.join(feat_dir, "%s_audio.csv" % match_id), prov,
-                               AUDIO_FEATURE_NAMES, audio.get(match_id, {}).values())
-    print("wrote features for %d matches to %s" % (len(ids), feat_dir))
+            write_features_csv(artifact_path(args.out_dir, "audio_features", match_id),
+                               "audio_features", prov, AUDIO_FEATURE_NAMES,
+                               audio.get(match_id, {}).values())
+    print("wrote features for %d matches to %s" % (len(ids), os.path.dirname(path)))
     return 0
 
 
 def cmd_train_proposals(args, cfg, dataset) -> int:
     ctx = prepare_fold(dataset, cfg, args.fold)
     model = train_proposal_model(dataset, cfg, ctx)
-    prov = Provenance.of(cfg)
-    save_model_checkpoint(os.path.join(args.out_dir, "mil.ckpt"), model.to_checkpoint(), prov)
-    write_features_json(os.path.join(args.out_dir, "stage1_features.json"), prov,
-                        ctx.encoder.codebook, ctx.vocab)
+    write_proposal_model(args.out_dir, Provenance.of(cfg), ctx, model)
     print("trained proposal model: threshold %.2f, validation F%.1f %.4f"
           % (model.threshold, cfg["stage1.beta"], model.best_val_f))
     return 0
@@ -189,13 +185,13 @@ def cmd_extract_proposals(args, cfg, dataset) -> int:
 
 def cmd_train_hma(args, cfg, dataset) -> int:
     prov_p, proposals = read_proposals_json(args.proposals, dataset)
-    _require_current(cfg, [(args.proposals, prov_p)])
+    ensure_current(cfg, [(args.proposals, prov_p)])
     ctx = prepare_fold(dataset, cfg, args.fold)
     events = _proposal_events(args.proposals, proposals, ctx.train_ids + ctx.val_ids)
     audio = event_audio(dataset, events, cfg["jobs"])
     model = train_proposal_scorer(cfg, ctx, proposals, audio)
-    save_model_checkpoint(os.path.join(args.out_dir, "hma.ckpt"),
-                          model.to_checkpoint(), Provenance.of(cfg))
+    save_model_checkpoint(artifact_path(args.out_dir, "hma"), model.to_checkpoint(),
+                          Provenance.of(cfg))
     print("trained proposal scorer: validation F1 %.4f" % model.best_val_f)
     return 0
 
@@ -207,13 +203,9 @@ def cmd_summarize(args, cfg, dataset) -> int:
     _check_width(model, "meta.W", args.model, ctx.encoder.width, "the metadata encoder")
     _check_width(model, "audio.W", args.model, len(AUDIO_FEATURE_NAMES), "the audio descriptors")
     ids = _match_ids(args, dataset, ctx.test_ids)
-    prov = Provenance.of(cfg)
     audio = event_audio(dataset, _proposal_events(args.proposals, proposals, ids), cfg["jobs"])
     theta, inputs, candidates = rank_and_sample(dataset, cfg, ctx, model, proposals, audio, ids)
-    write_theta_csv(os.path.join(args.out_dir, "theta.csv"), prov, theta)
-    for i in ids:
-        write_candidates_json(os.path.join(args.out_dir, "candidates", "%s.json" % i), prov,
-                              i, inputs[i][2], candidates[i], proposals[i])
+    write_rankings(args.out_dir, Provenance.of(cfg), theta, inputs, candidates, proposals, ids)
     print("wrote rankings and %d candidate files to %s" % (len(ids), args.out_dir))
     return 0
 
@@ -229,7 +221,7 @@ def cmd_e2e(args, cfg, _dataset) -> int:
     dataset = generate_dataset(cfg.gen_config(), cfg["seed"])
     result = run_protocol(dataset, cfg, out_dir=args.out_dir)
     # after the run, so a configuration error leaves no directory behind
-    save_dataset(dataset, os.path.join(args.out_dir, "data"))
+    save_dataset(dataset, artifact_path(args.out_dir, "dataset"))
     print(result.text, end="")
     return 0
 
@@ -284,7 +276,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Resolve the configuration, then load any ``--data``, then run the command."""
+    """Resolve the configuration, refuse outputs that cannot be made, load any
+    ``--data``, then run the command."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -293,7 +286,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, {key: getattr(args, key) for key in ("seed", "jobs")
                                         if getattr(args, key) is not None})
-        dataset = load_dataset(args.data) if "data" in vars(args) else None
+        options = COMMANDS[args.command][2]
+        if "--out-dir" in options:
+            check_output(args.out_dir)
+        if "--out" in options:
+            check_output(os.path.dirname(args.out))
+        dataset = load_dataset(args.data) if "--data" in options else None
         return COMMANDS[args.command][0](args, cfg, dataset)
     except ConfigError as exc:
         sys.stderr.write("configuration error: %s\n" % exc)

@@ -143,14 +143,10 @@ class PipelineConfig:
                 self.set(key, env[name])
 
     def canonical(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            if key == "jobs":
-                # worker count cannot change any result, so it is not part
-                # of the experiment identity
-                continue
-            lines.append("%s = %s" % (key, self.values[key]))
-        return "\n".join(lines) + "\n"
+        # the worker count cannot change any result, so it is not part of
+        # the experiment identity
+        return "".join("%s = %s\n" % (k, v) for k, v in sorted(self.values.items())
+                       if k != "jobs")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]

@@ -131,6 +131,16 @@ def open_output(path: str, mode: str = "w"):
         raise named(path, SoccersumError("cannot write (%s)" % exc.strerror)) from None
 
 
+def check_output(directory: str) -> None:
+    """Refuse as ``open_output`` would, but making nothing, an output
+    ``directory`` whose nearest existing ancestor, itself included, is not one."""
+    where = os.path.abspath(directory)
+    while not os.path.exists(where):
+        where = os.path.dirname(where)
+    if not os.path.isdir(where):
+        raise named(directory, SoccersumError("cannot write (Not a directory)"))
+
+
 # side of the square pitch every event coordinate lies on; the goals sit at
 # mid-height on its left and right edges
 PITCH = 100.0

@@ -155,28 +155,16 @@ class Counts:
 
     def metrics(self, beta: float = 1.0) -> dict:
         p, r = precision_recall(self.tp, self.fp, self.fn)
-        return {
-            "precision": p,
-            "recall": r,
-            "f": fbeta(p, r, beta),
-            "missing": 100.0 * (1.0 - r),
-        }
+        return {"precision": p, "recall": r, "f": fbeta(p, r, beta), "missing": 100.0 * (1.0 - r)}
 
 
 def format_table(title: str, columns: list[str], rows: list[list]) -> str:
     """Aligned plain-text table; numbers rendered with two decimals."""
-    rendered = [[c for c in columns]]
-    for row in rows:
-        rendered.append([
-            ("%.2f" % v) if isinstance(v, float) else str(v) for v in row
-        ])
+    rendered = [list(columns)] + [[("%.2f" % v) if isinstance(v, float) else str(v) for v in row]
+                                  for row in rows]
     widths = [max(len(r[i]) for r in rendered) for i in range(len(columns))]
-    lines = [title]
-    lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(rendered[0])))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rendered[1:]:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))))
-    return "\n".join(lines) + "\n"
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in rendered]
+    return "\n".join([title, lines[0], "  ".join("-" * w for w in widths), *lines[1:]]) + "\n"
 
 
 def format_csv(columns: list[str], rows: list[list]) -> str:

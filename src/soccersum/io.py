@@ -95,20 +95,9 @@ class Dataset:
 
 
 def event_to_record(ev: Event, match_id: str) -> dict:
-    return {
-        "match_id": match_id,
-        "index": ev.index,
-        "t": _r6(ev.t),
-        "type": ev.type,
-        "team": ev.team,
-        "player": ev.player,
-        "sx": _r6(ev.sx),
-        "sy": _r6(ev.sy),
-        "ex": _r6(ev.ex),
-        "ey": _r6(ev.ey),
-        "outcome": ev.outcome,
-        "qualifier": ev.qualifier,
-    }
+    return {"match_id": match_id, "index": ev.index, "t": _r6(ev.t), "type": ev.type,
+            "team": ev.team, "player": ev.player, "sx": _r6(ev.sx), "sy": _r6(ev.sy),
+            "ex": _r6(ev.ex), "ey": _r6(ev.ey), "outcome": ev.outcome, "qualifier": ev.qualifier}
 
 
 def record_to_event(rec: dict) -> tuple[str, Event]:
@@ -125,20 +114,8 @@ def record_to_event(rec: dict) -> tuple[str, Event]:
     for f in _NUMBER_FIELDS:
         if type(rec[f]) not in (int, float):
             raise DataFormatError("%s %r is not a JSON number" % (f, rec[f]))
-    try:
-        ev = Event(
-            index=rec["index"],
-            t=float(rec["t"]),
-            type=str(rec["type"]),
-            team=rec["team"],
-            player=rec["player"],
-            sx=float(rec["sx"]),
-            sy=float(rec["sy"]),
-            ex=float(rec["ex"]),
-            ey=float(rec["ey"]),
-            outcome=rec["outcome"],
-            qualifier=rec["qualifier"],
-        )
+    try:  # each field as the type ``Event`` declares
+        ev = Event._make(_EVENT_TYPES[f](rec[f]) for f in Event._fields)
     except OverflowError as exc:  # an integer too large for a float field
         raise DataFormatError("malformed field (%s)" % exc) from None
     return str(rec["match_id"]), ev
@@ -169,8 +146,7 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
         "meta": dataset.meta,
     }
     with open_output(os.path.join(out_dir, "dataset.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     with open_output(os.path.join(out_dir, "events.jsonl")) as fh:
         for m in dataset.matches:
@@ -182,8 +158,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
     for match_id, summary in dataset.summaries.items():
         name = "%s.json" % match_id
         with open_output(os.path.join(sdir, name)) as fh:
-            json.dump([a.record() for a in summary.actions], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps([a.record() for a in summary.actions], indent=2, sort_keys=True)
+                     + "\n")
         written.add(name)
     # a summary left by an earlier save into this directory would be read
     # as this dataset's

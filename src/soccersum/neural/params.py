@@ -88,17 +88,11 @@ def read_layout(ckpt: dict, size_arrays: tuple[str, ...], layout, kind: str) -> 
 
 def save_checkpoint(params: dict, path: str) -> None:
     with open_output(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(params)))
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(params)))
         for name, arr in params.items():
-            arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+            arr, name_b = np.asarray(arr, dtype="<f8"), name.encode("utf-8")
+            fh.write(struct.pack("<H", len(name_b)) + name_b
+                     + struct.pack("<B%dI" % arr.ndim, arr.ndim, *arr.shape) + arr.tobytes())
 
 
 def load_checkpoint(path: str) -> dict:

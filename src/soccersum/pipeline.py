@@ -18,7 +18,6 @@ inline, so ``--jobs`` never changes any output byte.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .artifacts import (
     Provenance,
+    artifact_path,
     save_model_checkpoint,
     write_candidates_json,
     write_features_json,
@@ -329,6 +329,23 @@ def rank_and_sample(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
     return theta, inputs, candidates
 
 
+def write_proposal_model(out_dir: str, prov: Provenance, ctx: FoldContext,
+                         mil: MilModel) -> None:
+    """Stage 1's files under ``out_dir``: the model and its features' codebook and vocabulary."""
+    save_model_checkpoint(artifact_path(out_dir, "mil"), mil.to_checkpoint(), prov)
+    write_features_json(artifact_path(out_dir, "stage1_features"), prov,
+                        ctx.encoder.codebook, ctx.vocab)
+
+
+def write_rankings(out_dir: str, prov: Provenance, theta: dict, inputs: dict,
+                   candidates: dict, proposals: dict, ids) -> None:
+    """Stages 2-3's files under ``out_dir``: every match's theta, candidates of ``ids``."""
+    write_theta_csv(artifact_path(out_dir, "theta"), prov, theta)
+    for i in ids:
+        write_candidates_json(artifact_path(out_dir, "match_candidates", i), prov,
+                              i, inputs[i][2], candidates[i], proposals[i])
+
+
 # ---------------------------------------------------------------------------
 # fold execution
 
@@ -433,22 +450,14 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
 
     if out_dir is not None:
         prov = Provenance.of(config)
-        fold_dir = os.path.join(out_dir, "fold_%03d" % fold.index)
-        save_model_checkpoint(os.path.join(fold_dir, "mil.ckpt"), mil.to_checkpoint(), prov)
-        save_model_checkpoint(os.path.join(fold_dir, "hma.ckpt"), hma.to_checkpoint(), prov)
-        write_features_json(os.path.join(fold_dir, "stage1_features.json"), prov,
-                            ctx.encoder.codebook, ctx.vocab)
-        write_scores_csv(os.path.join(fold_dir, "scores.csv"), prov, scores)
-        write_proposals_json(os.path.join(fold_dir, "proposals.json"), prov, proposals)
-        write_theta_csv(os.path.join(fold_dir, "theta.csv"), prov, theta)
-        for i in test_ids:
-            write_candidates_json(
-                os.path.join(fold_dir, "candidates", "%s.json" % i), prov,
-                i, inputs[i][2], candidates[i], proposals[i],
-            )
-        write_fold_result(os.path.join(fold_dir, "fold_result.json"), prov, result)
-        write_train_log(os.path.join(fold_dir, "train_log.jsonl"), prov,
-                        {"stage1": mil, "stage2": hma})
+        fold_dir = artifact_path(out_dir, "fold", fold.index)
+        write_proposal_model(fold_dir, prov, ctx, mil)
+        save_model_checkpoint(artifact_path(fold_dir, "hma"), hma.to_checkpoint(), prov)
+        write_scores_csv(artifact_path(fold_dir, "scores"), prov, scores)
+        write_proposals_json(artifact_path(fold_dir, "proposals"), prov, proposals)
+        write_rankings(fold_dir, prov, theta, inputs, candidates, proposals, test_ids)
+        write_fold_result(artifact_path(fold_dir, "fold_result"), prov, result)
+        write_train_log(artifact_path(fold_dir, "train_log"), prov, {"stage1": mil, "stage2": hma})
     return result
 
 

@@ -398,6 +398,15 @@ def test_chain_artifacts_exist(chain):
     assert all(name.endswith(".json") for name in cand_files)
 
 
+def test_readme_lists_every_artifact_kind():
+    """README's Artifacts table names each ``ARTIFACTS`` path once, and nothing else."""
+    from soccersum.artifacts import ARTIFACTS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Artifacts\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert sorted(listed) == sorted(path for path, _ in ARTIFACTS.values())
+
+
 def test_scores_and_theta_carry_provenance(chain):
     for rel in ("scores.csv", "theta.csv"):
         first = (chain.run / rel).read_text().splitlines()[0]
@@ -1331,10 +1340,17 @@ def test_features_that_disagree_with_the_model_exit_two(chain, tmp_path, capsys)
     assert not (tmp_path / "scores.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train-proposals", "score-events"])
-def test_output_that_cannot_be_written_exits_two(chain, tmp_path, capsys, command):
-    """An output path under a regular file: the writer names the file it
-    could not open."""
+@pytest.mark.parametrize("command", ["gen-data", "train-proposals", "score-events", "evaluate",
+                                     "e2e"])
+def test_output_that_cannot_be_written_exits_two(chain, tmp_path, capsys, monkeypatch, command):
+    """An output path under a regular file is refused, naming the path,
+    before any stage runs: stage-1 training fails the test."""
+    from soccersum import cli, pipeline
+
+    def never(*args):
+        pytest.fail("stage 1 ran before the output was refused")
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "train_proposal_model", never)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = blocker / "out"
@@ -1345,9 +1361,26 @@ def test_output_that_cannot_be_written_exits_two(chain, tmp_path, capsys, comman
         "score-events": ["--data", str(chain.data), "--model", str(run / "mil.ckpt"),
                          "--features", str(run / "stage1_features.json"),
                          "--out", str(out / "scores.csv")],
+        "evaluate": ["--data", str(chain.data), "--out-dir", str(out)],
+        "e2e": ["--out-dir", str(out)],
     }[command]
     rc = main([command, "--config", str(chain.cfg), *argv])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "Traceback" not in err
     assert err.startswith("error: %s" % out) and ": cannot write (" in err
+
+
+def test_output_directory_that_is_a_regular_file_exits_two(chain, tmp_path, capsys,
+                                                            monkeypatch):
+    from soccersum import pipeline
+
+    def never(*args):
+        pytest.fail("stage 1 ran before the output was refused")
+    monkeypatch.setattr(pipeline, "train_proposal_model", never)
+    out = tmp_path / "a-file"
+    out.write_text("")
+    rc = main(["e2e", "--config", str(chain.cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err == "error: %s: cannot write (Not a directory)\n" % out

@@ -1,6 +1,7 @@
 """Every name a package module imports is read by that module, every
 top-level function and class of the package is named somewhere else, only
-``core`` names the fields of an action span's JSON record, no handler
+``core`` names the fields of an action span's JSON record, only
+``artifacts`` spells an artifact's file or directory name, no handler
 re-raises the error it caught with a location written in front
 (``core.naming`` is the one way a location gets into a message), and only
 ``core``'s two openers open a file or make a directory.
@@ -105,22 +106,57 @@ def test_every_definition_is_named_elsewhere():
 SPAN_FIELDS = ("start_index", "end_index")
 
 
-def span_field_literals(source: str) -> list[tuple[int, str]]:
-    """(line, text) of every string literal that is a span field's name."""
+def literals(source: str, names) -> list[tuple[int, str]]:
+    """(line, text) of every string literal that is one of ``names``."""
     return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Constant) and node.value in SPAN_FIELDS)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in names)
 
 
 def test_scan_finds_a_span_field_literal():
     source = ("def f(a, rec):\n    return a.start_index, rec['end_index']\n"
               "def g(a):\n    return {\"start_index\": a.start_index}\n")
-    assert span_field_literals(source) == [(2, "end_index"), (4, "start_index")]
+    assert literals(source, SPAN_FIELDS) == [(2, "end_index"), (4, "start_index")]
 
 
 def test_only_core_spells_a_span_record():
     found = [(str(path.relative_to(SRC)), line, text)
              for path in sorted(SRC.rglob("*.py")) if path != SRC / "core.py"
-             for line, text in span_field_literals(path.read_text())]
+             for line, text in literals(path.read_text(), SPAN_FIELDS)]
+    assert found == []
+
+
+def artifact_names() -> set[str]:
+    """Every name ``artifacts.ARTIFACTS`` gives a file or directory: each
+    path, each directory on it, and its last part unless that is only a
+    pattern and an extension (``%s.json`` also names a dataset's summary)."""
+    from soccersum.artifacts import ARTIFACTS
+    names = set()
+    for path, _ in ARTIFACTS.values():
+        parts = path.split("/")
+        names.update("/".join(parts[:i]) for i in range(1, len(parts) + 1))
+        if not re.fullmatch(r"%s\.\w+", parts[-1]):
+            names.add(parts[-1])
+    return names
+
+
+def test_scan_finds_an_artifact_name_literal():
+    names = artifact_names()
+    assert {"data", "fold_%03d", "mil.ckpt", "candidates", "candidates/%s.json", "results",
+            "results.txt", "features/%s_audio.csv", "%s_audio.csv"} <= names
+    assert "%s.json" not in names and "summaries" not in names
+    source = ("import os\n"
+              "def f(d, i):\n    return os.path.join(d, 'candidates', '%s.json' % i)\n"
+              "def g(d):\n    return os.path.join(d, 'fold_%03d' % 0, 'mil.ckpt')\n"
+              "HELP = 'mil.ckpt path'\n")
+    assert literals(source, names) == [(3, "candidates"), (5, "fold_%03d"), (5, "mil.ckpt")]
+
+
+def test_only_artifacts_spells_an_artifact_name():
+    names = artifact_names()
+    found = [(str(path.relative_to(SRC)), line, text)
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "artifacts.py"
+             for line, text in literals(path.read_text(), names)]
     assert found == []
 
 
