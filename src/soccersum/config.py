@@ -140,7 +140,8 @@ class PipelineConfig:
         for key in KNOWN_KEYS:
             name = ENV_PREFIX + key.upper().replace(".", "_")
             if name in env:
-                self.set(key, env[name])
+                with naming(name):
+                    self.set(key, env[name])
 
     def canonical(self) -> str:
         # the worker count cannot change any result, so it is not part of

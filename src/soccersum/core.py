@@ -141,6 +141,29 @@ def check_output(directory: str) -> None:
         raise named(directory, SoccersumError("cannot write (Not a directory)"))
 
 
+# Every random stream of a run: the words after the run seed in its key.
+# ``SeedSequence`` drops trailing zero words ([7] and [7, 0] give one state), so
+# no row's word is 0 and a per-match row appends its match's position (``Dataset.ordinal``).
+STREAMS: dict[str, tuple[int, ...]] = {
+    "split": (),  # the k-fold shuffle
+    "match": (1,),  # per match: its events and summary
+    "audio": (2,),  # per match: its synth track, then per chunk and burst
+    "stage1.init": (3,),
+    "stage1.shuffle": (4,),
+    "stage1.bags": (5,),
+    "stage2.init": (6,),
+    "stage2.shuffle": (7,),
+    "random_selector": (8,),  # per match
+    "stage3.candidates": (9,),  # per match, then per sample
+    "random_ranking": (10,),  # per match
+}
+
+
+def stream_key(seed: int, name: str, *key: int) -> list[int]:
+    """The ``SeedSequence`` key of stream ``name`` of run ``seed``, then ``key``."""
+    return [seed, *STREAMS[name], *key]
+
+
 # side of the square pitch every event coordinate lies on; the goals sit at
 # mid-height on its left and right edges
 PITCH = 100.0

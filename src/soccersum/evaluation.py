@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Action, Match, SoccersumError
+from .core import Action, Match, SoccersumError, stream_key
 
 
 def fbeta(precision: float, recall: float, beta: float = 1.0) -> float:
@@ -22,17 +22,6 @@ def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     return p, r
-
-
-def interval_overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Number of shared event indices between two inclusive index ranges."""
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]) + 1)
-
-
-def covered_by_any(pred: tuple[int, int], gt_intervals, ratio: float = 0.5) -> bool:
-    """True when >= ratio of the predicted range lies inside one GT range."""
-    need = ratio * (pred[1] - pred[0] + 1)
-    return any(interval_overlap(pred, g) >= need for g in gt_intervals)
 
 
 def overlap_match(pred_intervals, gt_intervals, ratio: float = 0.5) -> tuple[int, int, int]:
@@ -109,7 +98,7 @@ def kfold_split(ids: list[str], k: int, seed: int = 0):
     """
     if len(ids) < k:
         raise SoccersumError("k-fold split needs >= %d items, got %d" % (k, len(ids)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(stream_key(seed, "split"))
     order = [ids[i] for i in rng.permutation(len(ids))]
     shards = [list(s) for s in np.array_split(np.array(order, dtype=object), k)]
     folds = []

@@ -78,20 +78,23 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._index: dict[str, Match] = {}
-        for m in self.matches:
+        self._index: dict[str, int] = {}
+        for i, m in enumerate(self.matches):
             if m.match_id in self._index:
                 raise DataFormatError("match id %r is listed more than once" % m.match_id)
-            self._index[m.match_id] = m
+            self._index[m.match_id] = i
 
     def match_ids(self) -> list[str]:
         return [m.match_id for m in self.matches]
 
     def by_id(self, match_id: str) -> Match:
-        m = self._index.get(match_id)
-        if m is None:
+        return self.matches[self.ordinal(match_id)]
+
+    def ordinal(self, match_id: str) -> int:
+        """The match's position, the word that keys its streams (``core.STREAMS``)."""
+        if match_id not in self._index:
             raise DataFormatError("unknown match id %r" % match_id)
-        return m
+        return self._index[match_id]
 
 
 def event_to_record(ev: Event, match_id: str) -> dict:

@@ -2,11 +2,7 @@
 and evaluation tables.  The artifacts a run writes, and their provenance,
 are defined in ``artifacts``.
 
-Determinism: all randomness flows from the run seed through numbered
-substreams (1 match generation, 2 audio, 3/4 stage-1 init and shuffling,
-5 bag sampling, 6/7 stage-2 init and shuffling, 8 the random selector
-baseline, 9 candidate sampling, 10 the random ranking baseline), each
-further keyed by match ordinal where applicable.
+Determinism: every draw comes from a stream of the run seed in ``core.STREAMS``.
 
 Parallelism: ``run_protocol`` and ``run_fold`` run a fold's stage 1 as one
 task, each match's audio descriptors as one task, and a fold's stages 2 and
@@ -46,6 +42,7 @@ from .core import (
     action_duration,
     action_type,
     naming,
+    stream_key,
 )
 from .evaluation import (
     Counts,
@@ -175,7 +172,6 @@ class FoldContext:
     encoder: MetadataEncoder
     feats: dict
     gt_intervals: dict
-    ordinals: dict
 
 
 def check_fold_count(config: PipelineConfig, n_matches: int) -> None:
@@ -218,7 +214,6 @@ def prepare_fold(dataset: Dataset, config: PipelineConfig, fold_index: int) -> F
             i: sorted((a.start_index, a.end_index) for a in dataset.summaries[i].actions)
             for i in ids
         },
-        ordinals={match_id: i for i, match_id in enumerate(ids)},
     )
 
 
@@ -313,16 +308,15 @@ def rank_and_sample(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
                     hma: HmaModel, proposals: dict, audio: dict, ids) -> tuple[dict, dict, dict]:
     """Stage 2 scoring and stage 3 for each match of ``ids``: the proposal
     scores theta, the budget inputs (padded durations, start times,
-    budget), and the k budgeted candidates, each keyed by match id.  The
-    match's ordinal keys its sampling stream."""
+    budget), and the k budgeted candidates, each keyed by match id."""
     theta = {i: score_proposals(hma, stage2_items(proposals, ctx.feats, audio, [i]))
              for i in ids}
     inputs = {i: budget_inputs(dataset, config, i, proposals[i]) for i in ids}
     candidates = {
         i: generate_candidates(
             theta[i], *inputs[i], k=config["stage3.samples"], sigma=config["stage3.sigma"],
-            seed_key=(config["seed"], 9, ctx.ordinals[i]), tol=config["stage3.budget_tol"],
-            mode=config["stage3.mode"],
+            seed_key=stream_key(config["seed"], "stage3.candidates", dataset.ordinal(i)),
+            tol=config["stage3.budget_tol"], mode=config["stage3.mode"],
         )
         for i in ids
     }
@@ -362,10 +356,6 @@ class FoldResult:
     n_proposals: int
     n_over_budget: int
     max_budget_ratio: float
-
-
-def _derived_seed(seed: int, domain: int, ordinal: int) -> int:
-    return int(np.random.SeedSequence([seed, domain, ordinal]).generate_state(1)[0])
 
 
 @dataclass
@@ -417,9 +407,11 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
             [(a.start_index, a.end_index) for a in proposals[i]], gt))
 
         ptypes = [a.type for a in proposals[i]]
+        ordinal = dataset.ordinal(i)
+        # soccer_baseline takes an int seed: the first word of the match's stream
+        stream = np.random.SeedSequence(stream_key(config["seed"], "random_selector", ordinal))
         picks = {
-            "random-selector": soccer_baseline("random", ptypes,
-                                               _derived_seed(config["seed"], 8, ctx.ordinals[i])),
+            "random-selector": soccer_baseline("random", ptypes, int(stream.generate_state(1)[0])),
             "only-goals": soccer_baseline("goals", ptypes),
             "shots-on-target": soccer_baseline("shots_on_target", ptypes),
             "attention-classifier": [j for j, v in enumerate(theta[i]) if v >= SELECT_THRESHOLD],
@@ -427,7 +419,7 @@ def finish_fold(dataset: Dataset, config: PipelineConfig, ctx: FoldContext,
         for name, chosen in picks.items():
             selection[name].add(*summary_counts(i, chosen))
 
-        rng = np.random.default_rng(np.random.SeedSequence([config["seed"], 10, ctx.ordinals[i]]))
+        rng = np.random.default_rng(stream_key(config["seed"], "random_ranking", ordinal))
         desc = assemble_summary(baseline_ranking(theta[i], "descending"), *inputs[i], tol, mode)
         rand = assemble_summary(baseline_ranking(theta[i], "random", rng), *inputs[i], tol, mode)
         assembled += [(desc, inputs[i][2]), (rand, inputs[i][2])]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DataFormatError, Match, ShapeError, TrainingError
+from .core import ConfigError, DataFormatError, Match, ShapeError, TrainingError, stream_key
 from .evaluation import fbeta, overlap_match, precision_recall
 from .neural import (
     FitConfig,
@@ -137,7 +137,7 @@ def sample_training_bags(matches: dict[str, Match], vocab: set[tuple[str, ...]],
     for length in range(neg_min_len, max_pos_len + 1):
         eligible = [fr for fr in free_runs if fr[2] >= length]
         placements[length] = (eligible, np.cumsum([fr[2] - length + 1 for fr in eligible]))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    rng = np.random.default_rng(stream_key(seed, "stage1.bags"))
     negatives: list[Bag] = []
     n_needed = len(positives)
     for _ in range(n_needed):
@@ -452,11 +452,11 @@ def train_mil(bags: list[Bag], features: dict[str, np.ndarray],
     if labels != {0, 1}:
         raise TrainingError("training bags must contain both classes, got %s" % sorted(labels))
     input_dim = next(iter(features.values())).shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    rng = np.random.default_rng(stream_key(seed, "stage1.init"))
     # the model trains and scores in float32
     params = {k: v.astype(np.float32)
               for k, v in init_mil_params(input_dim, config.hidden, rng).items()}
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    shuffle_rng = np.random.default_rng(stream_key(seed, "stage1.shuffle"))
 
     def loss_grads(params, chunk):
         xs = [features[b.match_id][b.start : b.start + b.length] for b in chunk]

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataFormatError, ShapeError, TrainingError
-from .evaluation import Counts, covered_by_any
+from .core import DataFormatError, ShapeError, TrainingError, stream_key
+from .evaluation import Counts, overlap_match
 from .neural import (
     FitConfig,
     bce_loss,
@@ -199,9 +199,9 @@ SELECT_THRESHOLD = 0.5
 
 
 def label_proposal(span: tuple[int, int], gt_intervals, ratio: float) -> int:
-    """1 when at least ``ratio`` of the span lies inside one ground-truth
-    summary action's event range."""
-    return 1 if covered_by_any(span, gt_intervals, ratio) else 0
+    """1 when at least ``ratio`` of the span lies inside one of the ground-truth
+    spans ``gt_intervals`` (in start order), as ``overlap_match`` matches it."""
+    return overlap_match([span], gt_intervals, ratio)[0]
 
 
 @dataclass
@@ -274,13 +274,13 @@ def train_hma(train_items, val_items, config: HmaConfig, fit_config: FitConfig,
 
     stacked = np.concatenate([xa for _, xa, _ in train_items], axis=0)
     audio_sd = stacked.std(axis=0)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
+    rng = np.random.default_rng(stream_key(seed, "stage2.init"))
     model = HmaModel(params=init_hma_params(meta_dim, audio_dim, config, rng), config=config,
                      audio_mu=stacked.mean(axis=0),
                      audio_sd=np.where(audio_sd < SD_FLOOR, 1.0, audio_sd))
     train_items = [(xm, model.normalize_audio(xa), y) for xm, xa, y in train_items]
     val_items = [(xm, model.normalize_audio(xa), y) for xm, xa, y in val_items]
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    shuffle_rng = np.random.default_rng(stream_key(seed, "stage2.shuffle"))
 
     def validate(params):
         return {"val_f": _classification_f(params, val_items)}

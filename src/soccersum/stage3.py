@@ -96,12 +96,12 @@ def assemble_summary(ranking, durations, starts, budget: float, tol: float, mode
 
 
 def generate_candidates(theta, durations, starts, budget: float, k: int, sigma: float,
-                        seed_key: tuple, tol: float, mode: str) -> list[Candidate]:
-    """k budgeted candidates; sample j uses its own seeded Gumbel stream so
-    the j-th candidate is reproducible independently of the others."""
+                        seed_key: list, tol: float, mode: str) -> list[Candidate]:
+    """k budgeted candidates; sample j draws from key ``[*seed_key, j]``, so it is
+    reproducible alone.  ``seed_key`` is the match's ``stage3.candidates`` stream."""
     out = []
     for j in range(k):
-        rng = np.random.default_rng(np.random.SeedSequence(list(seed_key) + [j]))
+        rng = np.random.default_rng([*seed_key, j])
         ranking = sample_ranking(np.asarray(theta, dtype=float), sigma, rng)
         out.append(assemble_summary(ranking, durations, starts, budget, tol, mode, j))
     return out

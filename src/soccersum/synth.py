@@ -34,6 +34,7 @@ from .core import (
     action_duration,
     action_type,
     naming,
+    stream_key,
 )
 from .features.audio import check_rate, load_audio
 from .io import Dataset
@@ -218,7 +219,7 @@ def _gap_sizes(total: int, n_gaps: int, min_gap: int, rng: np.random.Generator) 
 
 def generate_match(cfg: GenConfig, seed: int, ordinal: int):
     """Build one match; returns (Match, Summary, [Planted])."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, ordinal]))
+    rng = np.random.default_rng(stream_key(seed, "match", ordinal))
     match_id = "m%03d" % ordinal
 
     n_target = int(round(rng.normal(cfg.events_mean, cfg.events_mean * EVENTS_SD_FRAC)))
@@ -413,7 +414,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
             "rate": cfg.audio_rate,
             "gain": cfg.audio_gain,
             "base_amp": cfg.audio_base_amp,
-            "seed": [seed, 2, ordinal],
+            "seed": stream_key(seed, "audio", ordinal),
             "duration": round(float(times[-1]) + 2.0, 6),
         }
     }
@@ -421,6 +422,7 @@ def generate_match(cfg: GenConfig, seed: int, ordinal: int):
 
 
 STREAM = 2  # version of the sample stream a synth spec renders
+CHUNK, BURST = 0, 1  # chunk j's key is [*seed, CHUNK, j], burst k's [*seed, BURST, k]
 RENDER_CHUNK = 1 << 16  # samples of base noise per keyed draw
 
 
@@ -453,7 +455,7 @@ class _NoiseChunk:
     __slots__ = ("rng", "samples", "filled")
 
     def __init__(self, key: list, n: int):
-        self.rng = np.random.default_rng(np.random.SeedSequence(key))
+        self.rng = np.random.default_rng(key)
         self.samples = np.empty(n, dtype=np.float32)
         self.filled = 0
 
@@ -497,7 +499,7 @@ class SynthTrack:
         chunk = self.chunks.get(j)
         if chunk is None:
             chunk = self.chunks[j] = _NoiseChunk(
-                self._seed + [0, j], min(RENDER_CHUNK, self._n - j * RENDER_CHUNK))
+                self._seed + [CHUNK, j], min(RENDER_CHUNK, self._n - j * RENDER_CHUNK))
         if end > chunk.filled:
             # the stream continues where the last draw stopped, so drawing a
             # chunk in parts gives the samples of one draw
@@ -510,7 +512,7 @@ class SynthTrack:
 
     def _burst(self, k: int) -> np.ndarray:
         if k not in self.bursts:
-            rng = np.random.default_rng(np.random.SeedSequence(self._seed + [1, k]))
+            rng = np.random.default_rng(self._seed + [BURST, k])
             size = int(self._ends[k] - self._starts[k])
             self.bursts[k] = rng.normal(0.0, self._burst_amp, size).astype(np.float32)
         return self.bursts[k]

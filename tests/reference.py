@@ -11,7 +11,8 @@ dictionaries are those of ``init_mil_params``/``init_hma_params``.
 ``find_vocabulary_spans`` compares every position with every vocabulary
 sequence length.  ``overlap_match`` and ``select_threshold`` are the
 stage-1 threshold search as plain loops: every prediction scans every
-ground truth, and every threshold re-extracts its runs event by event.
+ground truth, counting the events they share (``interval_overlap``), and
+every threshold re-extracts its runs event by event.
 
 ``synth_track`` draws stream 2 of a synthetic audio spec in full, the
 reference that on-demand track slices are tested against.
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from soccersum.core import DataFormatError, Event, VocabularyError
-from soccersum.evaluation import fbeta, interval_overlap, precision_recall
+from soccersum.evaluation import fbeta, precision_recall
 from soccersum.features.metadata import geometry_to_goal
 from soccersum.neural import bce_loss, bce_sigmoid_grad, sigmoid
 
@@ -192,6 +193,11 @@ def find_vocabulary_spans(types, vocab):
                 spans.append((i, i + m - 1))
     spans.sort()
     return spans
+
+
+def interval_overlap(a, b):
+    """Number of shared event indices between two inclusive index ranges."""
+    return max(0, min(a[1], b[1]) - max(a[0], b[0]) + 1)
 
 
 def overlap_match(pred_intervals, gt_intervals, ratio=0.5):

@@ -342,7 +342,21 @@ def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, how):
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert "Traceback" not in err and "configuration error: key 'seed'" in err
+    assert "Traceback" not in err
+    if how == "flag":
+        assert "configuration error: key 'seed'" in err
+    else:  # the variable's name leads, as a file's name and line do
+        assert "configuration error: SOCCERSUM_SEED: key 'seed'" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_environment_parse_error_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOCCERSUM_STAGE3_SIGMA", "abc")
+    rc = main(["gen-data", "--out-dir", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert ("configuration error: SOCCERSUM_STAGE3_SIGMA: key 'stage3.sigma': "
+            "cannot parse 'abc' as float") in err
     assert not (tmp_path / "d").exists()
 
 
@@ -1128,6 +1142,46 @@ def test_fold_task_data_error_exits_two_at_any_jobs(three_fold_runs, tmp_path, c
         errs.append(capsys.readouterr().err)
     assert "m004" in errs[0] and "Traceback" not in errs[0]
     assert errs[1] == errs[0]
+
+
+# ---------------------------------------------------------------------------
+# random streams
+
+def test_every_generator_is_keyed_from_a_stream(tmp_path, monkeypatch):
+    """A 6-match, 5-fold ``e2e`` builds every generator from a key that
+    ``core.stream_key`` spells, or from a random-selector word, and no two
+    different keys give one ``SeedSequence`` state (numpy drops trailing
+    zero words)."""
+    from soccersum.core import STREAMS, stream_key
+
+    seed, keys = 7, []
+    default_rng = np.random.default_rng
+
+    def recording(key=None):
+        keys.append(key)
+        return default_rng(key)
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    cfg = tmp_path / "census.cfg"
+    cfg.write_text("gen.matches = 6\ngen.events_mean = 400\neval.kfold = 5\neval.folds = 5\n"
+                   "stage1.epochs = 2\nstage1.patience = 2\nstage2.epochs = 2\n"
+                   "stage2.patience = 2\n")
+    assert main(["e2e", "--config", str(cfg), "--seed", str(seed), "--jobs", "1",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+
+    def rows(key):
+        return [name for name, words in STREAMS.items()
+                if (key == [seed] if not words else key[: 1 + len(words)] == stream_key(seed, name))]
+    lists = [k for k in keys if isinstance(k, list)]
+    assert [k for k in lists if len(rows(k)) != 1] == []
+    assert {rows(k)[0] for k in lists} == set(STREAMS) - {"random_selector"}
+    words = {int(np.random.SeedSequence(stream_key(seed, "random_selector", o)).generate_state(1)[0])
+             for o in range(6)}
+    ints = [k for k in keys if not isinstance(k, list)]
+    assert ints and set(ints) <= words
+    distinct = {tuple(k) if isinstance(k, list) else k for k in keys}
+    states = {tuple(np.random.SeedSequence(list(k) if isinstance(k, tuple) else k)
+                    .generate_state(4)) for k in distinct}
+    assert len(states) == len(distinct)
 
 
 # ---------------------------------------------------------------------------

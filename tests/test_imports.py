@@ -3,8 +3,9 @@ top-level function and class of the package is named somewhere else, only
 ``core`` names the fields of an action span's JSON record, only
 ``artifacts`` spells an artifact's file or directory name, no handler
 re-raises the error it caught with a location written in front
-(``core.naming`` is the one way a location gets into a message), and only
-``core``'s two openers open a file or make a directory.
+(``core.naming`` is the one way a location gets into a message), only
+``core``'s two openers open a file or make a directory, and only
+``core.STREAMS`` spells the word of a random stream.
 
 An import statement marked ``noqa`` is exempt: the package ``__init__``
 re-exports and the bindings that perfbench wraps by name carry that mark.
@@ -236,4 +237,44 @@ def test_only_the_core_openers_open_a_file():
              for path in sorted(SRC.rglob("*.py"))
              for line, call in file_openings(path.read_text(),
                                              OPENERS if path == SRC / "core.py" else ())]
+    assert found == []
+
+
+# the calls that build a random generator or its seed sequence
+SEEDERS = ("default_rng", "SeedSequence")
+
+
+def stream_literals(source: str) -> list[tuple[int, str]]:
+    """(line, call) of every ``default_rng(...)`` or ``SeedSequence(...)``
+    call whose arguments hold an integer literal inside a list or tuple
+    display: a stream word spelled beside ``core.STREAMS``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] in SEEDERS):
+            continue
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+            if any(isinstance(display, (ast.List, ast.Tuple))
+                   and any(isinstance(e, ast.Constant) and type(e.value) is int
+                           for e in display.elts)
+                   for display in ast.walk(arg)):
+                found.add((node.lineno, ast.unparse(node.func)))
+    return sorted(found)
+
+
+def test_scan_finds_a_stream_literal():
+    source = ("rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))\n"
+              "noise = default_rng(key + [0, j])\n"
+              "keyed = default_rng(stream_key(seed, 'stage1.bags')), default_rng([*key, j])\n"
+              "layout = np.random.default_rng(0)\n"
+              "word = SeedSequence(entropy=(seed, 8, k)).generate_state(1)\n")
+    assert stream_literals(source) == [(1, "np.random.SeedSequence"),
+                                       (1, "np.random.default_rng"), (2, "default_rng"),
+                                       (5, "SeedSequence")]
+
+
+def test_only_core_spells_a_stream_word():
+    found = [(str(path.relative_to(SRC)), line, call)
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "core.py"
+             for line, call in stream_literals(path.read_text())]
     assert found == []

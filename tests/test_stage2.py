@@ -257,9 +257,22 @@ def test_label_proposal_coverage_rule():
     assert label_proposal((0, 9), [(6, 14)], 0.5) == 0
     assert label_proposal((0, 9), [(0, 1), (6, 14)], 0.5) == 0  # no single one suffices
     assert label_proposal((3, 3), [(0, 9)], 0.5) == 1
+    assert label_proposal((4, 4), [(0, 20)], 1.0) == 1
     assert label_proposal((0, 9), [], 0.5) == 0
     assert label_proposal((0, 9), [(3, 6)], 0.4) == 1
     assert label_proposal((0, 9), [(3, 6)], 0.5) == 0
+    # at every ratio, 0 included: at least ``ratio`` of the span inside one
+    # ground truth, with the ground truths in start order as prepare_fold sorts them
+    rng = np.random.default_rng(17)
+    for ratio in (0.0, 0.3, 0.5, 1.0):
+        for _ in range(300):
+            s = int(rng.integers(40))
+            span = (s, s + int(rng.integers(10)))
+            starts = rng.integers(0, 50, size=int(rng.integers(4)))
+            gts = sorted((int(a), int(a + rng.integers(12))) for a in starts)
+            need = ratio * (span[1] - span[0] + 1)
+            covered = any(reference.interval_overlap(span, g) >= need for g in gts)
+            assert label_proposal(span, gts, ratio) == int(covered), (span, gts, ratio)
 
 
 def test_checkpoint_round_trip_keeps_normalization():
